@@ -11,12 +11,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "experiment/fork.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/sink.hpp"
 #include "obs/aggregate.hpp"
@@ -82,14 +80,9 @@ int main(int argc, char** argv) {
   // The paper reports 100 % per object; we trigger the disrupt phase at the
   // target's own GET. Fewer trials per object keep runtime sane. All nine
   // per-object sweeps go into one config list so the pool stays saturated.
-  // Each object's seed sweep is one fork cell (the attack target differs
-  // between objects, so their prefixes diverge); run_fork_ab runs the list
-  // classic and forked interleaved, cross-checks bit-identity, and records
-  // the fork speedup + snapshot_restores_per_trial gate metrics.
   const int single_trials = std::max(10, trials / 4);
   std::vector<experiment::TrialConfig> single_cfgs;
   for (int obj = 0; obj < 9; ++obj) {
-    const std::size_t cell_begin = single_cfgs.size();
     for (int t = 0; t < single_trials; ++t) {
       experiment::TrialConfig cfg;
       cfg.seed = 91000 + static_cast<std::uint64_t>(obj * 1000 + t);
@@ -99,10 +92,8 @@ int main(int argc, char** argv) {
       cfg.attack = experiment::single_target_attack_config(target_get);
       single_cfgs.push_back(std::move(cfg));
     }
-    experiment::mark_fork_cell(
-        std::span<experiment::TrialConfig>(single_cfgs).subspan(cell_begin));
   }
-  const auto single_results = sweep.run_fork_ab("one-at-a-time", single_cfgs);
+  const auto single_results = sweep.run("one-at-a-time", single_cfgs);
 
   std::vector<int> single_success(9, 0), single_completed(9, 0);
   for (std::size_t i = 0; i < single_results.size(); ++i) {

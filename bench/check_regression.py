@@ -16,13 +16,6 @@ beyond the tolerance on any sweep label present in both files:
        what tools/h2sim-campaign runs) got slower. Only gated on sweeps
        where either side records a non-zero value: collected sweeps
        legitimately report 0 for it.
-  * snapshot_restores_per_trial drops below (1 - TOLERANCE) x baseline
-    -> trials that used to ride a forked prefix snapshot now fall back
-       to cold starts (an eligibility or replay-validation regression in
-       the fork runner). The ratio is hardware-independent: 1.0 means
-       every seed in the forked sweep restored from its cell's prefix.
-       Only gated on sweeps where either side records a non-zero value
-       (only */fork entries from run_fork_ab carry it).
 
 A gated metric that the baseline entry records but the run entry omits
 entirely is a HARD failure (shown as "missing" in the delta table): a
@@ -268,31 +261,6 @@ def main(argv):
                         f"campaign trials/s {camp_new or 0.0:.2f} < floor {camp_floor:.2f}"
                     )
         camp_old = camp_old or 0.0
-
-        snap_old = b.get("snapshot_restores_per_trial")
-        snap_new = r.get("snapshot_restores_per_trial")
-        if (snap_new or 0.0) > 0.0 or (snap_old or 0.0) > 0.0:
-            if snap_old is None:
-                # Stale baseline: the run forks a sweep the baseline has
-                # never seen forked, so the restore floor would be ungated.
-                msg = f"sweep '{label}': baseline predates snapshot_restores_per_trial"
-                if strict_new:
-                    failures.append(msg + " (--strict-new); refresh bench/baseline.json")
-                else:
-                    print(f"note: {msg}; refresh bench/baseline.json to gate it")
-            elif snap_new is None and snap_old > 0.0:
-                failures.append(
-                    f"sweep '{label}': metric 'snapshot_restores_per_trial' "
-                    f"present in baseline but missing from run"
-                )
-                missing.append("snapshot_restores_per_trial")
-            else:
-                snap_floor = (snap_old or 0.0) * (1.0 - TOLERANCE)
-                if (snap_new or 0.0) < snap_floor:
-                    verdicts.append(
-                        f"snapshot restores/trial {snap_new or 0.0:.3f} "
-                        f"< floor {snap_floor:.3f}"
-                    )
 
         setup_new = r.get("setup_seconds_mean", 0.0)
         setup_old = b.get("setup_seconds_mean", 0.0)

@@ -7,7 +7,6 @@
 // results — the trial loop, threading, timing, and perf bookkeeping live
 // here once.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -16,35 +15,12 @@
 #include <utility>
 #include <vector>
 
-#include "experiment/fork.hpp"
 #include "experiment/harness.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/sink.hpp"
 #include "obs/context.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace h2sim::bench {
-
-/// User-mode CPU seconds burned by this process *and every waited-for
-/// child* — the honest cost metric for the forked runner, whose per-seed
-/// work happens in child processes that plain wall/self-CPU clocks under a
-/// multi-job sweep would misattribute.
-inline double user_cpu_seconds_self_and_children() {
-#if defined(__unix__) || defined(__APPLE__)
-  rusage self{};
-  rusage kids{};
-  getrusage(RUSAGE_SELF, &self);
-  getrusage(RUSAGE_CHILDREN, &kids);
-  return static_cast<double>(self.ru_utime.tv_sec + kids.ru_utime.tv_sec) +
-         static_cast<double>(self.ru_utime.tv_usec + kids.ru_utime.tv_usec) /
-             1e6;
-#else
-  return 0.0;
-#endif
-}
 
 /// Common CLI convention: argv[1] overrides the trials-per-point default.
 inline int trials_arg(int argc, char** argv, int def) {
@@ -178,101 +154,6 @@ class SweepSession {
     }
     record(label, parallel, jobs_, wall_n, wall_n > 0 ? wall_1 / wall_n : 0.0);
     return parallel;
-  }
-
-  /// Interleaved A/B measurement of the forked runner: `reps` alternating
-  /// (classic, forked) runs of the same config list, timed in wall seconds
-  /// and in user CPU (self + reaped children, so the forked children's work
-  /// is counted). Interleaving, rather than back-to-back blocks, keeps slow
-  /// drift (thermal, cache, competing load) from biasing either side.
-  ///
-  /// Records two entries: `label` (classic, averaged) and `label + "/fork"`
-  /// (forked, averaged) — the forked entry carries the gate-facing extras:
-  /// `fork_speedup` (classic wall / forked wall), `fork_cpu_speedup` (same
-  /// in user CPU), `snapshot_restores_per_trial` (hardware-independent: 1.0
-  /// when every seed rode the prefix), `fork_cold_fallbacks_per_trial`,
-  /// `fork_snapshot_mbytes`, and `fork_prefix_seconds_amortized`. Every
-  /// forked result is compared field-for-field against the classic result;
-  /// a mismatch flips the session's `deterministic` flag.
-  std::vector<experiment::TrialResult> run_fork_ab(
-      const std::string& label, std::span<const experiment::TrialConfig> cfgs,
-      int reps = 2) {
-    std::vector<experiment::TrialConfig> forked_cfgs(cfgs.begin(), cfgs.end());
-    // Callers with a heterogeneous list (e.g. one cell per attack target)
-    // tag their own cells; an untagged list is one seed sweep, one cell.
-    const bool pretagged = std::any_of(
-        forked_cfgs.begin(), forked_cfgs.end(),
-        [](const experiment::TrialConfig& c) { return c.fork_cell != nullptr; });
-    if (!pretagged) experiment::mark_fork_cell(forked_cfgs);
-
-    experiment::RunOptions opts;
-    opts.jobs = jobs_;
-    experiment::RunOptions fopts = opts;
-    fopts.fork = true;
-
-    const std::uint64_t restores0 =
-        obs::metrics().counter_value("experiment.fork.snapshot_restores");
-    const std::uint64_t falls0 =
-        obs::metrics().counter_value("experiment.fork.cold_fallbacks");
-
-    double classic_wall = 0.0, forked_wall = 0.0;
-    double classic_cpu = 0.0, forked_cpu = 0.0;
-    std::vector<experiment::TrialResult> classic, forked;
-    for (int rep = 0; rep < reps; ++rep) {
-      {
-        const double cpu0 = user_cpu_seconds_self_and_children();
-        const auto t0 = std::chrono::steady_clock::now();
-        classic = experiment::run_trials(cfgs, opts);
-        classic_wall += seconds_since(t0);
-        classic_cpu += user_cpu_seconds_self_and_children() - cpu0;
-      }
-      {
-        const double cpu0 = user_cpu_seconds_self_and_children();
-        const auto t0 = std::chrono::steady_clock::now();
-        forked = experiment::run_trials(forked_cfgs, fopts);
-        forked_wall += seconds_since(t0);
-        forked_cpu += user_cpu_seconds_self_and_children() - cpu0;
-      }
-      deterministic_ = deterministic_ && forked == classic;
-      if (forked != classic) {
-        std::fprintf(stderr,
-                     "[sweep] %s: FORK DETERMINISM VIOLATION — forked "
-                     "results differ from classic (rep %d)\n",
-                     label.c_str(), rep);
-      }
-    }
-    const double r = reps > 0 ? static_cast<double>(reps) : 1.0;
-    record(label, classic, jobs_, classic_wall / r, 0.0);
-    const std::string flabel = label + "/fork";
-    record(flabel, forked, jobs_, forked_wall / r, 0.0);
-    const double n_trials =
-        static_cast<double>(cfgs.size()) * r;
-    annotate(flabel, "fork_speedup",
-             forked_wall > 0 ? classic_wall / forked_wall : 0.0);
-    annotate(flabel, "fork_cpu_speedup",
-             forked_cpu > 0 ? classic_cpu / forked_cpu : 0.0);
-    annotate(flabel, "snapshot_restores_per_trial",
-             n_trials > 0
-                 ? static_cast<double>(
-                       obs::metrics().counter_value(
-                           "experiment.fork.snapshot_restores") -
-                       restores0) /
-                       n_trials
-                 : 0.0);
-    annotate(flabel, "fork_cold_fallbacks_per_trial",
-             n_trials > 0
-                 ? static_cast<double>(obs::metrics().counter_value(
-                                           "experiment.fork.cold_fallbacks") -
-                                       falls0) /
-                       n_trials
-                 : 0.0);
-    annotate(flabel, "fork_snapshot_mbytes",
-             obs::metrics().gauge_value("experiment.fork.snapshot_bytes") /
-                 (1024.0 * 1024.0));
-    annotate(flabel, "fork_prefix_seconds_amortized",
-             obs::metrics().gauge_value(
-                 "experiment.fork.prefix_seconds_amortized"));
-    return forked;
   }
 
   /// Runs the configs through an AggregatingSink with collect_results=false —

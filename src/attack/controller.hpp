@@ -72,10 +72,6 @@ class NetworkController : public net::PacketPolicy {
 
   const Stats& stats() const { return stats_; }
 
-  /// The controller's drop-decision stream. Exposed so the trial-forking
-  /// machinery can audit and re-seed it; not for general use.
-  sim::Rng& rng() { return rng_; }
-
  private:
   bool is_request_packet(const net::Packet& p) const;
 

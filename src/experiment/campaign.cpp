@@ -13,7 +13,6 @@
 #include <mutex>
 #include <utility>
 
-#include "experiment/fork.hpp"
 #include "experiment/runner.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
@@ -368,18 +367,6 @@ CampaignOutcome run_campaign(const CampaignOptions& opts) {
 
   std::map<std::string, std::uint64_t> folded;  // merged collapsed stacks
 
-  // Under --fork, all trials of one cell share a fork-cell tag (within a
-  // wave they differ only by seed). One tag per cell is enough: each wave
-  // is its own run_trials call, so the forked runner builds one prefix per
-  // cell per wave.
-  std::vector<std::shared_ptr<const ForkCell>> cell_tags;
-  if (opts.fork) {
-    cell_tags.reserve(num_cells);
-    for (std::size_t c = 0; c < num_cells; ++c) {
-      cell_tags.push_back(std::make_shared<const ForkCell>());
-    }
-  }
-
   // ---- Wave loop. ----
   bool session_truncated = false;
   for (;;) {
@@ -413,7 +400,6 @@ CampaignOutcome run_campaign(const CampaignOptions& opts) {
       for (const std::size_t c : active) {
         TrialConfig cfg = opts.cells[c].base;
         cfg.seed = opts.seed_base + c * kSeedCellStride + t;
-        if (opts.fork) cfg.fork_cell = cell_tags[c];
         cfgs.push_back(std::move(cfg));
         global_index.push_back(t * num_cells + c);
         labels.push_back(&opts.cells[c].label);
@@ -428,7 +414,6 @@ CampaignOutcome run_campaign(const CampaignOptions& opts) {
     ropts.collect_results = false;
     ropts.sink = &sink;
     ropts.profile = opts.profile;
-    ropts.fork = opts.fork;
     if (opts.on_report && opts.report_interval_seconds > 0) {
       ropts.progress_min_interval_seconds = opts.report_interval_seconds;
       ropts.on_progress = [&](const Progress& p) {

@@ -76,11 +76,6 @@ struct CampaignOptions {
   int jobs = 0;                 // RunOptions::jobs semantics
   std::string out_dir;          // required; created if missing
   bool resume = false;          // continue from <out_dir>/manifest.json
-  // RunOptions::fork semantics: per wave, each cell's trials share one
-  // fork cell (they differ only by seed), so the shared prefix is built
-  // once per cell per wave. Results — and thus shards, aggregates, and
-  // resume checkpoints — are bit-identical with the flag on or off.
-  bool fork = false;
   bool profile = false;         // enable obs::Profiler per trial; merged
                                 // collapsed stacks land in profile.folded
 

@@ -108,15 +108,6 @@ struct RunOptions {
   /// never write the same file. Vantage-point flags come from each config's
   /// TrialConfig::capture; its path field is overwritten.
   std::string capture_path;
-
-  /// Runs trials tagged with a shared fork cell (see experiment/fork.hpp)
-  /// by building each cell's world once, driving it to the first
-  /// seed-dependent event, and forking a copy-on-write child per seed
-  /// instead of rebuilding from scratch. Off by default. Results are
-  /// bit-identical to the classic path: any trial the fork machinery cannot
-  /// prove safe (ineligible config, prefix draw that does not replay for a
-  /// seed, child failure) silently runs classic.
-  bool fork = false;
 };
 
 /// Expands a capture_path pattern for one trial (exposed for tests).

@@ -3,16 +3,11 @@
 #include <utility>
 
 #include "defense/defenses.hpp"
-#include "experiment/fork.hpp"
 
 namespace h2sim::experiment {
 
 ScenarioTemplate::ScenarioTemplate(TrialConfig base) : base_(std::move(base)) {
   if (!base_.prebuilt_site) base_.prebuilt_site = prebuild_site(base_);
-  // Every instantiation of one template differs only by seed, which is
-  // exactly the fork-cell promise; the tag stays inert unless a sweep opts
-  // into RunOptions::fork.
-  base_.fork_cell = std::make_shared<const ForkCell>();
 }
 
 ScenarioTemplate ScenarioTemplate::with_load(LoadConfig load) const {

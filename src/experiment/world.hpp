@@ -24,55 +24,15 @@
 
 namespace h2sim::experiment {
 
-/// The per-trial RNG streams, named. Construction draws `kRoot` and splits
-/// the eight subsystem streams in this exact order; the four link-loss
-/// streams are derived from the config loss seeds rather than split from the
-/// root. The fork machinery records and replays draws per stream, so the
-/// enum doubles as the audit-log index.
-enum class StreamId : int {
-  kClientStack = 0,  // ISS draws only; values never reach the TrialResult
-  kServerStack,      // ISS draws only
-  kClientH2,         // scheduler draws (kRandom/kWeighted)
-  kServerH2,         // split per victim connection at accept
-  kApp,              // split per victim connection at accept
-  kBrowser,          // request-gap noise
-  kAttack,           // drop decisions
-  kLossClientToMb,   // link.c2m loss stream
-  kLossMbToServer,   // link.m2s
-  kLossServerToMb,   // link.s2m
-  kLossMbToClient,   // link.m2c
-  kCount
-};
-
-inline constexpr int kStreamCount = static_cast<int>(StreamId::kCount);
-
-/// Re-executes a recorded draw sequence against `rng` (a fresh stream for
-/// the new seed), so rejection-sampling word counts and the Box-Muller cache
-/// advance exactly as they did on the recorded stream. With `strict`, every
-/// re-executed draw must reproduce the recorded result bit-for-bit — a
-/// mismatch means the recorded prefix trajectory is not valid for this
-/// seed — and the function reports which draw diverged. Tolerant streams
-/// (the TCP ISS streams, whose values never influence a TrialResult field)
-/// only advance.
-bool replay_stream(sim::Rng& rng, const std::vector<sim::Rng::Draw>& log,
-                   bool strict, std::string* why);
-
 /// One fully constructed trial: the exact world `run_trial` has always
 /// built, with construction order, RNG split order, and event scheduling
 /// order preserved statement-for-statement — the behavior-golden digests pin
-/// that equivalence. Splitting the world from the run/evaluate phases is
-/// what enables trial forking: a prefix world can be driven up to the first
-/// seed-dependent event with run_until_event(), re-seeded, and resumed,
-/// instead of being rebuilt from scratch per seed.
+/// that equivalence. The build (constructor), run_to_limit() and finish()
+/// phases are separate so a harness can time world setup, simulation and
+/// evaluation independently.
 class TrialWorld {
  public:
-  /// Builds the world. `audits`, when non-null, is an array of kStreamCount
-  /// observer pointers (entries may be null) installed on the named streams
-  /// *before* any construction-time draw — components copy their Rng at
-  /// construction and the copy inherits the audit pointer, so even the TCP
-  /// ISS draw inside connect() is recorded.
-  explicit TrialWorld(const TrialConfig& cfg,
-                      sim::Rng::Audit* const* audits = nullptr);
+  explicit TrialWorld(const TrialConfig& cfg);
 
   TrialWorld(const TrialWorld&) = delete;
   TrialWorld& operator=(const TrialWorld&) = delete;
@@ -80,42 +40,17 @@ class TrialWorld {
   /// Runs the simulation to the configured sim_limit.
   void run_to_limit();
 
-  /// Runs until (not including) the named event; see
-  /// sim::EventLoop::run_until_event.
-  std::size_t run_until_event(const sim::EventLoop::EventMarker& m) {
-    return loop_.run_until_event(m);
-  }
-
   /// Closes capture, fires the inspectors, and evaluates the attack —
   /// byte-for-byte the historical run_trial epilogue.
   TrialResult finish();
-
-  sim::EventLoop& loop() { return loop_; }
-  web::Browser& browser() { return *browser_; }
-  const TrialConfig& config() const { return cfg_; }
 
   /// Wall-clock nanoseconds construction took (world setup up to the first
   /// simulated event). Not part of any TrialResult — wall time is not a pure
   /// function of the config.
   std::uint64_t setup_nanos() const { return setup_nanos_; }
 
-  /// The live, long-lived instance of a named stream (the copy held by the
-  /// owning component, not the consumed construction-time local). Assigning
-  /// through this reference is how reseed() swaps streams.
-  sim::Rng& stream(StreamId id);
-
-  /// Re-targets the world at `new_seed` before any seed-dependent event has
-  /// executed: derives the new seed's streams exactly as construction would
-  /// have, replays each recorded prefix log against them (strict streams
-  /// must reproduce the recorded bits), and swaps them into the live
-  /// components, the links, and the browser's permutation. On failure the
-  /// world must be discarded — `why` says which stream refused.
-  bool reseed(std::uint64_t new_seed,
-              const std::array<std::vector<sim::Rng::Draw>, kStreamCount>& logs,
-              std::string* why);
-
  private:
-  TrialConfig cfg_;  // mutable copy: reseed() re-targets cfg_.seed
+  const TrialConfig cfg_;
   std::chrono::steady_clock::time_point setup_begin_ =
       std::chrono::steady_clock::now();
 

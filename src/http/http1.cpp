@@ -1,5 +1,7 @@
 #include "http/http1.hpp"
 
+#include <limits>
+
 namespace h2sim::http {
 namespace {
 
@@ -62,6 +64,7 @@ void Http1ClientConnection::send_request(const Request& req, ResponseCallback cb
 }
 
 void Http1ClientConnection::on_plaintext(std::span<const std::uint8_t> bytes) {
+  if (broken_) return;
   in_buf_.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   try_parse();
 }
@@ -74,13 +77,32 @@ void Http1ClientConnection::try_parse() {
       const std::string head = in_buf_.substr(0, end + 4);
       in_buf_.erase(0, end + 4);
 
+      // A peer's malformed status or content-length leaves no way to frame
+      // the body, so the connection stops parsing instead of guessing.
+      const auto malformed = [this] {
+        broken_ = true;
+        in_buf_.clear();
+      };
+      // Status line: HTTP-version SP status-code [SP reason-phrase].
       Response r;
-      std::size_t pos = head.find("\r\n");
-      const std::string status_line = head.substr(0, pos);
-      if (status_line.size() >= 12) r.status = std::stoi(status_line.substr(9, 3));
+      std::string_view status_line(head);
+      status_line = status_line.substr(0, status_line.find("\r\n"));
+      const auto sp = status_line.find(' ');
+      if (sp == std::string_view::npos) return malformed();
+      const std::string_view code = status_line.substr(sp + 1);
+      const auto status = parse_decimal(code.substr(0, code.find(' ')), 999);
+      if (!status) return malformed();
+      r.status = static_cast<int>(*status);
       const auto cl = head.find("content-length:");
       if (cl != std::string::npos) {
-        r.content_length = std::stoull(head.substr(cl + 15));
+        std::string_view v(head);
+        v = v.substr(cl + 15, head.find("\r\n", cl) - cl - 15);
+        while (!v.empty() && (v.front() == ' ' || v.front() == '\t')) v.remove_prefix(1);
+        while (!v.empty() && (v.back() == ' ' || v.back() == '\t')) v.remove_suffix(1);
+        const auto length =
+            parse_decimal(v, std::numeric_limits<std::uint64_t>::max());
+        if (!length) return malformed();
+        r.content_length = *length;
       }
       const auto ct = head.find("content-type:");
       if (ct != std::string::npos) {

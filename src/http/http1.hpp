@@ -59,6 +59,7 @@ class Http1ClientConnection {
   std::vector<std::uint8_t> body_;
   std::deque<std::pair<Request, ResponseCallback>> queued_until_established_;
   bool established_ = false;
+  bool broken_ = false;  // malformed response head: stop parsing for good
 };
 
 }  // namespace h2sim::http

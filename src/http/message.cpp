@@ -1,8 +1,18 @@
 #include "http/message.hpp"
 
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 namespace h2sim::http {
+
+std::optional<std::uint64_t> parse_decimal(std::string_view s, std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) return std::nullopt;
+  return v;
+}
 
 hpack::HeaderList Request::to_h2_headers() const {
   hpack::HeaderList h;
@@ -86,10 +96,15 @@ std::optional<Response> Response::from_h2_headers(const hpack::HeaderList& heade
   bool saw_status = false;
   for (const auto& f : headers) {
     if (f.name == ":status") {
-      r.status = std::stoi(f.value);
+      const auto status = parse_decimal(f.value, 999);
+      if (!status) return std::nullopt;
+      r.status = static_cast<int>(*status);
       saw_status = true;
     } else if (f.name == "content-length") {
-      r.content_length = std::stoull(f.value);
+      const auto length =
+          parse_decimal(f.value, std::numeric_limits<std::uint64_t>::max());
+      if (!length) return std::nullopt;
+      r.content_length = *length;
     } else if (f.name == "content-type") {
       r.content_type = f.value;
     } else if (!f.name.empty() && f.name[0] != ':') {

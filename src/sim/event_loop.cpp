@@ -384,10 +384,7 @@ bool EventLoop::step() {
   core_->release(top.index);
   --core_->live;
   ++executed_;
-  in_event_ = true;
-  current_event_ = EventMarker{top.at.count_nanos(), top.seq};
   cb();
-  in_event_ = false;
   return true;
 }
 
@@ -400,23 +397,6 @@ std::size_t EventLoop::run(TimePoint until) {
     if (step()) ++n;
   }
   if (now_ < until && until != TimePoint::max()) now_ = until;
-  return n;
-}
-
-std::size_t EventLoop::run_until_event(const EventMarker& m) {
-  stopped_ = false;
-  std::size_t n = 0;
-  TimePoint at;
-  while (!stopped_ && peek_next(&at)) {
-    // peek_next() left the earliest live event at near_.front(), so its seq
-    // is available for the sub-nanosecond tie-break against the marker.
-    const NearEntry& top = near_.front();
-    if (top.at.count_nanos() > m.at_ns ||
-        (top.at.count_nanos() == m.at_ns && top.seq >= m.seq)) {
-      break;
-    }
-    if (step()) ++n;
-  }
   return n;
 }
 

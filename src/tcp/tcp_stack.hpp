@@ -38,10 +38,6 @@ class TcpStack {
     listeners_[port] = std::move(on_accept);
   }
 
-  /// The stack's ISS stream. Exposed so the trial-forking machinery can
-  /// audit and re-seed it; not for general use.
-  sim::Rng& rng() { return rng_; }
-
   /// Active open to (dst, dst_port); returns the connection (owned by the
   /// stack, stable address for the lifetime of the stack).
   TcpConnection& connect(net::NodeId dst, net::Port dst_port);

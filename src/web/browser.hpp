@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -58,10 +57,6 @@ class Browser {
     /// Noise-applied request gap, drawn once per step (cached so repeated
     /// dispatch passes do not re-roll it).
     std::optional<sim::Duration> drawn_gap;
-    /// The step's path was resolved from the per-seed permutation (an
-    /// EMBLEM_k placeholder or a shuffled slot); issuing it puts
-    /// seed-dependent state on the wire even without an RNG draw.
-    bool seed_resolved = false;
   };
 
   Browser(sim::EventLoop& loop, h2::ClientConnection& conn, const Website& site,
@@ -84,24 +79,6 @@ class Browser {
 
   int total_reissues() const;
   int reset_sweeps() const { return reset_sweeps_; }
-
-  /// The browser's noise stream. Exposed so the trial-forking machinery can
-  /// audit and re-seed it; not for general use.
-  sim::Rng& rng() { return rng_; }
-
-  /// Fork support: swaps in a new seed's permutation and noise stream and
-  /// re-resolves the EMBLEM_k placeholder steps. Fails (returns false, world
-  /// unusable for forking) when any seed-resolved step has already been
-  /// issued or the embedded order was randomized at construction — in both
-  /// cases seed-dependent state predates the fork point.
-  bool reseed(const std::array<int, 8>& permutation, sim::Rng rng,
-              std::string* why);
-
-  /// Fork support: invoked when a seed-resolved step is issued, so the
-  /// divergence scan can mark the event even though issuing draws nothing.
-  void set_fork_divergence_hook(std::function<void()> hook) {
-    fork_divergence_hook_ = std::move(hook);
-  }
 
  private:
   void dispatch();
@@ -143,7 +120,6 @@ class Browser {
   sim::TimerHandle dispatch_timer_;
   sim::TimerHandle deadline_timer_;
   int reset_sweeps_ = 0;
-  std::function<void()> fork_divergence_hook_;
 
   struct Metrics {
     obs::Counter requests_sent;

@@ -44,6 +44,38 @@ TEST(Message, ResponseToFromH2Headers) {
   EXPECT_EQ(back->content_type, "text/html");
 }
 
+// Peer-supplied numbers that must be rejected, never thrown on.
+struct MalformedNumber {
+  const char* name;
+  const char* value;
+};
+const MalformedNumber kMalformedNumbers[] = {
+    {"letters", "abc"},  {"empty", ""},
+    {"negative", "-1"},  {"trailing_garbage", "12x"},
+    {"overflow", "99999999999999999999"}};
+void PrintTo(const MalformedNumber& m, std::ostream* os) { *os << m.name; }
+
+TEST(Message, ResponseFromH2RejectsMalformedStatus) {
+  for (const auto& bad : kMalformedNumbers) {
+    const hpack::HeaderList h = {{":status", bad.value}, {"content-length", "10"}};
+    EXPECT_FALSE(Response::from_h2_headers(h).has_value()) << bad.name;
+  }
+}
+
+TEST(Message, ResponseFromH2RejectsMalformedContentLength) {
+  for (const auto& bad : kMalformedNumbers) {
+    const hpack::HeaderList h = {{":status", "200"}, {"content-length", bad.value}};
+    EXPECT_FALSE(Response::from_h2_headers(h).has_value()) << bad.name;
+  }
+}
+
+TEST(Message, ParseDecimalBounds) {
+  EXPECT_EQ(parse_decimal("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(parse_decimal("999", 999), 999u);
+  EXPECT_FALSE(parse_decimal("1000", 999).has_value());
+  EXPECT_FALSE(parse_decimal(" 1", 999).has_value());
+}
+
 TEST(Message, Http1TextRoundTrip) {
   Request r;
   r.method = "GET";
@@ -78,6 +110,17 @@ class Http1PairTest : public ::testing::Test {
 
     server_stack_->listen(443, [this](tcp::TcpConnection& c) {
       server_tls_ = std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kServer);
+      if (!raw_response_.empty()) {
+        // Hostile server: answers every request with raw_response_ verbatim.
+        tls::TlsSession::Callbacks cbs;
+        cbs.on_plaintext = [this](std::span<const std::uint8_t>) {
+          server_tls_->write(std::span(
+              reinterpret_cast<const std::uint8_t*>(raw_response_.data()),
+              raw_response_.size()));
+        };
+        server_tls_->set_callbacks(std::move(cbs));
+        return;
+      }
       server_ = std::make_unique<Http1ServerConnection>(
           *server_tls_, [](const Request& req) {
             Response resp;
@@ -97,6 +140,7 @@ class Http1PairTest : public ::testing::Test {
     loop_.run(sim::TimePoint::origin() + sim::Duration::seconds_f(seconds));
   }
 
+  std::string raw_response_;  // set before run() to script a hostile server
   sim::EventLoop loop_;
   std::unique_ptr<net::Path> path_;
   std::unique_ptr<tcp::TcpStack> server_stack_;
@@ -153,6 +197,52 @@ TEST_F(Http1PairTest, RequestsBeforeHandshakeAreQueued) {
   run();
   EXPECT_TRUE(done);
 }
+
+TEST_F(Http1PairTest, HostileServerWellFormedHeadIsFramed) {
+  raw_response_ = "HTTP/1.1 404 Not Found\r\ncontent-length:  4 \r\n\r\nbody";
+  Request req;
+  req.authority = "example.com";
+  int status = 0;
+  std::size_t got = 0;
+  client_->send_request(req, [&](const Response& r, std::vector<std::uint8_t> b) {
+    status = r.status;
+    got = b.size();
+  });
+  run();
+  EXPECT_EQ(status, 404);
+  EXPECT_EQ(got, 4u);
+}
+
+// A malformed status or content-length stops the client parsing the
+// connection: no response is framed from it, and nothing throws.
+class Http1MalformedHead
+    : public Http1PairTest,
+      public ::testing::WithParamInterface<std::tuple<bool, MalformedNumber>> {};
+
+TEST_P(Http1MalformedHead, StopsParsing) {
+  const auto [in_status, bad] = GetParam();
+  raw_response_ =
+      in_status ? std::string("HTTP/1.1 ") + bad.value +
+                      " OK\r\ncontent-length: 4\r\n\r\nbody"
+                : std::string("HTTP/1.1 200 OK\r\ncontent-length: ") +
+                      bad.value + "\r\n\r\nbody";
+  Request req;
+  req.authority = "example.com";
+  bool called = false;
+  client_->send_request(
+      req, [&](const Response&, std::vector<std::uint8_t>) { called = true; });
+  run();
+  EXPECT_FALSE(called);
+  EXPECT_FALSE(client_->idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StatusAndContentLength, Http1MalformedHead,
+    ::testing::Combine(::testing::Bool(), ::testing::ValuesIn(kMalformedNumbers)),
+    [](const ::testing::TestParamInfo<Http1MalformedHead::ParamType>& info) {
+      return std::string(std::get<0>(info.param) ? "status_" : "content_length_") +
+             std::get<1>(info.param).name;
+    });
 
 }  // namespace
 }  // namespace h2sim::http

@@ -132,6 +132,27 @@ TEST(Rng, BernoulliExtremes) {
     EXPECT_FALSE(r.bernoulli(0.0));
     EXPECT_TRUE(r.bernoulli(1.0));
   }
+  // p outside (0,1) short-circuits without consuming a word.
+  Rng fresh(9);
+  EXPECT_EQ(r.next_u64(), fresh.next_u64());
+}
+
+// Exact outputs of every draw op for one seed. A change to any op's value or
+// word consumption fails here, naming the op, before it surfaces as a moved
+// row in a 32-seed golden digest matrix.
+TEST(Rng, PinnedDrawValues) {
+  Rng r(20200629);
+  EXPECT_EQ(r.next_u64(), 905067860537689674ULL);
+  EXPECT_EQ(r.uniform(1000), 485u);
+  EXPECT_EQ(r.uniform_int(-50, 50), -29);
+  EXPECT_EQ(r.uniform01(), 0.86383067676626502);
+  EXPECT_EQ(r.uniform_real(2.5, 7.5), 7.3534677158094484);
+  EXPECT_DOUBLE_EQ(r.exponential(3.0), 3.1660847799346694);
+  EXPECT_DOUBLE_EQ(r.gaussian(10.0, 2.0), 7.4216930148808311);
+  EXPECT_DOUBLE_EQ(r.gaussian(10.0, 2.0), 7.9384373613316788);  // cached half
+  Rng child = r.split();
+  EXPECT_EQ(child.next_u64(), 4909487136528064579ULL);
+  EXPECT_EQ(r.next_u64(), 3233018217117966397ULL);
 }
 
 TEST(Rng, BernoulliRoughlyCalibrated) {

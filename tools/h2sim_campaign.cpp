@@ -9,20 +9,25 @@
 //                  [--attack off,full] [--pad 0,256] [--dummies 0,2]
 //                  [--jobs N] [--resume] [--report-interval SECS]
 //                  [--ci-stop HALFWIDTH [--ci-stop-field F]
-//                   [--ci-stop-min N]] [--profile] [--fork] [--max-trials N]
+//                   [--ci-stop-min N]] [--profile] [--max-trials N]
 //                  [--site default|small] [--quiet]
 //
 // The grid is the cross product of the comma-separated axis lists; each cell
 // is labeled "attack=A,pad=P,dummies=D". Live telemetry (trials/s, ETA,
 // per-cell CI width) goes to stderr; one NDJSON summary line goes to stdout.
 // --resume continues from DIR/manifest.json and refuses grids that don't
-// match the manifest's config digest.
+// match the manifest's config digest. A numeric option or list item that is
+// not a complete number prints the usage and exits with status 2.
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "experiment/campaign.hpp"
@@ -38,7 +43,7 @@ int usage(const char* argv0) {
       "          [--attack off,full] [--pad LIST] [--dummies LIST]\n"
       "          [--jobs N] [--resume] [--report-interval SECS]\n"
       "          [--ci-stop HALFWIDTH] [--ci-stop-field FIELD]\n"
-      "          [--ci-stop-min N] [--profile] [--fork] [--max-trials N]\n"
+      "          [--ci-stop-min N] [--profile] [--max-trials N]\n"
       "          [--site default|small] [--quiet]\n",
       argv0);
   return 1;
@@ -56,6 +61,29 @@ std::vector<std::string> split_list(const std::string& s) {
   return out;
 }
 
+/// Parses `s` as a whole number or, for double, a finite real; false on
+/// trailing characters, an empty string, a sign on an unsigned type, or a
+/// value out of range.
+template <typename T>
+bool parse_number(std::string_view s, T* out) {
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  *out = v;
+  return true;
+}
+
+[[noreturn]] void bad_number(const char* argv0, const char* option,
+                             std::string_view got) {
+  std::fprintf(stderr, "%s: invalid %s value '%.*s'\n", argv0, option,
+               static_cast<int>(got.size()), got.data());
+  usage(argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,22 +97,22 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    // The option's value parsed as a number; usage and exit 2 if malformed.
+    auto number = [&](auto* out) {
+      const char* v = next();
+      if (!v) std::exit(usage(argv[0]));
+      if (!parse_number(v, out)) bad_number(argv[0], arg.c_str(), v);
+    };
     if (arg == "--out") {
       const char* v = next();
       if (!v) return usage(argv[0]);
       opts.out_dir = v;
     } else if (arg == "--trials") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.trials_per_cell = std::strtoull(v, nullptr, 10);
+      number(&opts.trials_per_cell);
     } else if (arg == "--wave-seeds") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.wave_seeds = std::strtoull(v, nullptr, 10);
+      number(&opts.wave_seeds);
     } else if (arg == "--seed-base") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.seed_base = std::strtoull(v, nullptr, 10);
+      number(&opts.seed_base);
     } else if (arg == "--attack") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -98,35 +126,23 @@ int main(int argc, char** argv) {
       if (!v) return usage(argv[0]);
       dummies = split_list(v);
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.jobs = std::atoi(v);
+      number(&opts.jobs);
     } else if (arg == "--resume") {
       opts.resume = true;
     } else if (arg == "--report-interval") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.report_interval_seconds = std::atof(v);
+      number(&opts.report_interval_seconds);
     } else if (arg == "--ci-stop") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.ci_stop_halfwidth = std::atof(v);
+      number(&opts.ci_stop_halfwidth);
     } else if (arg == "--ci-stop-field") {
       const char* v = next();
       if (!v) return usage(argv[0]);
       opts.ci_stop_field = v;
     } else if (arg == "--ci-stop-min") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.ci_stop_min_trials = std::strtoull(v, nullptr, 10);
+      number(&opts.ci_stop_min_trials);
     } else if (arg == "--profile") {
       opts.profile = true;
-    } else if (arg == "--fork") {
-      opts.fork = true;
     } else if (arg == "--max-trials") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.max_trials_this_run = std::strtoull(v, nullptr, 10);
+      number(&opts.max_trials_this_run);
     } else if (arg == "--site") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -143,13 +159,25 @@ int main(int argc, char** argv) {
   }
   if (opts.out_dir.empty()) return usage(argv[0]);
 
+  std::vector<std::size_t> pad_values(pads.size());
+  for (std::size_t k = 0; k < pads.size(); ++k) {
+    if (!parse_number(pads[k], &pad_values[k])) bad_number(argv[0], "--pad", pads[k]);
+  }
+  std::vector<int> dummy_values(dummies.size());
+  for (std::size_t k = 0; k < dummies.size(); ++k) {
+    if (!parse_number(dummies[k], &dummy_values[k]) || dummy_values[k] < 0) {
+      bad_number(argv[0], "--dummies", dummies[k]);
+    }
+  }
+
   // Grid: cross product of the axes, labeled deterministically. Labels feed
   // the manifest's config digest, so axis order is part of the contract.
   for (const std::string& attack : attacks) {
-    for (const std::string& pad : pads) {
-      for (const std::string& dummy : dummies) {
+    for (std::size_t p = 0; p < pads.size(); ++p) {
+      for (std::size_t d = 0; d < dummies.size(); ++d) {
         experiment::CampaignCell cell;
-        cell.label = "attack=" + attack + ",pad=" + pad + ",dummies=" + dummy;
+        cell.label =
+            "attack=" + attack + ",pad=" + pads[p] + ",dummies=" + dummies[d];
         if (attack == "full") {
           cell.base.attack = experiment::full_attack_config();
         } else if (attack == "off") {
@@ -158,9 +186,8 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "unknown attack mode: %s\n", attack.c_str());
           return usage(argv[0]);
         }
-        cell.base.defense.pad_quantum =
-            static_cast<std::size_t>(std::strtoull(pad.c_str(), nullptr, 10));
-        cell.base.defense.dummy_count = std::atoi(dummy.c_str());
+        cell.base.defense.pad_quantum = pad_values[p];
+        cell.base.defense.dummy_count = dummy_values[d];
         if (small_site) {
           cell.base.site.pre_objects = 2;
           cell.base.site.filler_objects = 8;
