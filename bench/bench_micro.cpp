@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/random.hpp"
+#include "tcp/tcp_connection.hpp"
 #include "tls/record.hpp"
 #include "tls/session.hpp"
 
@@ -401,6 +404,65 @@ void BM_PacketForwardSteadyState(benchmark::State& state) {
       static_cast<double>(state.iterations() * kPackets));
 }
 BENCHMARK(BM_PacketForwardSteadyState);
+
+// Lossless bulk transfer between two TCP endpoints over a 5 ms one-way wire,
+// with the receive window (and so the flight the sender keeps) set by the
+// argument. Each iteration moves 4 MiB through an already-open window. The
+// `ns_per_segment` counter is wall time per segment handled by either end;
+// it should not grow with the window, since acking and reassembly cost
+// O(segments retired), not O(segments in flight).
+void BM_TcpBulkTransfer(benchmark::State& state) {
+  sim::EventLoop loop;
+  tcp::TcpConfig cfg;
+  cfg.recv_window = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<tcp::TcpConnection> client, server;
+  const auto wire = [&loop](std::unique_ptr<tcp::TcpConnection>& to) {
+    return [&loop, &to](net::Packet&& p) {
+      loop.schedule_after(sim::Duration::millis(5),
+                          [&loop, &to, p = std::move(p)]() mutable {
+                            to->handle_segment(p);
+                            loop.payload_pool().release(std::move(p.payload));
+                          });
+    };
+  };
+  client = std::make_unique<tcp::TcpConnection>(loop, cfg, 1, 1000, 2, 443,
+                                                wire(server), 1000);
+  server = std::make_unique<tcp::TcpConnection>(loop, cfg, 2, 443, 1, 1000,
+                                                wire(client), 5000);
+  std::uint64_t delivered = 0;
+  tcp::TcpConnection::Callbacks cbs;
+  cbs.on_data = [&delivered](std::span<const std::uint8_t> b) {
+    delivered += b.size();
+  };
+  server->set_callbacks(std::move(cbs));
+
+  const std::vector<std::uint8_t> chunk(4 << 20, 0xab);
+  const auto segments = [&] {
+    return client->stats().segments_received + server->stats().segments_received;
+  };
+  client->connect();
+  client->send(chunk);
+  loop.run();  // handshake, then slow start opens the window fully
+
+  std::uint64_t handled = 0;
+  std::chrono::nanoseconds elapsed{0};
+  for (auto _ : state) {
+    const std::uint64_t before = segments();
+    const auto t0 = std::chrono::steady_clock::now();
+    client->send(chunk);
+    loop.run();
+    elapsed += std::chrono::steady_clock::now() - t0;
+    handled += segments() - before;
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * chunk.size()));
+  state.counters["ns_per_segment"] = benchmark::Counter(
+      static_cast<double>(elapsed.count()) / static_cast<double>(handled));
+}
+BENCHMARK(BM_TcpBulkTransfer)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RngU64(benchmark::State& state) {
   sim::Rng rng(1);

@@ -45,47 +45,11 @@ void TrafficMonitor::observe(const net::Packet& p, net::Direction dir,
     if (rec_len >= cfg_.get_min_record_body) last_request_packet_id_ = p.id;
   }
 
-  feed(st, p, dir, now);
-}
-
-void TrafficMonitor::feed(StreamState& st, const net::Packet& p,
-                          net::Direction dir, sim::TimePoint now) {
-  using tcp::seq_gt;
-  using tcp::seq_le;
-
-  const std::uint32_t seq = p.tcp.seq;
-  const std::uint32_t end = seq + static_cast<std::uint32_t>(p.payload.size());
-
-  if (seq_le(end, st.next_seq)) return;  // pure duplicate (retransmission)
-
-  if (seq_gt(seq, st.next_seq)) {
-    st.ooo.emplace(seq, p.payload);
-    return;
-  }
-
-  // In-order (possibly overlapping): feed the fresh suffix.
-  const std::size_t skip = st.next_seq - seq;
-  st.parser.feed(std::span(p.payload.data() + skip, p.payload.size() - skip));
-  st.next_seq = end;
-
-  // Drain any now-contiguous buffered segments.
-  for (auto it = st.ooo.begin(); it != st.ooo.end();) {
-    const std::uint32_t sseq = it->first;
-    const auto& bytes = it->second;
-    const std::uint32_t send = sseq + static_cast<std::uint32_t>(bytes.size());
-    if (seq_le(send, st.next_seq)) {
-      it = st.ooo.erase(it);
-      continue;
-    }
-    if (seq_gt(sseq, st.next_seq)) break;
-    const std::size_t skip2 = st.next_seq - sseq;
-    st.parser.feed(std::span(bytes.data() + skip2, bytes.size() - skip2));
-    st.next_seq = send;
-    it = st.ooo.erase(it);
-    it = st.ooo.begin();
-  }
-
-  drain_records(st, dir, now);
+  // Reassemble, deduplicating retransmissions; parse what became contiguous.
+  const auto fate = st.ooo.accept(
+      st.next_seq, p.tcp.seq, p.payload,
+      [&st](std::span<const std::uint8_t> bytes) { st.parser.feed(bytes); });
+  if (fate == tcp::ReorderQueue::Fate::kInOrder) drain_records(st, dir, now);
 }
 
 void TrafficMonitor::drain_records(StreamState& st, net::Direction dir,

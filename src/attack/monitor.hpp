@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "analysis/trace.hpp"
 #include "net/middlebox.hpp"
@@ -11,6 +10,7 @@
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_loop.hpp"
+#include "tcp/reassembly.hpp"
 #include "tls/record.hpp"
 
 namespace h2sim::attack {
@@ -72,12 +72,10 @@ class TrafficMonitor {
   struct StreamState {
     bool synced = false;
     std::uint32_t next_seq = 0;
-    std::map<std::uint32_t, std::vector<std::uint8_t>> ooo;
+    tcp::ReorderQueue ooo;
     tls::RecordParser parser;
   };
 
-  void feed(StreamState& st, const net::Packet& p, net::Direction dir,
-            sim::TimePoint now);
   void drain_records(StreamState& st, net::Direction dir, sim::TimePoint now);
 
   Config cfg_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
@@ -200,7 +201,7 @@ void TcpConnection::try_send() {
     const std::size_t unsent = buf_end - snd_nxt_;
     const std::size_t len = std::min({cfg_.mss, unsent, usable});
     if (len == 0) break;
-    tx_records_[snd_nxt_] =
+    tx_records_[tx_key(snd_nxt_)] =
         TxRecord{snd_nxt_ + static_cast<std::uint32_t>(len), loop_.now(), 1};
     emit(kAck, snd_nxt_, len, false);
     stats_.bytes_sent += len;
@@ -235,13 +236,9 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
     const std::size_t in_flight_past = snd_nxt_ - seq;
     const std::size_t len = std::min({cfg_.mss, avail, in_flight_past});
     if (len == 0) return;
-    auto it = tx_records_.find(seq);
-    if (it != tx_records_.end()) {
-      ++it->second.tx_count;  // Karn: this range no longer yields RTT samples
-    } else {
-      tx_records_[seq] = TxRecord{seq + static_cast<std::uint32_t>(len),
-                                  loop_.now(), 2};
-    }
+    auto [it, inserted] = tx_records_.try_emplace(
+        tx_key(seq), TxRecord{seq + static_cast<std::uint32_t>(len), loop_.now(), 2});
+    if (!inserted) ++it->second.tx_count;  // Karn: no more RTT samples here
     emit(kAck, seq, len, true);
   } else {
     return;
@@ -449,20 +446,23 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
   // was transmitted exactly once (Karn). Sampling later segments of a
   // cumulative ACK would count queueing time behind retransmission holes as
   // path RTT and blow up the RTO.
-  const auto edge = tx_records_.find(snd_una_);
+  const auto edge = tx_records_.find(tx_key(snd_una_));
   if (edge != tx_records_.end() && seq_le(edge->second.end_seq, ack) &&
       edge->second.tx_count == 1) {
     update_rtt(loop_.now() - edge->second.first_tx);
   }
-  for (auto it = tx_records_.begin(); it != tx_records_.end();) {
-    if (seq_le(it->second.end_seq, ack)) {
-      it = tx_records_.erase(it);
-    } else {
-      ++it;
-    }
+  // Retire the records the ACK covers. Only those starting below it can be
+  // covered; a partially acked one stays until a later ACK passes its end.
+  for (auto it = tx_records_.begin();
+       it != tx_records_.end() && it->first < tx_key(ack);) {
+    it = seq_le(it->second.end_seq, ack) ? tx_records_.erase(it) : std::next(it);
   }
+  assert(std::none_of(tx_records_.begin(), tx_records_.end(), [ack](const auto& r) {
+    return seq_le(r.second.end_seq, ack);
+  }));
 
   snd_una_ = ack;
+  assert(seq_le(snd_una_, snd_nxt_));
 
   // Release acked stream bytes (the FIN consumes a non-stream sequence slot).
   std::uint32_t data_end = ack;
@@ -537,31 +537,25 @@ void TcpConnection::handle_payload(const net::Packet& p) {
   }
 
   if (!p.payload.empty()) {
-    if (seq_gt(seq, rcv_nxt_)) {
-      ++stats_.out_of_order_segments;
-      ooo_.emplace(seq, p.payload);
-      ++stats_.dup_acks_sent;
+    // Assemble the full newly-contiguous run (this segment's fresh bytes plus
+    // any buffered out-of-order segments it unblocks) and advance rcv_nxt_
+    // over all of it BEFORE delivering to the application: packets the
+    // application emits during delivery must carry the final cumulative
+    // acknowledgment, exactly like a real stack that processes the segment
+    // batch before the app runs.
+    std::vector<std::uint8_t> ready;
+    const auto fate = ooo_.accept(
+        rcv_nxt_, seq, p.payload, [this, &ready](std::span<const std::uint8_t> bytes) {
+          if (ready.empty()) ready = loop_.payload_pool().acquire();
+          ready.insert(ready.end(), bytes.begin(), bytes.end());
+        });
+    if (fate == ReorderQueue::Fate::kInOrder) {
+      stats_.bytes_received += ready.size();
+      if (cbs_.on_data) cbs_.on_data(std::span(ready));
+      loop_.payload_pool().release(std::move(ready));
     } else {
-      const std::uint32_t end = seq + static_cast<std::uint32_t>(p.payload.size());
-      if (seq_gt(end, rcv_nxt_)) {
-        // Assemble the full newly-contiguous run (this segment's fresh bytes
-        // plus any buffered out-of-order segments it unblocks) and advance
-        // rcv_nxt_ over all of it BEFORE delivering to the application:
-        // packets the application emits during delivery must carry the final
-        // cumulative acknowledgment, exactly like a real stack that
-        // processes the segment batch before the app runs.
-        const std::size_t skip = rcv_nxt_ - seq;
-        std::vector<std::uint8_t> ready = loop_.payload_pool().acquire();
-        ready.assign(p.payload.begin() + static_cast<std::ptrdiff_t>(skip),
-                     p.payload.end());
-        rcv_nxt_ = end;
-        collect_in_order(ready);
-        stats_.bytes_received += ready.size();
-        if (cbs_.on_data) cbs_.on_data(std::span(ready));
-        loop_.payload_pool().release(std::move(ready));
-      } else {
-        ++stats_.dup_acks_sent;  // pure duplicate segment
-      }
+      ++stats_.dup_acks_sent;  // out-of-order or pure duplicate segment
+      if (fate == ReorderQueue::Fate::kBuffered) ++stats_.out_of_order_segments;
     }
   }
 
@@ -583,34 +577,6 @@ void TcpConnection::handle_payload(const net::Packet& p) {
   // fast retransmits.
   const bool advanced = rcv_nxt_ != rcv_before;
   if (!advanced || last_ack_sent_ != rcv_nxt_) send_ack();
-}
-
-void TcpConnection::collect_in_order(std::vector<std::uint8_t>& ready) {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto it = ooo_.begin(); it != ooo_.end();) {
-      const std::uint32_t seg_seq = it->first;
-      const auto& bytes = it->second;
-      const std::uint32_t seg_end =
-          seg_seq + static_cast<std::uint32_t>(bytes.size());
-      if (seq_le(seg_end, rcv_nxt_)) {
-        it = ooo_.erase(it);  // fully duplicate
-        continue;
-      }
-      if (seq_gt(seg_seq, rcv_nxt_)) {
-        ++it;  // still a hole before this one
-        continue;
-      }
-      const std::size_t skip = rcv_nxt_ - seg_seq;
-      ready.insert(ready.end(), bytes.begin() + static_cast<std::ptrdiff_t>(skip),
-                   bytes.end());
-      rcv_nxt_ = seg_end;
-      ooo_.erase(it);
-      progressed = true;  // rescan: map is keyed by raw value, not seq order
-      break;
-    }
-  }
 }
 
 }  // namespace h2sim::tcp

@@ -12,6 +12,7 @@
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_loop.hpp"
+#include "tcp/reassembly.hpp"
 #include "tcp/tcp_types.hpp"
 
 namespace h2sim::tcp {
@@ -92,6 +93,8 @@ class TcpConnection {
   }
   std::size_t cwnd() const { return cwnd_; }
   sim::Duration current_rto() const { return rto_; }
+  /// Transmitted segments not yet wholly acknowledged.
+  std::size_t tracked_segments() const { return tx_records_.size(); }
 
  private:
   struct TxRecord {
@@ -113,10 +116,8 @@ class TcpConnection {
   void cancel_rto();
   void on_rto();
   void update_rtt(sim::Duration sample);
-  void collect_in_order(std::vector<std::uint8_t>& ready);
   void become(State s);
   void maybe_send_fin();
-  void finish_if_done();
 
   sim::EventLoop& loop_;
   TcpConfig cfg_;
@@ -149,7 +150,11 @@ class TcpConnection {
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;
 
+  // Transmitted, not yet fully acked segments, keyed by their start's offset
+  // from iss_: map order is sequence order (connections stay under 4 GiB), so
+  // an ACK retires records from begin() and stops at its own offset.
   std::map<std::uint32_t, TxRecord> tx_records_;
+  std::uint32_t tx_key(std::uint32_t seq) const { return seq - iss_; }
   sim::Duration rto_;
   sim::Duration srtt_ = sim::Duration::zero();
   sim::Duration rttvar_ = sim::Duration::zero();
@@ -161,7 +166,8 @@ class TcpConnection {
   // --- Receiver ---
   std::uint32_t irs_ = 0;
   std::uint32_t rcv_nxt_ = 0;
-  std::map<std::uint32_t, std::vector<std::uint8_t>> ooo_;
+  // Segments received past a hole, drained in one ordered pass when it fills.
+  ReorderQueue ooo_;
   std::optional<std::uint32_t> remote_fin_seq_;
   std::uint32_t last_ack_sent_ = 0;
 

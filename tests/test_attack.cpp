@@ -128,6 +128,27 @@ TEST(TrafficMonitor, TraceRecordsBothDirections) {
   EXPECT_EQ(mon.trace().count_appdata(net::Direction::kServerToClient), 1u);
 }
 
+TEST(TrafficMonitor, DrainsBufferedSegmentsAcrossTheSequenceWrap) {
+  // ISN just below 2^32: record B straddles the wrap and C starts past it.
+  // Delivered B, C, A, all three records must parse once A fills the hole.
+  TrafficMonitor mon;
+  const std::uint32_t isn = 0xFFFFFEFFu;
+  mon.observe(syn_packet(isn), net::Direction::kClientToServer,
+              sim::TimePoint::origin());
+  const auto rec = record_bytes(tls::ContentType::kApplicationData, 200);
+  const auto len = static_cast<std::uint32_t>(rec.size());
+  const std::uint32_t a = isn + 1, b = a + len, c = b + len;
+  ASSERT_LT(c, a);  // C's sequence number has wrapped
+  mon.observe(tcp_packet(b, rec), net::Direction::kClientToServer,
+              sim::TimePoint::origin());
+  mon.observe(tcp_packet(c, rec), net::Direction::kClientToServer,
+              sim::TimePoint::origin());
+  EXPECT_EQ(mon.get_count(), 0);
+  mon.observe(tcp_packet(a, rec), net::Direction::kClientToServer,
+              sim::TimePoint::origin());
+  EXPECT_EQ(mon.get_count(), 3);
+}
+
 // --- Controller ---
 
 TEST(NetworkController, SpacesRequestArrivals) {

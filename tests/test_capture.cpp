@@ -318,6 +318,24 @@ TEST(Reassembler, DuplicatePacketsDedupeBySequence) {
   EXPECT_EQ(r.trace().records()[1].body_len, 80u);
 }
 
+TEST(Reassembler, OutOfOrderPacketsReorderAcrossTheSequenceWrap) {
+  const std::uint32_t isn = 0xFFFFFEFFu;
+  TlsRecordReassembler r = synced_reassembler(isn);
+  const auto rec = tls_record(23, 200);
+  const auto len = static_cast<std::uint32_t>(rec.size());
+  const std::uint32_t a = isn + 1, b = a + len, c = b + len;
+  ASSERT_LT(c, a);  // the third record starts past the wrap
+  r.feed(s2c_packet(b, rec, 1.0));
+  r.feed(s2c_packet(c, rec, 2.0));
+  EXPECT_TRUE(r.trace().records().empty());
+  r.feed(s2c_packet(a, rec, 3.0));  // fills the hole before both
+  ASSERT_EQ(r.trace().records().size(), 3u);
+  for (const analysis::RecordObs& obs : r.trace().records()) {
+    EXPECT_EQ(obs.body_len, 200u);
+    EXPECT_EQ(obs.time, sim::TimePoint::from_nanos(3'000'000));
+  }
+}
+
 TEST(Reassembler, DirectionComesFromTheServerPort) {
   ReassemblerConfig cfg;
   cfg.server_port = 8443;

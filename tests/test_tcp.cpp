@@ -21,11 +21,11 @@ class TcpPair : public ::testing::Test {
     client_ = std::make_unique<TcpConnection>(
         loop_, cfg_, 1, 1000, 2, 443,
         [this](net::Packet&& p) { transmit(std::move(p), /*to_server=*/true); },
-        1000);
+        client_iss_);
     server_ = std::make_unique<TcpConnection>(
         loop_, cfg_, 2, 443, 1, 1000,
         [this](net::Packet&& p) { transmit(std::move(p), /*to_server=*/false); },
-        5000);
+        server_iss_);
   }
 
   void transmit(net::Packet&& p, bool to_server) {
@@ -52,8 +52,17 @@ class TcpPair : public ::testing::Test {
     return v;
   }
 
+  /// Delivers `p` `extra` later than the wire would (reordering).
+  void deliver_late(const net::Packet& p, bool to_server, sim::Duration extra) {
+    loop_.schedule_after(delay_ + extra, [this, p, to_server] {
+      (to_server ? *server_ : *client_).handle_segment(p);
+    });
+  }
+
   sim::EventLoop loop_;
   TcpConfig cfg_;
+  std::uint32_t client_iss_ = 1000;
+  std::uint32_t server_iss_ = 5000;
   sim::Duration delay_ = sim::Duration::millis(5);
   std::function<bool(const net::Packet&, bool to_server)> filter_;
   std::unique_ptr<TcpConnection> client_;
@@ -260,13 +269,7 @@ TEST_F(TcpPair, ReorderedSegmentsDeliverInOrder) {
   int n = 0;
   filter_ = [&](const net::Packet& p, bool to_server) {
     if (to_server && !p.payload.empty() && ++n == 1) {
-      // Re-inject the first data segment with extra delay.
-      net::Packet copy = p;
-      loop_.schedule_after(sim::Duration::millis(30), [this, copy]() mutable {
-        loop_.schedule_after(delay_, [this, copy]() mutable {
-          server_->handle_segment(copy);
-        });
-      });
+      deliver_late(p, to_server, sim::Duration::millis(30));
       return false;
     }
     return true;
@@ -341,6 +344,136 @@ TEST(TcpStack, SynToClosedPortIgnored) {
   TcpConnection& conn = client.connect(net::Path::kServerNode, 999);
   loop.run(sim::TimePoint::origin() + sim::Duration::seconds(3));
   EXPECT_FALSE(conn.established());
+}
+
+// --- Sequence-space bookkeeping across the 2^32 wrap ---
+
+/// Both ends start 4 KiB below the wrap: the third data segment straddles it
+/// and nearly all traffic is post-wrap.
+class TcpPairAtWrap : public TcpPair {
+ protected:
+  TcpPairAtWrap() { client_iss_ = server_iss_ = 0xFFFFF000u; }
+};
+
+TEST_F(TcpPairAtWrap, BulkTransferThroughLossAndReorderingIsExact) {
+  std::vector<std::uint8_t> received;
+  TcpConnection::Callbacks scb;
+  scb.on_data = [&](std::span<const std::uint8_t> b) {
+    received.insert(received.end(), b.begin(), b.end());
+  };
+  server_->set_callbacks(std::move(scb));
+  establish();
+
+  // Deterministic impairment of the data direction: every 61st data segment
+  // is lost, every 17th arrives 4 ms late; every 29th ACK is lost.
+  int data = 0, acks = 0;
+  filter_ = [&](const net::Packet& p, bool to_server) {
+    if (!to_server) return ++acks % 29 != 0;
+    if (p.payload.empty()) return true;
+    ++data;
+    if (data % 61 == 0) return false;
+    if (data % 17 == 0) {
+      deliver_late(p, to_server, sim::Duration::millis(4));
+      return false;
+    }
+    return true;
+  };
+  std::vector<std::uint8_t> payload(2 << 20);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  client_->send(payload);
+  run_for(120);
+  EXPECT_EQ(received.size(), payload.size());
+  EXPECT_TRUE(received == payload);
+  EXPECT_GE(client_->stats().retransmits_fast, 1u);
+  EXPECT_GE(server_->stats().out_of_order_segments, 1u);
+  EXPECT_EQ(client_->tracked_segments(), 0u);
+  EXPECT_EQ(client_->bytes_in_flight(), 0u);
+}
+
+TEST_F(TcpPairAtWrap, HoleBeforeTheWrapDrainsInOnePass) {
+  // Losing the 2nd data segment leaves the 3rd (which straddles the wrap) and
+  // the later, post-wrap ones buffered together; filling the hole must
+  // deliver all of them, so one retransmission repairs the stream.
+  std::vector<std::uint8_t> received;
+  TcpConnection::Callbacks scb;
+  scb.on_data = [&](std::span<const std::uint8_t> b) {
+    received.insert(received.end(), b.begin(), b.end());
+  };
+  server_->set_callbacks(std::move(scb));
+  establish();
+
+  int data_packets = 0;
+  filter_ = [&](const net::Packet& p, bool to_server) {
+    return !(to_server && !p.payload.empty() && ++data_packets == 2);
+  };
+  const auto payload = bytes(20000);
+  client_->send(payload);
+  run_for(10);
+  EXPECT_EQ(received, payload);
+  EXPECT_GE(server_->stats().out_of_order_segments, 2u);
+  EXPECT_EQ(client_->stats().total_retransmits(), 1u);
+  EXPECT_EQ(client_->tracked_segments(), 0u);
+}
+
+TEST(TcpWrap, RetransmitFromMidRecordRetiresOnCoveringAckWithoutRttSample) {
+  sim::EventLoop loop;
+  TcpConfig cfg;
+  std::vector<net::Packet> sent;
+  const std::uint32_t iss = 0xFFFFF000u;
+  const std::uint32_t peer_iss = 0x7000u;
+  TcpConnection conn(loop, cfg, 1, 1000, 2, 443,
+                     [&](net::Packet&& p) { sent.push_back(std::move(p)); }, iss);
+  auto from_peer = [&](std::uint8_t flags, std::uint32_t ack) {
+    net::Packet p;
+    p.src = 2;
+    p.dst = 1;
+    p.tcp.src_port = 443;
+    p.tcp.dst_port = 1000;
+    p.tcp.seq = peer_iss + 1;
+    p.tcp.ack = ack;
+    p.tcp.flags = flags;
+    p.tcp.wnd = 65535;
+    conn.handle_segment(p);
+  };
+  auto advance = [&](int ms) {
+    loop.run(loop.now() + sim::Duration::millis(ms));
+  };
+
+  conn.connect();
+  from_peer(net::tcpflag::kSyn | net::tcpflag::kAck, iss + 1);
+  ASSERT_TRUE(conn.established());
+  const std::uint32_t s0 = iss + 1;
+  const auto mss = static_cast<std::uint32_t>(cfg.mss);
+  conn.send(std::vector<std::uint8_t>(3 * cfg.mss, 0xab));  // third one wraps
+  ASSERT_EQ(conn.tracked_segments(), 3u);
+
+  // Partial ACK inside the first record: it advances snd_una but the record
+  // stays until its end is acknowledged.
+  advance(10);
+  from_peer(net::tcpflag::kAck, s0 + 500);
+  EXPECT_EQ(conn.tracked_segments(), 3u);
+  EXPECT_EQ(conn.current_rto(), cfg.initial_rto);  // no RTT sample
+
+  // The RTO retransmits from s0+500, where no record starts: one is added.
+  advance(1100);
+  ASSERT_FALSE(sent.empty());
+  EXPECT_EQ(sent.back().tcp.seq, s0 + 500);
+  EXPECT_TRUE(sent.back().is_retransmission);
+  EXPECT_EQ(conn.tracked_segments(), 4u);
+
+  // The ACK covering the retransmission retires it and the first record;
+  // Karn's rule keeps the retransmitted range from yielding an RTT sample
+  // (its ~120 ms would set the RTO near 360 ms), so the RTO resets to initial.
+  advance(10);
+  from_peer(net::tcpflag::kAck, s0 + 500 + mss);
+  EXPECT_EQ(conn.tracked_segments(), 2u);
+  EXPECT_EQ(conn.current_rto(), cfg.initial_rto);
+
+  from_peer(net::tcpflag::kAck, s0 + 3 * mss);
+  EXPECT_EQ(conn.tracked_segments(), 0u);
+  EXPECT_EQ(conn.bytes_in_flight(), 0u);
 }
 
 TEST(SeqArith, WrapSafety) {
