@@ -1,11 +1,14 @@
-// Defense matrix: attack stage x wire-level padding policy.
+// Defense matrix: attack stage x defense.
 //
 // Each cell runs one attack stage (no attack / jitter-only / the full
-// staged Section-V attack) against a server deploying one wire-level
-// padding policy (none / quantum / randomized / Reed-Reiter constrained
-// plan). Because padding rides genuine DATA frames (web::ServerApp +
-// defense::PaddingPolicy), every cell measures the real trade the paper
-// calls "unreasonable CPU and bandwidth overheads":
+// staged Section-V attack) against one defense: a wire-level padding policy
+// (none / quantum / randomized / Reed-Reiter constrained plan) or, in full
+// mode, one of three non-padding defenses — 8 dummy objects of cover
+// traffic, the paper's §VII client-side randomized request order, and a
+// random server frame scheduler. Because padding rides genuine DATA frames
+// (web::ServerApp + defense::PaddingPolicy) and dummies are real responses,
+// every cell measures the real trade the paper calls "unreasonable CPU and
+// bandwidth overheads":
 //
 //   * attack accuracy  — the paper's per-stage success criterion, with the
 //     adversary's size databases compiled from policy->candidates()
@@ -17,6 +20,10 @@
 //   * CPU overhead — wall-clock cost of the cell vs the undefended cell of
 //     the same stage (padding bytes are simulated end to end, so defended
 //     trials genuinely do more work).
+//
+// The random-scheduler row is the paper's core thesis in one number:
+// shuffling how the server multiplexes changes nothing, because the attack
+// removes multiplexing altogether.
 //
 // Every cell is annotated into BENCH_sweep.json ("acc_html", "acc_i1".."",
 // "acc_mean", "acc_emblem_mean", "size_err_mean", "size_err_p50",
@@ -55,6 +62,9 @@ struct Stage {
 struct Defense {
   std::string name;
   defense::PaddingSpec spec;
+  int dummies = 0;
+  bool randomize_order = false;
+  bool random_scheduler = false;
 };
 
 // Per-trial measurements collected by inspector closures. Each trial owns
@@ -99,6 +109,13 @@ int main(int argc, char** argv) {
     defenses.push_back({"random25", defense::PaddingSpec::random_pad(0.25)});
   }
   defenses.push_back({"plan10", defense::PaddingSpec::constrained(plan)});
+  if (!smoke) {
+    defenses.push_back({"dummies8", defense::PaddingSpec::none(), 8});
+    defenses.push_back(
+        {"order_random", defense::PaddingSpec::none(), 0, true});
+    defenses.push_back(
+        {"sched_random", defense::PaddingSpec::none(), 0, false, true});
+  }
 
   // Truth originals: the 9 objects of interest (html + the 8 emblems).
   std::vector<std::pair<std::string, std::size_t>> interest;
@@ -124,6 +141,11 @@ int main(int argc, char** argv) {
       experiment::TrialConfig proto;
       proto.attack = stage.attack;
       proto.defense.padding = def.spec;
+      proto.defense.dummy_count = def.dummies;
+      proto.browser.randomize_embedded_order = def.randomize_order;
+      if (def.random_scheduler) {
+        proto.server_h2.scheduler = h2::SchedulerKind::kRandom;
+      }
       std::vector<experiment::TrialConfig> cfgs =
           bench::seed_sweep(proto, 50000, trials);
 
@@ -234,7 +256,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  table.print("Defense matrix: attack stage x wire padding policy (" +
+  table.print("Defense matrix: attack stage x defense (" +
               std::to_string(trials) + " trials/cell)");
   std::printf(
       "plan10: %zu sizes, achieved overhead %.4f, min anonymity class %d\n",

@@ -31,18 +31,22 @@ MicroResult run_case(h2::SchedulerKind scheduler, sim::Duration request_gap) {
   sim::EventLoop loop;
   sim::Rng rng(7);
 
-  net::Path::Config pc;
+  net::Topology::Config pc;
   pc.client_side.delay = sim::Duration::millis(2);
   pc.server_side.delay = sim::Duration::millis(10);
-  net::Path path(loop, pc);
+  net::Topology topo(loop, pc, 1);
 
   tcp::TcpConfig tcfg;
-  tcp::TcpStack server_stack(loop, rng.split(), net::Path::kServerNode, tcfg,
-                             [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  tcp::TcpStack client_stack(loop, rng.split(), net::Path::kClientNode, tcfg,
-                             [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
+  tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode, tcfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_server(std::move(p));
+                             });
+  tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0), tcfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_client(0, std::move(p));
+                             });
+  topo.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
 
   web::Website site = web::make_two_object_site(30000, 50000);
   site.schedule[1].gap_from_prev = request_gap;
@@ -50,7 +54,7 @@ MicroResult run_case(h2::SchedulerKind scheduler, sim::Duration request_gap) {
   site.schedule[0].noise_lo = site.schedule[0].noise_hi = 1.0;
 
   attack::TrafficMonitor monitor;
-  path.middlebox().set_tap([&](const net::Packet& p, net::Direction d, sim::TimePoint t) {
+  topo.middlebox().set_tap([&](const net::Packet& p, net::Direction d, sim::TimePoint t) {
     monitor.observe(p, d, t);
   });
 
@@ -87,7 +91,7 @@ MicroResult run_case(h2::SchedulerKind scheduler, sim::Duration request_gap) {
     srv.push_back(std::move(s));
   });
 
-  tcp::TcpConnection& ct = client_stack.connect(net::Path::kServerNode, 443);
+  tcp::TcpConnection& ct = client_stack.connect(net::Topology::kServerNode, 443);
   tls::TlsSession ctls(ct, tls::TlsSession::Role::kClient);
   h2::ClientConnection cc(loop, ctls, h2::ConnectionConfig{}, rng.split());
   web::Browser browser(loop, cc, site, {0, 1, 2, 3, 4, 5, 6, 7}, rng.split(), {});

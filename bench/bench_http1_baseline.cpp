@@ -32,17 +32,22 @@ int main(int argc, char** argv) {
     sim::EventLoop loop;
     sim::Rng rng(5000 + static_cast<std::uint64_t>(t));
 
-    net::Path path(loop, net::Path::Config{});
+    net::Topology topo(loop, net::Topology::Config{}, 1);
     tcp::TcpConfig tcfg;
-    tcp::TcpStack server_stack(loop, rng.split(), net::Path::kServerNode, tcfg,
-                               [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-    tcp::TcpStack client_stack(loop, rng.split(), net::Path::kClientNode, tcfg,
-                               [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-    path.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
-    path.set_client_sink([&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
+    tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode, tcfg,
+                               [&](net::Packet&& p) {
+                                 topo.send_from_server(std::move(p));
+                               });
+    tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0), tcfg,
+                               [&](net::Packet&& p) {
+                                 topo.send_from_client(0, std::move(p));
+                               });
+    topo.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
+    topo.set_client_sink(
+        0, [&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
 
     attack::TrafficMonitor monitor;
-    path.middlebox().set_tap(
+    topo.middlebox().set_tap(
         [&](const net::Packet& p, net::Direction d, sim::TimePoint now) {
           monitor.observe(p, d, now);
         });
@@ -62,7 +67,7 @@ int main(int argc, char** argv) {
           });
     });
 
-    tcp::TcpConnection& conn = client_stack.connect(net::Path::kServerNode, 443);
+    tcp::TcpConnection& conn = client_stack.connect(net::Topology::kServerNode, 443);
     tls::TlsSession client_tls(conn, tls::TlsSession::Role::kClient);
     http::Http1ClientConnection client(client_tls);
 

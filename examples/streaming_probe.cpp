@@ -47,14 +47,18 @@ int main(int argc, char** argv) {
   sim::EventLoop loop;
   sim::Rng rng(seed);
 
-  net::Path path(loop, net::Path::Config{});
+  net::Topology topo(loop, net::Topology::Config{}, 1);
   tcp::TcpConfig tcfg;
-  tcp::TcpStack server_stack(loop, rng.split(), net::Path::kServerNode, tcfg,
-                             [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  tcp::TcpStack client_stack(loop, rng.split(), net::Path::kClientNode, tcfg,
-                             [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
+  tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode, tcfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_server(std::move(p));
+                             });
+  tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0), tcfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_client(0, std::move(p));
+                             });
+  topo.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
 
   // The streaming origin: every ladder rung x segment index, plus audio.
   web::Website site;
@@ -78,7 +82,7 @@ int main(int argc, char** argv) {
   }
 
   attack::TrafficMonitor monitor;
-  path.middlebox().set_tap(
+  topo.middlebox().set_tap(
       [&](const net::Packet& p, net::Direction d, sim::TimePoint t) {
         monitor.observe(p, d, t);
       });
@@ -100,7 +104,7 @@ int main(int argc, char** argv) {
     srv.push_back(std::move(s));
   });
 
-  tcp::TcpConnection& ct = client_stack.connect(net::Path::kServerNode, 443);
+  tcp::TcpConnection& ct = client_stack.connect(net::Topology::kServerNode, 443);
   tls::TlsSession ctls(ct, tls::TlsSession::Role::kClient);
   h2::ClientConnection cc(loop, ctls, h2::ConnectionConfig{}, rng.split());
 

@@ -39,10 +39,6 @@ class CaptureSession {
  public:
   CaptureSession(sim::EventLoop& loop, net::Topology& topo, CaptureConfig cfg);
 
-  /// Single-client convenience: taps the Path's underlying topology.
-  CaptureSession(sim::EventLoop& loop, net::Path& path, CaptureConfig cfg)
-      : CaptureSession(loop, path.topology(), std::move(cfg)) {}
-
   CaptureSession(const CaptureSession&) = delete;
   CaptureSession& operator=(const CaptureSession&) = delete;
 

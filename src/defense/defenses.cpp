@@ -1,59 +1,9 @@
 #include "defense/defenses.hpp"
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 namespace h2sim::defense {
-
-web::Website apply_policy(const web::Website& site,
-                          const PaddingPolicy& policy) {
-  web::Website padded;
-  sim::Rng unused(0);  // deterministic policies never draw from it
-  for (const auto& [path, obj] : site.objects()) {
-    web::WebObject p = obj;
-    p.size = policy.padded_size(p.size, unused);
-    p.content.clear();  // re-materialize at the padded size
-    padded.add_object(std::move(p));
-  }
-  padded.schedule = site.schedule;
-  padded.html_path = site.html_path;
-  padded.emblem_paths = site.emblem_paths;
-  return padded;
-}
-
-web::Website pad_site(const web::Website& site, std::size_t quantum) {
-  return apply_policy(site, QuantumPolicy(quantum));
-}
-
-double padding_overhead(const web::Website& original, const web::Website& padded) {
-  std::size_t before = 0, after = 0;
-  for (const auto& [path, obj] : original.objects()) before += obj.size;
-  for (const auto& [path, obj] : padded.objects()) after += obj.size;
-  if (before == 0) return 0.0;
-  return static_cast<double>(after) / static_cast<double>(before) - 1.0;
-}
-
-int distinguishable_emblems(const web::Website& site, double tolerance) {
-  int unique = 0;
-  for (const std::string& epath : site.emblem_paths) {
-    const web::WebObject* emblem = site.find(epath);
-    if (!emblem) continue;
-    bool collides = false;
-    for (const auto& [path, obj] : site.objects()) {
-      if (path == epath) continue;
-      const double rel = std::abs(static_cast<double>(obj.size) -
-                                  static_cast<double>(emblem->size)) /
-                         static_cast<double>(emblem->size);
-      if (rel <= tolerance) {
-        collides = true;
-        break;
-      }
-    }
-    if (!collides) ++unique;
-  }
-  return unique;
-}
 
 void inject_dummies(web::Website& site, sim::Rng& rng, const DummyConfig& cfg) {
   // Dummy objects go live on the server...

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "defense/padplan.hpp"
 #include "defense/policy.hpp"
@@ -10,42 +9,13 @@
 
 namespace h2sim::defense {
 
-/// Classic size-channel defenses from the literature the paper's
-/// introduction surveys (traffic morphing / padding / cover traffic), plus
-/// the paper's own §VII suggestion (client-side order randomization, which
-/// lives in web::BrowserConfig::randomize_embedded_order). These let the
-/// benches quantify the trade-off the paper calls "unreasonable CPU and
-/// bandwidth overheads".
-///
-/// Two application layers exist:
-///   * site transforms (this header): rewrite the public Website offline —
-///     padded sizes become the objects' real sizes, which models a site
-///     that ships pre-padded assets;
-///   * wire policies (defense/policy.hpp): the live server pads each
-///     response as it is emitted, so padding bytes ride genuine DATA frames
-///     and show up in captures and TrafficMonitor observations. The site
-///     transforms below are thin wrappers over the same policy classes.
-
-/// Applies a deterministic padding policy to every object of the site
-/// (sizes grow to policy.padded_size; bodies are re-materialized). The
-/// policy must be deterministic — randomized policies have no single
-/// site-level image and belong on the wire.
-web::Website apply_policy(const web::Website& site, const PaddingPolicy& policy);
-
-/// Pads every object's size up to a multiple of `quantum` bytes: objects
-/// that shared no size class before may collide after, destroying the
-/// attacker's size->identity mapping. Returns the padded copy. (Wrapper
-/// over apply_policy with a QuantumPolicy.)
-web::Website pad_site(const web::Website& site, std::size_t quantum);
-
-/// Bandwidth overhead of padding: (padded total / original total) - 1.
-/// An empty (0-byte) original site has no meaningful ratio; returns 0.0.
-double padding_overhead(const web::Website& original, const web::Website& padded);
-
-/// How many of the site's party emblems still have a unique size class
-/// (within `tolerance`) after a defense transformed the site. 8 means the
-/// attack's premise fully holds; 0 means identification is hopeless.
-int distinguishable_emblems(const web::Website& site, double tolerance = 0.02);
+/// Site-side defenses from the literature the paper's introduction surveys
+/// (cover traffic, constrained padding plans), beside the paper's own §VII
+/// suggestion (client-side order randomization, which lives in
+/// web::BrowserConfig::randomize_embedded_order). Padding itself is applied
+/// on the wire by a PaddingPolicy (defense/policy.hpp): the live server pads
+/// each response, so padding bytes ride genuine DATA frames and show up in
+/// captures and TrafficMonitor observations.
 
 /// Injects `count` dummy objects (cover traffic) with sizes drawn uniformly
 /// from [min_size, max_size] and schedule steps interleaved into the

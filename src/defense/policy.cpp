@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "sim/parse_number.hpp"
 
 namespace h2sim::defense {
 
@@ -103,20 +105,23 @@ std::unique_ptr<const PaddingPolicy> make_policy(const PaddingSpec& spec) {
 }
 
 std::optional<PaddingSpec> parse_padding_spec(const std::string& text) {
-  if (text == "none") return PaddingSpec::none();
-  if (text.rfind("quantum:", 0) == 0) {
-    char* end = nullptr;
-    const unsigned long long q = std::strtoull(text.c_str() + 8, &end, 10);
-    if (!end || *end != '\0' || q <= 1) return std::nullopt;
-    return PaddingSpec::quantum_pad(static_cast<std::size_t>(q));
+  const std::string_view v(text);
+  if (v == "none") return PaddingSpec::none();
+  if (v.starts_with("quantum:")) {
+    std::size_t q = 0;
+    if (!sim::parse_number(v.substr(8), &q) || q <= 1 || q > kMaxQuantum) {
+      return std::nullopt;
+    }
+    return PaddingSpec::quantum_pad(q);
   }
-  if (text.rfind("random:", 0) == 0) {
-    char* end = nullptr;
-    const double f = std::strtod(text.c_str() + 7, &end);
-    if (!end || *end != '\0' || f <= 0.0 || f > 4.0) return std::nullopt;
+  if (v.starts_with("random:")) {
+    double f = 0.0;
+    if (!sim::parse_number(v.substr(7), &f) || f <= 0.0 || f > 4.0) {
+      return std::nullopt;
+    }
     return PaddingSpec::random_pad(f);
   }
-  if (text.rfind("plan:", 0) == 0) {
+  if (v.starts_with("plan:")) {
     std::ifstream in(text.substr(5));
     if (!in) return std::nullopt;
     std::ostringstream body;

@@ -21,7 +21,8 @@ namespace h2sim::defense {
 /// The interface is deliberately header-only (pure virtuals, no out-of-line
 /// members): web::ServerApp consumes it through a `const PaddingPolicy*`
 /// without linking the defense library, which keeps the layering acyclic
-/// (defense depends on web for the site transforms, not the reverse).
+/// (defense depends on web for dummy injection and site plans, not the
+/// reverse).
 class PaddingPolicy {
  public:
   virtual ~PaddingPolicy() = default;
@@ -61,8 +62,13 @@ class NonePolicy final : public PaddingPolicy {
   }
 };
 
+/// Largest padding quantum the parsers accept (16 MiB, far above any object
+/// the simulated sites serve). Bounding it keeps QuantumPolicy::rounded free
+/// of overflow for every realistic object size.
+inline constexpr std::size_t kMaxQuantum = std::size_t{1} << 24;
+
 /// Pads every response up to the next multiple of `quantum` — the classic
-/// size-class defense (the wire-honest rebuild of defense::pad_site).
+/// size-class defense.
 class QuantumPolicy final : public PaddingPolicy {
  public:
   explicit QuantumPolicy(std::size_t quantum) : quantum_(quantum) {}
@@ -150,8 +156,10 @@ std::unique_ptr<const PaddingPolicy> make_policy(const PaddingSpec& spec);
 
 /// Parses the CLI syntax shared by the tools and benches:
 ///   "none" | "quantum:N" | "random:F" | "plan:FILE"
-/// plan:FILE loads and parses the serialized PadPlan at FILE. Returns
-/// nullopt on malformed text, unreadable file, or invalid plan.
+/// N is plain decimal digits (no sign or whitespace) in [2, kMaxQuantum]; F
+/// is a finite fraction in (0, 4]. plan:FILE loads and parses the serialized
+/// PadPlan at FILE. Returns nullopt on malformed or out-of-range text,
+/// unreadable file, or invalid plan.
 std::optional<PaddingSpec> parse_padding_spec(const std::string& text);
 
 /// Human-readable tag for a spec ("none", "quantum3000", "random25",

@@ -126,7 +126,7 @@ std::vector<DigestScenario> behavior_digest_matrix() {
     DigestScenario s;
     s.label = "defended";
     s.config.attack = full_attack_config();
-    s.config.defense.pad_quantum = 128;
+    s.config.defense.padding = defense::PaddingSpec::quantum_pad(128);
     s.config.defense.dummy_count = 2;
     s.seeds = seeds4;
     m.push_back(std::move(s));

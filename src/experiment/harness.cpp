@@ -7,8 +7,8 @@ namespace h2sim::experiment {
 
 using sim::Duration;
 
-net::Path::Config TrialConfig::default_path() {
-  net::Path::Config p;
+net::Topology::Config TrialConfig::default_path() {
+  net::Topology::Config p;
   // Client <-> gateway: the lab LAN segment.
   p.client_side.delay = Duration::millis(2);
   p.client_side.bandwidth_bps = 1e9;

@@ -28,7 +28,9 @@ namespace h2sim::experiment {
 struct TrialConfig {
   std::uint64_t seed = 1;
 
-  net::Path::Config path = default_path();
+  /// The victim's access segment and the shared gateway uplink; background
+  /// clients (load.background_clients) reuse the access-segment config.
+  net::Topology::Config path = default_path();
   h2::ConnectionConfig server_h2 = default_server_h2();
   h2::ConnectionConfig client_h2 = default_client_h2();
   web::ServerAppConfig server_app;
@@ -46,18 +48,16 @@ struct TrialConfig {
   /// the victim's streams.
   LoadConfig load;
 
-  /// Server/site-side defenses (see defense/defenses.hpp). The adversary's
-  /// size database is built from the *transformed* site — the attacker knows
-  /// the public site, defenses win only by making sizes ambiguous.
+  /// Server-side defenses (see defense/policy.hpp, defense/defenses.hpp).
+  /// The adversary knows the public site and the deployed scheme; defenses
+  /// win only by making sizes ambiguous.
   struct DefenseOptions {
-    std::size_t pad_quantum = 0;  // 0 = off; offline site transform
-    int dummy_count = 0;          // 0 = off
+    int dummy_count = 0;  // 0 = off; per-seed cover-traffic objects
     /// Wire-level padding (defense/policy.hpp): the live server pads each
-    /// response as it serves it, so padding bytes ride real DATA frames
-    /// through tls/tcp/net and every observer sees the defended wire. The
-    /// adversary still knows the scheme: its size databases hold
+    /// response as it serves it — dummies included — so padding bytes ride
+    /// real DATA frames through tls/tcp/net and every observer sees the
+    /// defended wire. The adversary's size databases hold
     /// policy->candidates(original size) instead of the original size.
-    /// Orthogonal to pad_quantum (which models pre-padded site content);
     /// kNone leaves the trial bit-identical to the historical harness.
     defense::PaddingSpec padding;
   };
@@ -91,15 +91,14 @@ struct TrialConfig {
   std::function<web::Website()> site_builder;
 
   /// Sweep-level shared site (see experiment::ScenarioTemplate): a fully
-  /// built, defense-transformed, content-materialized site reused read-only
-  /// by every trial of a sweep. Honored only when the site really is
-  /// seed-independent — no site_builder and no dummy injection — otherwise
-  /// the trial builds its own site exactly as before. The site a trial sees
-  /// is byte-identical either way, so results do not depend on whether a
-  /// sweep shared it.
+  /// built, content-materialized site reused read-only by every trial of a
+  /// sweep. Honored only when the site really is seed-independent
+  /// (experiment::site_is_seed_independent); otherwise the trial builds its
+  /// own site exactly as before. The site a trial sees is byte-identical
+  /// either way, so results do not depend on whether a sweep shared it.
   std::shared_ptr<const web::Website> prebuilt_site;
 
-  static net::Path::Config default_path();
+  static net::Topology::Config default_path();
   static h2::ConnectionConfig default_server_h2();
   static h2::ConnectionConfig default_client_h2();
   static attack::AttackConfig default_attack_off();

@@ -29,9 +29,7 @@ std::vector<TrialConfig> share_prebuilt_sites(std::span<const TrialConfig> cfgs)
   };
   std::vector<Recipe> recipes;
   for (TrialConfig& cfg : out) {
-    if (cfg.prebuilt_site || cfg.site_builder || cfg.defense.dummy_count != 0) {
-      continue;
-    }
+    if (cfg.prebuilt_site || !site_is_seed_independent(cfg)) continue;
     Recipe* found = nullptr;
     for (Recipe& r : recipes) {
       if (same_site_recipe(*r.exemplar, cfg)) {

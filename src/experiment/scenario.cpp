@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "defense/defenses.hpp"
-
 namespace h2sim::experiment {
 
 ScenarioTemplate::ScenarioTemplate(TrialConfig base) : base_(std::move(base)) {
@@ -25,23 +23,20 @@ ScenarioTemplate ScenarioTemplate::with_background(int background_clients) const
 }
 
 bool same_site_recipe(const TrialConfig& a, const TrialConfig& b) {
-  if (a.site_builder || b.site_builder) return false;
-  if (a.defense.dummy_count != 0 || b.defense.dummy_count != 0) return false;
+  if (!site_is_seed_independent(a) || !site_is_seed_independent(b)) {
+    return false;
+  }
   return a.site.html_size == b.site.html_size &&
          a.site.emblem_sizes == b.site.emblem_sizes &&
          a.site.pre_objects == b.site.pre_objects &&
          a.site.filler_objects == b.site.filler_objects &&
-         a.site.head_fillers == b.site.head_fillers &&
-         a.defense.pad_quantum == b.defense.pad_quantum;
+         a.site.head_fillers == b.site.head_fillers;
 }
 
 std::shared_ptr<const web::Website> prebuild_site(const TrialConfig& cfg) {
-  if (cfg.site_builder || cfg.defense.dummy_count != 0) return nullptr;
-  web::Website site = web::make_isidewith_site(cfg.site);
-  if (cfg.defense.pad_quantum > 1) {
-    site = defense::pad_site(site, cfg.defense.pad_quantum);
-  }
-  return std::make_shared<const web::Website>(std::move(site));
+  if (!site_is_seed_independent(cfg)) return nullptr;
+  return std::make_shared<const web::Website>(
+      web::make_isidewith_site(cfg.site));
 }
 
 }  // namespace h2sim::experiment

@@ -8,16 +8,14 @@
 namespace h2sim::experiment {
 
 /// Sweep-level scenario template: the seed-independent parts of a
-/// TrialConfig — the website (objects built, defenses applied, body bytes
-/// materialized), the topology shape, the TLS/h2 connection parameters, and
-/// the attack plan — prepared once and shared read-only by every trial of a
-/// sweep.
+/// TrialConfig — the website (objects built, body bytes materialized), the
+/// topology shape, the TLS/h2 connection parameters, and the attack plan —
+/// prepared once and shared read-only by every trial of a sweep.
 ///
 /// Site prebuilding is only sound when the site really is the same for every
-/// seed: a custom site_builder may close over anything, and dummy-object
-/// injection draws from a per-seed RNG, so both disable sharing (the template
-/// still works; each trial just builds its own site as before). Padding is
-/// deterministic and is applied at template build time.
+/// seed (site_is_seed_independent); otherwise the template still works and
+/// each trial just builds its own site as before. Wire padding is applied by
+/// the server per response and never touches the site.
 ///
 /// A trial's behaviour is byte-identical whether its config came from a
 /// template or was built standalone — instantiate() only fills
@@ -54,15 +52,20 @@ class ScenarioTemplate {
   TrialConfig base_;
 };
 
+/// The site-sharing rule: true when the site a trial builds does not depend
+/// on its seed. A custom site_builder may close over anything, and dummy
+/// injection draws from a per-seed RNG, so either makes the site per-seed.
+inline bool site_is_seed_independent(const TrialConfig& cfg) {
+  return !cfg.site_builder && cfg.defense.dummy_count == 0;
+}
+
 /// True when `a` and `b` would build byte-identical websites from scratch:
-/// both use the default isidewith builder (no custom site_builder), neither
-/// injects per-seed dummies, and their site/padding parameters match. Such
-/// configs can share one prebuilt site.
+/// both sites are seed-independent and their isidewith parameters match.
+/// Such configs can share one prebuilt site.
 bool same_site_recipe(const TrialConfig& a, const TrialConfig& b);
 
-/// Builds the site a config would construct at trial time (builder + padding,
-/// content materialized), or nullptr when the site is per-seed (custom
-/// builder or dummy injection) and cannot be shared.
+/// Builds the site a config would construct at trial time (content
+/// materialized), or nullptr when the site is per-seed and cannot be shared.
 std::shared_ptr<const web::Website> prebuild_site(const TrialConfig& cfg);
 
 }  // namespace h2sim::experiment

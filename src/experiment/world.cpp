@@ -5,6 +5,7 @@
 
 #include "analysis/boundary.hpp"
 #include "defense/defenses.hpp"
+#include "experiment/scenario.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
 #include "sim/log.hpp"
@@ -31,16 +32,14 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
   rng_perm.shuffle(perm_v);
   std::copy(perm_v.begin(), perm_v.end(), perm_.begin());
 
-  // Topology with per-trial loss seeds. With background clients the same
-  // gateway grows extra access segments; clients == 1 is byte-for-byte the
-  // historical Path.
-  net::Path::Config pcfg = cfg_.path;
-  pcfg.client_side.loss_seed ^= cfg_.seed;
-  pcfg.server_side.loss_seed ^= cfg_.seed * 0x9e3779b9ULL;
+  // Topology with per-trial loss seeds. Background clients add access
+  // segments at the same gateway without changing the victim's links.
+  net::Topology::Config topo_cfg = cfg_.path;
+  topo_cfg.client_side.loss_seed ^= cfg_.seed;
+  topo_cfg.server_side.loss_seed ^= cfg_.seed * 0x9e3779b9ULL;
   n_background_ = std::max(0, cfg_.load.background_clients);
   topo_ = std::make_unique<net::Topology>(
-      loop_, net::Topology::Config{pcfg.client_side, pcfg.server_side,
-                                   1 + static_cast<std::size_t>(n_background_)});
+      loop_, topo_cfg, 1 + static_cast<std::size_t>(n_background_));
 
   server_stack_ = std::make_unique<tcp::TcpStack>(
       loop_, rng_server_stack, net::Topology::kServerNode, tcp_cfg_,
@@ -58,14 +57,10 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
   // trial always has. Note the rng_defense split happens in the same cases
   // either way, so the trial's RNG stream is identical with or without a
   // prebuilt site.
-  const bool share_site =
-      cfg_.prebuilt_site && !cfg_.site_builder && cfg_.defense.dummy_count == 0;
+  const bool share_site = cfg_.prebuilt_site && site_is_seed_independent(cfg_);
   if (!share_site) {
     local_site_ = cfg_.site_builder ? cfg_.site_builder()
                                     : web::make_isidewith_site(cfg_.site);
-    if (cfg_.defense.pad_quantum > 1) {
-      local_site_ = defense::pad_site(local_site_, cfg_.defense.pad_quantum);
-    }
     if (cfg_.defense.dummy_count > 0) {
       sim::Rng rng_defense = root.split();
       defense::DummyConfig dc;

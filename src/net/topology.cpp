@@ -9,13 +9,14 @@ net::Link::Config reseed(net::Link::Config cfg, std::uint64_t salt) {
 }
 }  // namespace
 
-Topology::Topology(sim::EventLoop& loop, const Config& cfg) : mb_(loop) {
-  const std::size_t n = cfg.clients == 0 ? 1 : cfg.clients;
+Topology::Topology(sim::EventLoop& loop, const Config& cfg, std::size_t clients)
+    : mb_(loop) {
+  const std::size_t n = clients == 0 ? 1 : clients;
   c2m_.reserve(n);
   m2c_.reserve(n);
 
   // Victim links first, with the historical names and loss-seed salts
-  // (1..4) so a one-client Topology reproduces the original Path exactly.
+  // (1..4), so the victim's links are the same at every client count.
   c2m_.push_back(
       std::make_unique<Link>(loop, reseed(cfg.client_side, 1), "link.c2m"));
   m2s_ = std::make_unique<Link>(loop, reseed(cfg.server_side, 2), "link.m2s");

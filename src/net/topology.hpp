@@ -21,15 +21,14 @@ namespace h2sim::net {
 ///   client[0] <--m2c[0]-- [middlebox] <--s2m-- server
 ///   client[i] --c2m[i]--> [middlebox]   (same m2s/s2m uplink)
 ///
-/// With clients == 1 this is byte-for-byte the historical single-client
-/// Path: identical link names, identical loss-seed derivation, identical
-/// wiring — the behavior-golden digests pin that equivalence.
+/// With one client this is the paper's single-client Figure 2 wiring; the
+/// victim's link names and loss-seed derivation do not depend on the client
+/// count, and the behavior-golden digests pin them.
 class Topology {
  public:
   struct Config {
     Link::Config client_side;  // per-client access segment (both directions)
     Link::Config server_side;  // shared gateway <-> server bottleneck
-    std::size_t clients = 1;   // total client stacks (>= 1; index 0 = victim)
   };
 
   static constexpr NodeId kServerNode = 2;
@@ -41,7 +40,9 @@ class Topology {
     return i == 0 ? NodeId{1} : static_cast<NodeId>(2 + i);
   }
 
-  Topology(sim::EventLoop& loop, const Config& cfg);
+  /// `clients` is the total number of client stacks (index 0 = victim); 0
+  /// is treated as 1.
+  Topology(sim::EventLoop& loop, const Config& cfg, std::size_t clients);
 
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
@@ -77,49 +78,6 @@ class Topology {
   std::unique_ptr<Link> m2s_;  // shared uplink (the contention bottleneck)
   std::unique_ptr<Link> s2m_;
   Middlebox mb_;
-};
-
-/// The paper's single-client topology (Figure 2): a thin adapter over a
-/// one-client Topology preserving the historical Path API that the tests,
-/// benches, and examples were written against.
-class Path {
- public:
-  struct Config {
-    Link::Config client_side;  // client <-> middlebox (both directions)
-    Link::Config server_side;  // middlebox <-> server (both directions)
-  };
-
-  static constexpr NodeId kClientNode = 1;
-  static constexpr NodeId kServerNode = 2;
-
-  Path(sim::EventLoop& loop, const Config& cfg)
-      : topo_(loop, Topology::Config{cfg.client_side, cfg.server_side, 1}) {}
-
-  Path(const Path&) = delete;
-  Path& operator=(const Path&) = delete;
-
-  void send_from_client(Packet&& p) { topo_.send_from_client(0, std::move(p)); }
-  void send_from_server(Packet&& p) { topo_.send_from_server(std::move(p)); }
-
-  void set_client_sink(std::function<void(Packet&&)> sink) {
-    topo_.set_client_sink(0, std::move(sink));
-  }
-  void set_server_sink(std::function<void(Packet&&)> sink) {
-    topo_.set_server_sink(std::move(sink));
-  }
-
-  Middlebox& middlebox() { return topo_.middlebox(); }
-  Link& client_to_mb() { return topo_.client_to_mb(0); }
-  Link& mb_to_server() { return topo_.mb_to_server(); }
-  Link& server_to_mb() { return topo_.server_to_mb(); }
-  Link& mb_to_client() { return topo_.mb_to_client(0); }
-
-  std::uint64_t link_drops() const { return topo_.link_drops(); }
-
-  Topology& topology() { return topo_; }
-
- private:
-  Topology topo_;
 };
 
 }  // namespace h2sim::net

@@ -20,16 +20,16 @@ class H2Pair {
  public:
   explicit H2Pair(h2::ConnectionConfig server_cfg = {},
                   h2::ConnectionConfig client_cfg = {}) {
-    path = std::make_unique<net::Path>(loop, net::Path::Config{});
+    topo = std::make_unique<net::Topology>(loop, net::Topology::Config{}, 1);
     server_stack = std::make_unique<tcp::TcpStack>(
-        loop, sim::Rng(11), net::Path::kServerNode, tcp::TcpConfig{},
-        [this](net::Packet&& p) { path->send_from_server(std::move(p)); });
+        loop, sim::Rng(11), net::Topology::kServerNode, tcp::TcpConfig{},
+        [this](net::Packet&& p) { topo->send_from_server(std::move(p)); });
     client_stack = std::make_unique<tcp::TcpStack>(
-        loop, sim::Rng(12), net::Path::kClientNode, tcp::TcpConfig{},
-        [this](net::Packet&& p) { path->send_from_client(std::move(p)); });
-    path->set_server_sink(
+        loop, sim::Rng(12), net::Topology::client_node(0), tcp::TcpConfig{},
+        [this](net::Packet&& p) { topo->send_from_client(0, std::move(p)); });
+    topo->set_server_sink(
         [this](net::Packet&& p) { server_stack->deliver(std::move(p)); });
-    path->set_client_sink(
+    topo->set_client_sink(0, 
         [this](net::Packet&& p) { client_stack->deliver(std::move(p)); });
 
     server_stack->listen(443, [this, server_cfg](tcp::TcpConnection& c) {
@@ -38,7 +38,7 @@ class H2Pair {
                                                       sim::Rng(21));
     });
 
-    tcp::TcpConnection& c = client_stack->connect(net::Path::kServerNode, 443);
+    tcp::TcpConnection& c = client_stack->connect(net::Topology::kServerNode, 443);
     client_tls = std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kClient);
     client = std::make_unique<h2::ClientConnection>(loop, *client_tls, client_cfg,
                                                     sim::Rng(22));
@@ -50,7 +50,7 @@ class H2Pair {
   }
 
   sim::EventLoop loop;
-  std::unique_ptr<net::Path> path;
+  std::unique_ptr<net::Topology> topo;
   std::unique_ptr<tcp::TcpStack> server_stack;
   std::unique_ptr<tcp::TcpStack> client_stack;
   std::unique_ptr<tls::TlsSession> server_tls;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "analysis/padding.hpp"
 #include "defense/defenses.hpp"
 #include "experiment/harness.hpp"
 
@@ -7,28 +11,41 @@ namespace h2sim::defense {
 namespace {
 
 TEST(Padding, RoundsSizesUp) {
-  web::Website site = web::make_two_object_site(1000, 8192);
-  const web::Website padded = pad_site(site, 4096);
-  EXPECT_EQ(padded.find("/o1")->size, 4096u);
-  EXPECT_EQ(padded.find("/o2")->size, 8192u);  // already aligned
-  EXPECT_EQ(padded.schedule.size(), site.schedule.size());
-}
-
-TEST(Padding, OverheadComputed) {
-  const web::Website site = web::make_two_object_site(1000, 1000);
-  const web::Website padded = pad_site(site, 4096);
-  EXPECT_NEAR(padding_overhead(site, padded), (8192.0 / 2000.0) - 1.0, 1e-9);
+  // Quantum padding on the wire: each response grows to the next multiple
+  // of the quantum, and an already aligned object is served as is.
+  experiment::TrialConfig cfg;
+  cfg.site_builder = [] { return web::make_two_object_site(1000, 8192); };
+  cfg.defense.padding = PaddingSpec::quantum_pad(4096);
+  std::map<std::string, std::size_t> wire_bytes;
+  cfg.wire_log_inspector = [&wire_bytes](const analysis::WireLog& log) {
+    for (const auto& ev : log.events()) {
+      if (ev.is_data) wire_bytes[ev.object] += ev.data_bytes;
+    }
+  };
+  const auto r = experiment::run_trial(cfg);
+  EXPECT_TRUE(r.page_complete) << r.failure_reason;
+  EXPECT_EQ(wire_bytes["O1"], 4096u);
+  EXPECT_EQ(wire_bytes["O2"], 8192u);
 }
 
 TEST(Padding, CollapsesEmblemSizeClasses) {
+  // The adversary knows the scheme, so its emblem database holds each
+  // emblem's candidate wire sizes; colliding entries are merged classes.
   const web::Website site = web::make_isidewith_site();
-  EXPECT_EQ(distinguishable_emblems(site), 8);  // the attack's premise
-  const web::Website p16 = pad_site(site, 16384);
-  // Everything in 5-16 KB pads to 16384: no emblem distinguishable.
-  EXPECT_EQ(distinguishable_emblems(p16), 0);
-  // Mild padding keeps most classes apart.
-  const web::Website p1 = pad_site(site, 512);
-  EXPECT_GE(distinguishable_emblems(p1), 6);
+  auto collisions = [&site](const PaddingPolicy& policy) {
+    analysis::SizeIdentityDb db;
+    for (const std::string& path : site.emblem_paths) {
+      for (std::size_t c : policy.candidates(site.find(path)->size)) {
+        db.add(path, c);
+      }
+    }
+    return analysis::suspect_defense({}, db).db_collisions;
+  };
+  EXPECT_EQ(collisions(NonePolicy()), 0);  // the attack's premise
+  // Every emblem pads to 16384: all 28 pairs collide.
+  EXPECT_EQ(collisions(QuantumPolicy(16384)), 28);
+  // Mild padding keeps the classes apart.
+  EXPECT_EQ(collisions(QuantumPolicy(512)), 0);
 }
 
 TEST(Dummies, AddObjectsAndSteps) {
@@ -52,7 +69,7 @@ TEST(DefenseIntegration, HeavyPaddingDefeatsIdentification) {
   experiment::TrialConfig cfg;
   cfg.seed = 99;
   cfg.attack = experiment::full_attack_config();
-  cfg.defense.pad_quantum = 16384;
+  cfg.defense.padding = PaddingSpec::quantum_pad(16384);
   const auto r = experiment::run_trial(cfg);
   // Serialization still works (transport-level), but identification dies:
   // every emblem is 16384 bytes.

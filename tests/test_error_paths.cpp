@@ -16,14 +16,18 @@ TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
   // Flip one payload byte in flight: the record MAC must fail and the
   // session must abort rather than deliver garbage.
   sim::EventLoop loop;
-  net::Path path(loop, net::Path::Config{});
+  net::Topology topo(loop, net::Topology::Config{}, 1);
   tcp::TcpConfig cfg;
-  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Path::kServerNode, cfg,
-                             [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Path::kClientNode, cfg,
-                             [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
+  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Topology::kServerNode, cfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_server(std::move(p));
+                             });
+  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Topology::client_node(0), cfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_client(0, std::move(p));
+                             });
+  topo.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
 
   std::unique_ptr<tls::TlsSession> server_tls;
   bool server_aborted = false;
@@ -36,7 +40,7 @@ TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
     server_tls->set_callbacks(std::move(cbs));
   });
 
-  tcp::TcpConnection& conn = client_stack.connect(net::Path::kServerNode, 443);
+  tcp::TcpConnection& conn = client_stack.connect(net::Topology::kServerNode, 443);
   tls::TlsSession client_tls(conn, tls::TlsSession::Role::kClient);
 
   // Corrupt the 4th client->server payload packet (application data; the
@@ -60,7 +64,7 @@ TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
     }
   } corruptor;
   corruptor.counter = &payload_count;
-  path.middlebox().set_policy(&corruptor);
+  topo.middlebox().set_policy(&corruptor);
 
   tls::TlsSession::Callbacks ccbs;
   ccbs.on_established = [&] {
@@ -77,14 +81,18 @@ TEST(ErrorPaths, BadConnectionPrefaceKillsConnection) {
   // A client that speaks garbage instead of "PRI * HTTP/2.0..." must get the
   // connection torn down.
   sim::EventLoop loop;
-  net::Path path(loop, net::Path::Config{});
+  net::Topology topo(loop, net::Topology::Config{}, 1);
   tcp::TcpConfig cfg;
-  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Path::kServerNode, cfg,
-                             [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Path::kClientNode, cfg,
-                             [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
+  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Topology::kServerNode, cfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_server(std::move(p));
+                             });
+  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Topology::client_node(0), cfg,
+                             [&](net::Packet&& p) {
+                               topo.send_from_client(0, std::move(p));
+                             });
+  topo.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
 
   std::unique_ptr<tls::TlsSession> server_tls;
   std::unique_ptr<h2::ServerConnection> server;
@@ -98,7 +106,7 @@ TEST(ErrorPaths, BadConnectionPrefaceKillsConnection) {
     server->set_handlers(std::move(h));
   });
 
-  tcp::TcpConnection& conn = client_stack.connect(net::Path::kServerNode, 443);
+  tcp::TcpConnection& conn = client_stack.connect(net::Topology::kServerNode, 443);
   tls::TlsSession client_tls(conn, tls::TlsSession::Role::kClient);
   tls::TlsSession::Callbacks cbs;
   cbs.on_established = [&] {
@@ -224,7 +232,7 @@ TEST(ErrorPaths, RequestWithoutPseudoHeadersGets404Path) {
   pair.client->set_handlers(std::move(ch));
 
   // ServerApp-less server: install a handler that mimics the app's
-  // validation path.
+  // validation topo.
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList& headers) {
     if (!http::Request::from_h2_headers(headers)) {

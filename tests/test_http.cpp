@@ -96,16 +96,16 @@ TEST(Message, Http1TextRoundTrip) {
 class Http1PairTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::make_unique<net::Path>(loop_, net::Path::Config{});
+    topo_ = std::make_unique<net::Topology>(loop_, net::Topology::Config{}, 1);
     server_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(1), net::Path::kServerNode, tcp::TcpConfig{},
-        [this](net::Packet&& p) { path_->send_from_server(std::move(p)); });
+        loop_, sim::Rng(1), net::Topology::kServerNode, tcp::TcpConfig{},
+        [this](net::Packet&& p) { topo_->send_from_server(std::move(p)); });
     client_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(2), net::Path::kClientNode, tcp::TcpConfig{},
-        [this](net::Packet&& p) { path_->send_from_client(std::move(p)); });
-    path_->set_server_sink(
+        loop_, sim::Rng(2), net::Topology::client_node(0), tcp::TcpConfig{},
+        [this](net::Packet&& p) { topo_->send_from_client(0, std::move(p)); });
+    topo_->set_server_sink(
         [this](net::Packet&& p) { server_stack_->deliver(std::move(p)); });
-    path_->set_client_sink(
+    topo_->set_client_sink(0, 
         [this](net::Packet&& p) { client_stack_->deliver(std::move(p)); });
 
     server_stack_->listen(443, [this](tcp::TcpConnection& c) {
@@ -131,7 +131,7 @@ class Http1PairTest : public ::testing::Test {
           });
     });
 
-    tcp::TcpConnection& c = client_stack_->connect(net::Path::kServerNode, 443);
+    tcp::TcpConnection& c = client_stack_->connect(net::Topology::kServerNode, 443);
     client_tls_ = std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kClient);
     client_ = std::make_unique<Http1ClientConnection>(*client_tls_);
   }
@@ -142,7 +142,7 @@ class Http1PairTest : public ::testing::Test {
 
   std::string raw_response_;  // set before run() to script a hostile server
   sim::EventLoop loop_;
-  std::unique_ptr<net::Path> path_;
+  std::unique_ptr<net::Topology> topo_;
   std::unique_ptr<tcp::TcpStack> server_stack_;
   std::unique_ptr<tcp::TcpStack> client_stack_;
   std::unique_ptr<tls::TlsSession> server_tls_;

@@ -31,9 +31,7 @@ net::Packet make_packet(net::NodeId src, net::NodeId dst, std::size_t bytes) {
 
 TEST(Topology, RoutesEachClientThroughSharedUplink) {
   sim::EventLoop loop;
-  net::Topology::Config cfg;
-  cfg.clients = 3;
-  net::Topology topo(loop, cfg);
+  net::Topology topo(loop, net::Topology::Config{}, 3);
   ASSERT_EQ(topo.clients(), 3u);
 
   std::vector<net::NodeId> at_server;
@@ -52,9 +50,7 @@ TEST(Topology, RoutesEachClientThroughSharedUplink) {
 
 TEST(Topology, RoutesServerRepliesToTheAddressedClient) {
   sim::EventLoop loop;
-  net::Topology::Config cfg;
-  cfg.clients = 3;
-  net::Topology topo(loop, cfg);
+  net::Topology topo(loop, net::Topology::Config{}, 3);
 
   std::vector<int> hits(3, 0);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -76,8 +72,9 @@ TEST(Topology, RoutesServerRepliesToTheAddressedClient) {
 }
 
 TEST(Topology, SingleClientMatchesPathNodeIds) {
-  EXPECT_EQ(net::Topology::client_node(0), net::Path::kClientNode);
-  EXPECT_EQ(net::Topology::kServerNode, net::Path::kServerNode);
+  // The historical single-client ids: victim 1, server 2.
+  EXPECT_EQ(net::Topology::client_node(0), 1u);
+  EXPECT_EQ(net::Topology::kServerNode, 2u);
   EXPECT_EQ(net::Topology::client_node(1), 3u);
   EXPECT_EQ(net::Topology::client_node(7), 9u);
 }

@@ -185,17 +185,17 @@ TEST(RateLimiter, DropsWhenQueueDelayExceeded) {
   EXPECT_TRUE(dropped);
 }
 
-TEST(Path, WiresClientToServerThroughMiddlebox) {
+TEST(Topology, SingleClientWiresClientToServerThroughMiddlebox) {
   sim::EventLoop loop;
-  Path path(loop, Path::Config{});
+  Topology topo(loop, Topology::Config{}, 1);
   int server_got = 0, client_got = 0;
-  path.set_server_sink([&](Packet&&) { ++server_got; });
-  path.set_client_sink([&](Packet&&) { ++client_got; });
-  path.send_from_client(make_packet());
+  topo.set_server_sink([&](Packet&&) { ++server_got; });
+  topo.set_client_sink(0, [&](Packet&&) { ++client_got; });
+  topo.send_from_client(0, make_packet());
   Packet back = make_packet();
   back.src = 2;
   back.dst = 1;
-  path.send_from_server(std::move(back));
+  topo.send_from_server(std::move(back));
   loop.run();
   EXPECT_EQ(server_got, 1);
   EXPECT_EQ(client_got, 1);

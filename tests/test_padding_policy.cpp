@@ -21,23 +21,6 @@
 namespace h2sim::defense {
 namespace {
 
-// --- padding_overhead edge cases ---
-
-TEST(Padding, OverheadOfEmptySiteIsZero) {
-  // A site with no objects has no meaningful before/after ratio; the guard
-  // must return 0.0 instead of dividing by the zero original total.
-  const web::Website empty;
-  EXPECT_EQ(padding_overhead(empty, empty), 0.0);
-
-  web::Website padded_only;
-  web::WebObject o;
-  o.path = "/late.bin";
-  o.size = 4096;
-  o.label = "late";
-  padded_only.add_object(o);
-  EXPECT_EQ(padding_overhead(empty, padded_only), 0.0);
-}
-
 // --- policy classes ---
 
 TEST(PaddingPolicy, QuantumRoundsUpAndIsDeterministic) {
@@ -118,13 +101,45 @@ TEST(PaddingPolicy, SpecResolutionAndParsing) {
   EXPECT_EQ(r->kind, PaddingSpec::Kind::kRandom);
   EXPECT_DOUBLE_EQ(r->random_fraction, 0.25);
   EXPECT_TRUE(parse_padding_spec("none").has_value());
-  EXPECT_FALSE(parse_padding_spec("quantum:0").has_value());
-  EXPECT_FALSE(parse_padding_spec("quantum:12x").has_value());
-  EXPECT_FALSE(parse_padding_spec("random:-1").has_value());
-  EXPECT_FALSE(parse_padding_spec("plan:/no/such/file").has_value());
-  EXPECT_FALSE(parse_padding_spec("bogus").has_value());
   EXPECT_EQ(spec_name(*q), "quantum3000");
   EXPECT_EQ(spec_name(PaddingSpec::none()), "none");
+}
+
+TEST(PaddingPolicy, ParseRejectsMalformedSpecs) {
+  const char* const malformed[] = {
+      "quantum:-1",
+      "quantum:18446744073709551615",  // 2^64 - 1: would overflow rounded()
+      "quantum:16777217",              // kMaxQuantum + 1
+      "quantum: 64",
+      "quantum:+64",
+      "quantum:64 ",
+      "quantum:",
+      "quantum:0",
+      "quantum:1",
+      "quantum:12x",
+      "random:nan",
+      "random:-nan",
+      "random:inf",
+      "random:-1",
+      "random:0",
+      "random:4.5",
+      "random:+0.25",
+      "random:",
+      "plan:/nonexistent",
+      "bogus",
+      "",
+  };
+  for (const char* text : malformed) {
+    EXPECT_FALSE(parse_padding_spec(text).has_value()) << '"' << text << '"';
+  }
+  const auto max = parse_padding_spec("quantum:16777216");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->quantum, kMaxQuantum);
+  sim::Rng rng(1);
+  EXPECT_GE(make_policy(*max)->padded_size(1000, rng), 1000u);
+  const auto four = parse_padding_spec("random:4");
+  ASSERT_TRUE(four.has_value());
+  EXPECT_DOUBLE_EQ(four->random_fraction, 4.0);
 }
 
 // --- the constrained-padding optimizer ---
@@ -217,20 +232,6 @@ TEST(PadPlan, PlanForSiteCoversEveryObjectSize) {
   EXPECT_GE(plan.min_class, 2) << "10% budget should buy some anonymity";
   for (const auto& [path, obj] : site.objects()) {
     EXPECT_NE(plan.find(obj.size), nullptr) << path;
-  }
-}
-
-// --- site transforms rebuilt on the policy interface ---
-
-TEST(Padding, PadSiteIsApplyPolicyWithQuantum) {
-  const web::Website site = web::make_isidewith_site();
-  const web::Website a = pad_site(site, 4096);
-  const web::Website b = apply_policy(site, QuantumPolicy(4096));
-  for (const auto& [path, obj] : a.objects()) {
-    const web::WebObject* other = b.find(path);
-    ASSERT_NE(other, nullptr) << path;
-    EXPECT_EQ(obj.size, other->size) << path;
-    EXPECT_EQ(obj.content, other->content) << path;
   }
 }
 
@@ -362,6 +363,23 @@ TEST(WirePadding, PaddingBytesRideRealDataFrames) {
               defense::QuantumPolicy::rounded(obj.size, 3000))
         << obj.label;
   }
+}
+
+TEST(WirePadding, DummiesArePaddedLikeEveryResponse) {
+  // Cover traffic gets no exemption: a dummy served at its raw size would
+  // leak a fresh, unpadded size class beside the padded real objects.
+  TrialConfig cfg;
+  cfg.seed = 15;
+  cfg.defense.dummy_count = 4;
+  cfg.defense.padding = defense::PaddingSpec::quantum_pad(3000);
+  const auto bytes = primary_wire_bytes(cfg);
+  int dummies = 0;
+  for (const auto& [label, wire] : bytes) {
+    if (label.rfind("dummy", 0) != 0) continue;
+    ++dummies;
+    EXPECT_EQ(wire % 3000, 0u) << label << " served " << wire << " bytes";
+  }
+  EXPECT_EQ(dummies, cfg.defense.dummy_count);
 }
 
 TEST(WirePadding, MonitorObservesThePaddedBytes) {

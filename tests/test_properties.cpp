@@ -143,20 +143,22 @@ TEST_P(TcpLossProperty, StreamIntegrityUnderLoss) {
   sim::EventLoop loop;
   sim::Rng rng(param.seed);
 
-  net::Path::Config pc;
+  net::Topology::Config pc;
   pc.server_side.loss_rate = param.loss;
   pc.server_side.loss_seed = param.seed;
   pc.client_side.loss_rate = param.loss / 2;
   pc.client_side.loss_seed = param.seed ^ 0xabcdef;
-  net::Path path(loop, pc);
+  net::Topology topo(loop, pc, 1);
 
   tcp::TcpConfig cfg;
-  tcp::TcpStack server(loop, rng.split(), net::Path::kServerNode, cfg,
-                       [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  tcp::TcpStack client(loop, rng.split(), net::Path::kClientNode, cfg,
-                       [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client.deliver(std::move(p)); });
+  tcp::TcpStack server(loop, rng.split(), net::Topology::kServerNode, cfg,
+                       [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
+  tcp::TcpStack client(loop, rng.split(), net::Topology::client_node(0), cfg,
+                       [&](net::Packet&& p) {
+                         topo.send_from_client(0, std::move(p));
+                       });
+  topo.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client.deliver(std::move(p)); });
 
   std::vector<std::uint8_t> sent(60000);
   for (std::size_t i = 0; i < sent.size(); ++i) {
@@ -172,7 +174,7 @@ TEST_P(TcpLossProperty, StreamIntegrityUnderLoss) {
     c.set_callbacks(std::move(cbs));
   });
 
-  tcp::TcpConnection& conn = client.connect(net::Path::kServerNode, 443);
+  tcp::TcpConnection& conn = client.connect(net::Topology::kServerNode, 443);
   tcp::TcpConnection::Callbacks ccb;
   ccb.on_connected = [&] { conn.send(sent); };
   conn.set_callbacks(std::move(ccb));
@@ -182,10 +184,10 @@ TEST_P(TcpLossProperty, StreamIntegrityUnderLoss) {
   EXPECT_EQ(received, sent);  // exact in-order delivery despite loss
   // Retransmissions must have happened if the links actually lost several
   // packets (a couple of losses may all hit pure ACKs, which need none).
-  const std::uint64_t losses = path.client_to_mb().stats().random_losses +
-                               path.mb_to_server().stats().random_losses +
-                               path.server_to_mb().stats().random_losses +
-                               path.mb_to_client().stats().random_losses;
+  const std::uint64_t losses = topo.client_to_mb().stats().random_losses +
+                               topo.mb_to_server().stats().random_losses +
+                               topo.server_to_mb().stats().random_losses +
+                               topo.mb_to_client().stats().random_losses;
   if (losses > 4) {
     EXPECT_GT(conn.stats().total_retransmits() +
                   server.aggregate_stats().total_retransmits(),
@@ -205,14 +207,16 @@ class TlsSizeProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TlsSizeProperty, WriteOfAnySizeDeliversExactly) {
   sim::EventLoop loop;
-  net::Path path(loop, net::Path::Config{});
+  net::Topology topo(loop, net::Topology::Config{}, 1);
   tcp::TcpConfig cfg;
-  tcp::TcpStack server(loop, sim::Rng(1), net::Path::kServerNode, cfg,
-                       [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  tcp::TcpStack client(loop, sim::Rng(2), net::Path::kClientNode, cfg,
-                       [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client.deliver(std::move(p)); });
+  tcp::TcpStack server(loop, sim::Rng(1), net::Topology::kServerNode, cfg,
+                       [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
+  tcp::TcpStack client(loop, sim::Rng(2), net::Topology::client_node(0), cfg,
+                       [&](net::Packet&& p) {
+                         topo.send_from_client(0, std::move(p));
+                       });
+  topo.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client.deliver(std::move(p)); });
 
   std::unique_ptr<tls::TlsSession> server_tls;
   std::vector<std::uint8_t> got;
@@ -225,7 +229,7 @@ TEST_P(TlsSizeProperty, WriteOfAnySizeDeliversExactly) {
     server_tls->set_callbacks(std::move(cbs));
   });
 
-  tcp::TcpConnection& c = client.connect(net::Path::kServerNode, 443);
+  tcp::TcpConnection& c = client.connect(net::Topology::kServerNode, 443);
   tls::TlsSession ctls(c, tls::TlsSession::Role::kClient);
   const std::size_t size = GetParam();
   std::vector<std::uint8_t> msg(size);

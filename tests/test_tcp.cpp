@@ -300,14 +300,14 @@ TEST_F(TcpPair, DupAcksCountedAtSender) {
 TEST(TcpStack, ConnectAndAcceptThroughPath) {
   sim::EventLoop loop;
   sim::Rng rng(3);
-  net::Path path(loop, net::Path::Config{});
+  net::Topology topo(loop, net::Topology::Config{}, 1);
   TcpConfig cfg;
-  TcpStack server(loop, rng.split(), net::Path::kServerNode, cfg,
-                  [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  TcpStack client(loop, rng.split(), net::Path::kClientNode, cfg,
-                  [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client.deliver(std::move(p)); });
+  TcpStack server(loop, rng.split(), net::Topology::kServerNode, cfg,
+                  [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
+  TcpStack client(loop, rng.split(), net::Topology::client_node(0), cfg,
+                  [&](net::Packet&& p) { topo.send_from_client(0, std::move(p)); });
+  topo.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client.deliver(std::move(p)); });
 
   std::vector<std::uint8_t> got;
   server.listen(443, [&](TcpConnection& c) {
@@ -318,7 +318,7 @@ TEST(TcpStack, ConnectAndAcceptThroughPath) {
     c.set_callbacks(std::move(cbs));
   });
 
-  TcpConnection& conn = client.connect(net::Path::kServerNode, 443);
+  TcpConnection& conn = client.connect(net::Topology::kServerNode, 443);
   TcpConnection::Callbacks ccb;
   ccb.on_connected = [&] {
     const std::uint8_t hello[5] = {1, 2, 3, 4, 5};
@@ -332,16 +332,16 @@ TEST(TcpStack, ConnectAndAcceptThroughPath) {
 TEST(TcpStack, SynToClosedPortIgnored) {
   sim::EventLoop loop;
   sim::Rng rng(3);
-  net::Path path(loop, net::Path::Config{});
+  net::Topology topo(loop, net::Topology::Config{}, 1);
   TcpConfig cfg;
-  TcpStack server(loop, rng.split(), net::Path::kServerNode, cfg,
-                  [&](net::Packet&& p) { path.send_from_server(std::move(p)); });
-  TcpStack client(loop, rng.split(), net::Path::kClientNode, cfg,
-                  [&](net::Packet&& p) { path.send_from_client(std::move(p)); });
-  path.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
-  path.set_client_sink([&](net::Packet&& p) { client.deliver(std::move(p)); });
+  TcpStack server(loop, rng.split(), net::Topology::kServerNode, cfg,
+                  [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
+  TcpStack client(loop, rng.split(), net::Topology::client_node(0), cfg,
+                  [&](net::Packet&& p) { topo.send_from_client(0, std::move(p)); });
+  topo.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
+  topo.set_client_sink(0, [&](net::Packet&& p) { client.deliver(std::move(p)); });
 
-  TcpConnection& conn = client.connect(net::Path::kServerNode, 999);
+  TcpConnection& conn = client.connect(net::Topology::kServerNode, 999);
   loop.run(sim::TimePoint::origin() + sim::Duration::seconds(3));
   EXPECT_FALSE(conn.established());
 }

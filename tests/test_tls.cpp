@@ -67,20 +67,20 @@ TEST(RecordCodec, ParserHandlesCoalescedRecords) {
   EXPECT_EQ(r2->body.size(), 20u);
 }
 
-/// Full client/server TLS-over-TCP fixture through the simulated path.
+/// Full client/server TLS-over-TCP fixture through the simulated topo.
 class TlsPairTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::make_unique<net::Path>(loop_, net::Path::Config{});
+    topo_ = std::make_unique<net::Topology>(loop_, net::Topology::Config{}, 1);
     server_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(1), net::Path::kServerNode, tcp::TcpConfig{},
-        [this](net::Packet&& p) { path_->send_from_server(std::move(p)); });
+        loop_, sim::Rng(1), net::Topology::kServerNode, tcp::TcpConfig{},
+        [this](net::Packet&& p) { topo_->send_from_server(std::move(p)); });
     client_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(2), net::Path::kClientNode, tcp::TcpConfig{},
-        [this](net::Packet&& p) { path_->send_from_client(std::move(p)); });
-    path_->set_server_sink(
+        loop_, sim::Rng(2), net::Topology::client_node(0), tcp::TcpConfig{},
+        [this](net::Packet&& p) { topo_->send_from_client(0, std::move(p)); });
+    topo_->set_server_sink(
         [this](net::Packet&& p) { server_stack_->deliver(std::move(p)); });
-    path_->set_client_sink(
+    topo_->set_client_sink(0, 
         [this](net::Packet&& p) { client_stack_->deliver(std::move(p)); });
 
     server_stack_->listen(443, [this](tcp::TcpConnection& c) {
@@ -94,7 +94,7 @@ class TlsPairTest : public ::testing::Test {
       server_tls_->set_callbacks(std::move(cbs));
     });
 
-    tcp::TcpConnection& c = client_stack_->connect(net::Path::kServerNode, 443);
+    tcp::TcpConnection& c = client_stack_->connect(net::Topology::kServerNode, 443);
     client_tls_ = std::make_unique<TlsSession>(c, TlsSession::Role::kClient);
     TlsSession::Callbacks cbs;
     cbs.on_established = [this] { client_established_ = true; };
@@ -110,7 +110,7 @@ class TlsPairTest : public ::testing::Test {
   }
 
   sim::EventLoop loop_;
-  std::unique_ptr<net::Path> path_;
+  std::unique_ptr<net::Topology> topo_;
   std::unique_ptr<tcp::TcpStack> server_stack_;
   std::unique_ptr<tcp::TcpStack> client_stack_;
   std::unique_ptr<TlsSession> server_tls_;
@@ -144,7 +144,7 @@ TEST_F(TlsPairTest, CiphertextDiffersFromPlaintext) {
   run(1);
   // Tap the path to confirm no plaintext pattern leaks on the wire.
   std::vector<std::uint8_t> wire_bytes;
-  path_->middlebox().set_tap(
+  topo_->middlebox().set_tap(
       [&](const net::Packet& p, net::Direction d, sim::TimePoint) {
         if (d == net::Direction::kClientToServer) {
           wire_bytes.insert(wire_bytes.end(), p.payload.begin(), p.payload.end());

@@ -10,7 +10,6 @@
 //     --iface NAME        vantage interface to read (default: "gateway"
 //                         when present, else the file's first interface)
 //     --server-port N     TCP port identifying the server side (default 443)
-//     --pad-quantum N     analyze against the pad-to-quantum site variant
 //     --wire-pad SPEC     the wire-level padding policy the capture's server
 //                         deployed (none|quantum:N|random:F|plan:FILE): size
 //                         databases switch to the padded wire sizes, and each
@@ -42,14 +41,16 @@
 #include "analysis/partial.hpp"
 #include "analysis/predictor.hpp"
 #include "capture/reader.hpp"
-#include "defense/defenses.hpp"
+#include "defense/policy.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
+#include "sim/parse_number.hpp"
 #include "web/website.hpp"
 
 namespace {
 
 using namespace h2sim;
+using sim::parse_number;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -76,7 +77,7 @@ std::string json_escape(const std::string& s) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <capture.pcapng> [--iface NAME] [--server-port N]\n"
-               "          [--pad-quantum N] [--tolerance F] [--records]\n"
+               "          [--tolerance F] [--records]\n"
                "          [--wire-pad none|quantum:N|random:F|plan:FILE]\n",
                argv0);
   return 1;
@@ -86,7 +87,6 @@ struct Options {
   std::string file;
   std::string iface;
   int server_port = 443;
-  std::size_t pad_quantum = 0;
   defense::PaddingSpec wire_pad;
   double tolerance = 0.02;
   bool records = false;
@@ -104,12 +104,10 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (arg == "--server-port") {
       const char* v = next();
       if (!v) return std::nullopt;
-      o.server_port = std::atoi(v);
-      if (o.server_port <= 0 || o.server_port > 65535) return std::nullopt;
-    } else if (arg == "--pad-quantum") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      o.pad_quantum = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(v, &o.server_port) || o.server_port <= 0 ||
+          o.server_port > 65535) {
+        return std::nullopt;
+      }
     } else if (arg == "--wire-pad") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -119,8 +117,9 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (arg == "--tolerance") {
       const char* v = next();
       if (!v) return std::nullopt;
-      o.tolerance = std::atof(v);
-      if (o.tolerance <= 0) return std::nullopt;
+      if (!parse_number(v, &o.tolerance) || o.tolerance <= 0) {
+        return std::nullopt;
+      }
     } else if (arg == "--records") {
       o.records = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -199,10 +198,8 @@ int main(int argc, char** argv) {
   }
 
   // Site profile -> the adversary's pre-compiled size databases, exactly as
-  // the live harness builds them (including the padded variant when the
-  // target deploys the pad-to-quantum defense).
-  web::Website site = web::make_isidewith_site();
-  if (opt->pad_quantum > 1) site = defense::pad_site(site, opt->pad_quantum);
+  // the live harness builds them.
+  const web::Website site = web::make_isidewith_site();
   // The attacker knows the wire scheme (Kerckhoffs): one DB entry per wire
   // size the object can be served at, exactly as the live harness compiles
   // its databases.

@@ -13,28 +13,30 @@
 //                  [--site default|small] [--quiet]
 //
 // The grid is the cross product of the comma-separated axis lists; each cell
-// is labeled "attack=A,pad=P,dummies=D". Live telemetry (trials/s, ETA,
+// is labeled "attack=A,pad=P,dummies=D". --pad P pads every response on the
+// wire to a multiple of P bytes (defense::QuantumPolicy); 0 or 1 means no
+// padding, and P above defense::kMaxQuantum is rejected. Live telemetry (trials/s, ETA,
 // per-cell CI width) goes to stderr; one NDJSON summary line goes to stdout.
 // --resume continues from DIR/manifest.json and refuses grids that don't
 // match the manifest's config digest. A numeric option or list item that is
 // not a complete number prints the usage and exits with status 2.
 
-#include <charconv>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
+#include "defense/policy.hpp"
 #include "experiment/campaign.hpp"
+#include "sim/parse_number.hpp"
 
 namespace {
 
 using namespace h2sim;
+using sim::parse_number;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -59,21 +61,6 @@ std::vector<std::string> split_list(const std::string& s) {
     start = end + 1;
   }
   return out;
-}
-
-/// Parses `s` as a whole number or, for double, a finite real; false on
-/// trailing characters, an empty string, a sign on an unsigned type, or a
-/// value out of range.
-template <typename T>
-bool parse_number(std::string_view s, T* out) {
-  T v{};
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || end != s.data() + s.size()) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) return false;
-  }
-  *out = v;
-  return true;
 }
 
 [[noreturn]] void bad_number(const char* argv0, const char* option,
@@ -161,7 +148,10 @@ int main(int argc, char** argv) {
 
   std::vector<std::size_t> pad_values(pads.size());
   for (std::size_t k = 0; k < pads.size(); ++k) {
-    if (!parse_number(pads[k], &pad_values[k])) bad_number(argv[0], "--pad", pads[k]);
+    if (!parse_number(pads[k], &pad_values[k]) ||
+        pad_values[k] > defense::kMaxQuantum) {
+      bad_number(argv[0], "--pad", pads[k]);
+    }
   }
   std::vector<int> dummy_values(dummies.size());
   for (std::size_t k = 0; k < dummies.size(); ++k) {
@@ -186,7 +176,8 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "unknown attack mode: %s\n", attack.c_str());
           return usage(argv[0]);
         }
-        cell.base.defense.pad_quantum = pad_values[p];
+        cell.base.defense.padding =
+            defense::PaddingSpec::quantum_pad(pad_values[p]);
         cell.base.defense.dummy_count = dummy_values[d];
         if (small_site) {
           cell.base.site.pre_objects = 2;
