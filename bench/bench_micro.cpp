@@ -19,6 +19,7 @@
 #include "hpack/huffman.hpp"
 #include "net/link.hpp"
 #include "net/middlebox.hpp"
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -477,7 +478,7 @@ BENCHMARK(BM_RngU64);
 // tracer is a single mask test. These bound the overhead instrumentation adds
 // to the simulator's hot paths when tracing is off (the default).
 void BM_MetricsCounterInc(benchmark::State& state) {
-  obs::Counter c = obs::MetricsRegistry::instance().counter("bench.counter");
+  obs::Counter c = obs::metrics().counter("bench.counter");
   for (auto _ : state) {
     c.inc();
     benchmark::ClobberMemory();
@@ -486,7 +487,7 @@ void BM_MetricsCounterInc(benchmark::State& state) {
 BENCHMARK(BM_MetricsCounterInc);
 
 void BM_TracerDisabledInstant(benchmark::State& state) {
-  auto& tr = obs::Tracer::instance();
+  auto& tr = obs::tracer();
   tr.disable_all();
   const sim::TimePoint t = sim::TimePoint::origin();
   for (auto _ : state) {

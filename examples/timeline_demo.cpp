@@ -9,6 +9,8 @@
 //   trial.metrics.json : every registry counter/gauge/histogram for the
 //                        trial; the retransmit/drop/reissue counters match
 //                        the printed TrialResult exactly.
+//   trial.events.ndjson: the same events, one JSON object per line — the
+//                        grep-able narrative of the trial.
 //
 // Usage: timeline_demo [seed] [prefix]
 
@@ -18,8 +20,7 @@
 
 #include "cli_args.hpp"
 #include "experiment/harness.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 
 int main(int argc, char** argv) {
   using namespace h2sim;
@@ -30,21 +31,25 @@ int main(int argc, char** argv) {
   cfg.attack = experiment::full_attack_config();
 
   // Record everything: every instrumented layer onto the shared timeline.
-  obs::Tracer::instance().enable_all();
-
-  obs::MetricsSnapshot snap;
-  cfg.metrics_inspector = [&](const obs::MetricsSnapshot& s) { snap = s; };
+  // A standalone run_trial reports to the current context, so the tracer and
+  // registry read back below hold exactly this trial.
+  obs::tracer().enable_all();
 
   const experiment::TrialResult r = experiment::run_trial(cfg);
 
   const std::string trace_path = prefix + ".trace.json";
+  const std::string events_path = prefix + ".events.ndjson";
   const std::string metrics_path = prefix + ".metrics.json";
-  const auto& events = obs::Tracer::instance().events();
+  const auto& events = obs::tracer().events();
   if (!obs::write_chrome_trace(events, trace_path)) {
     std::fprintf(stderr, "timeline_demo: cannot write %s\n", trace_path.c_str());
     return 1;
   }
-  if (!obs::write_metrics_json(snap, metrics_path)) {
+  if (!obs::write_ndjson(events, events_path)) {
+    std::fprintf(stderr, "timeline_demo: cannot write %s\n", events_path.c_str());
+    return 1;
+  }
+  if (!obs::write_metrics_json(obs::metrics().snapshot(), metrics_path)) {
     std::fprintf(stderr, "timeline_demo: cannot write %s\n", metrics_path.c_str());
     return 1;
   }
@@ -64,6 +69,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.requests_spaced));
   std::printf("%zu trace events -> %s (load in https://ui.perfetto.dev)\n",
               events.size(), trace_path.c_str());
+  std::printf("one event per line -> %s\n", events_path.c_str());
   std::printf("metrics snapshot -> %s\n", metrics_path.c_str());
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::attack {
 
@@ -44,14 +43,12 @@ AttackPipeline::AttackPipeline(sim::EventLoop& loop, net::Middlebox& mb,
   }
   trace_phase(phase_, Phase::kJitter, loop_.now());
   phase_ = Phase::kJitter;
-  monitor_.on_get = [this](int index, sim::TimePoint now) { on_get(index, now); };
+  monitor_.on_get = [this](int index, sim::TimePoint) { on_get(index); };
 }
 
-void AttackPipeline::on_get(int index, sim::TimePoint now) {
+void AttackPipeline::on_get(int index) {
   if (!triggered_ && index == cfg_.trigger_get_index) {
     triggered_ = true;
-    sim::logf(sim::LogLevel::kInfo, now, "attack",
-              "GET #%d seen: entering disrupt phase", index);
     enter_disrupt();
   }
 }
@@ -73,9 +70,6 @@ void AttackPipeline::enter_serialize() {
   phase_ = Phase::kSerialize;
   controller_.stop_drop();
   controller_.set_request_spacing(cfg_.jitter_phase2);
-  sim::logf(sim::LogLevel::kInfo, loop_.now(), "attack",
-            "drop window over: spacing %.0fms for the image burst",
-            cfg_.jitter_phase2.to_millis());
 }
 
 }  // namespace h2sim::attack

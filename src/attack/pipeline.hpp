@@ -54,7 +54,7 @@ class AttackPipeline {
   const AttackConfig& config() const { return cfg_; }
 
  private:
-  void on_get(int index, sim::TimePoint now);
+  void on_get(int index);
   void enter_disrupt();
   void enter_serialize();
 

@@ -5,7 +5,6 @@
 
 #include "http/message.hpp"
 #include "obs/context.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::experiment {
 
@@ -100,9 +99,12 @@ void BackgroundClient::open_connection() {
     if (dead_) return;
     dead_ = true;
     metrics_.deaths.inc();
-    sim::logf(sim::LogLevel::kDebug, loop_.now(), "load",
-              "background client %zu dead: %.*s", index_,
-              static_cast<int>(reason.size()), reason.data());
+    auto& tr = obs::tracer();
+    if (tr.enabled(obs::Component::kExperiment)) {
+      tr.instant(obs::Component::kExperiment, "bg-dead", loop_.now(),
+                 obs::track::kClient, index_,
+                 obs::TraceArgs().add("reason", reason).take());
+    }
   };
   conn_->set_handlers(std::move(handlers));
   metrics_.connections.inc();

@@ -15,7 +15,6 @@
 #include "experiment/background.hpp"
 #include "h2/connection.hpp"
 #include "net/topology.hpp"
-#include "obs/metrics.hpp"
 #include "web/browser.hpp"
 #include "web/server_app.hpp"
 #include "web/website.hpp"
@@ -79,10 +78,6 @@ struct TrialConfig {
   std::function<void(const analysis::WireLog&)> wire_log_inspector;
   /// Diagnostic hook: invoked with the adversary's observed record trace.
   std::function<void(const analysis::PacketTrace&)> trace_inspector;
-  /// Diagnostic hook: invoked with the trial's final metrics snapshot (the
-  /// registry is reset at trial entry, so the snapshot covers exactly this
-  /// trial).
-  std::function<void(const obs::MetricsSnapshot&)> metrics_inspector;
 
   /// Custom website builder: when set, replaces the default isidewith site.
   /// The emblem/html evaluation fields of TrialResult are only meaningful

@@ -9,6 +9,7 @@
 
 #include "experiment/scenario.hpp"
 #include "experiment/sink.hpp"
+#include "sim/parse_number.hpp"
 
 namespace h2sim::experiment {
 
@@ -110,9 +111,10 @@ double ProgressWindow::eta_seconds(std::size_t done, std::size_t total) const {
 
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("H2SIM_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+  int n = 0;
+  if (const char* env = std::getenv("H2SIM_JOBS");
+      env && sim::parse_number(env, &n) && n > 0) {
+    return n;
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
@@ -176,7 +178,6 @@ std::vector<TrialResult> run_trials(std::span<const TrialConfig> cfgs,
       setup_nanos_total.fetch_add(last_trial_setup_nanos(),
                                   std::memory_order_relaxed);
       if (opts.sink) opts.sink->consume(i, shared[i], result, ctx);
-      if (opts.context_inspector) opts.context_inspector(i, ctx);
       if (opts.collect_results) results[i] = std::move(result);
       const std::size_t now_done =
           done.fetch_add(1, std::memory_order_relaxed) + 1;

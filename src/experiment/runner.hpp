@@ -55,8 +55,9 @@ class ProgressWindow {
 
 /// Options for run_trials().
 struct RunOptions {
-  /// Worker count. <= 0 means: the H2SIM_JOBS environment variable if set to
-  /// a positive integer, otherwise std::thread::hardware_concurrency().
+  /// Worker count. <= 0 means: the H2SIM_JOBS environment variable if its
+  /// whole value is a positive integer ("4x", "0" and "-2" do not count),
+  /// otherwise std::thread::hardware_concurrency().
   /// Clamped to the number of trials; 1 runs inline on the calling thread.
   int jobs = 0;
 
@@ -79,8 +80,9 @@ struct RunOptions {
   double progress_min_interval_seconds = 0.0;
 
   /// Streaming consumer invoked on the worker thread after each trial, with
-  /// the trial's private context still alive (see sink.hpp). May be combined
-  /// with context_inspector; the sink runs first.
+  /// the trial's private context (metrics, trace events, profiler) still
+  /// alive (see sink.hpp). This is the one way to read a sweep trial's
+  /// observability state.
   ResultSink* sink = nullptr;
 
   /// When false, run_trials() returns an empty vector instead of
@@ -89,16 +91,9 @@ struct RunOptions {
   bool collect_results = true;
 
   /// Enables the wall-time component profiler (obs::Profiler) in every
-  /// per-trial context. Read the per-trial attribution from the sink /
-  /// context_inspector via ctx.profiler. Off by default; disabled probes
-  /// cost one branch.
+  /// per-trial context. Read the per-trial attribution from the sink via
+  /// ctx.profiler. Off by default; disabled probes cost one branch.
   bool profile = false;
-
-  /// Invoked on the worker thread right after trial `index` finishes, while
-  /// its private obs::Context (metrics + trace events) is still alive.
-  /// Different indices may run concurrently: the callback must only touch
-  /// per-index state unless it synchronizes.
-  std::function<void(std::size_t index, const obs::Context&)> context_inspector;
 
   /// When non-empty, every trial runs with wire capture enabled and writes a
   /// PCAPNG file to this path, with "{index}" / "{seed}" placeholders
@@ -124,12 +119,12 @@ int resolve_jobs(int requested);
 ///
 /// Determinism: each trial executes inside a fresh private obs::Context, and
 /// a trial is a pure function of its TrialConfig — so results[i] (and the
-/// metrics snapshot its inspectors observe) is bit-identical whatever the
+/// metrics snapshot its sink observes) is bit-identical whatever the
 /// thread count, scheduling order, or neighboring configs. The sequential
 /// path (jobs = 1) is the same code with the same per-trial contexts.
 ///
-/// The per-config inspectors (wire_log_inspector, metrics_inspector, ...)
-/// run on worker threads. Configs sharing one closure that writes shared
+/// The per-config inspectors (wire_log_inspector, trace_inspector) run on
+/// worker threads. Configs sharing one closure that writes shared
 /// state must synchronize; closures writing per-trial slots need not.
 ///
 /// After the sweep, aggregate counters (experiment.trials_run,

@@ -8,7 +8,6 @@
 #include "experiment/scenario.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::experiment {
 
@@ -192,9 +191,10 @@ void TrialWorld::run_to_limit() {
 }
 
 TrialResult TrialWorld::finish() {
+  // Registered only on failure, so a successful capture's snapshot is
+  // unchanged.
   if (capture_session_ && !capture_session_->close()) {
-    sim::logf(sim::LogLevel::kWarn, loop_.now(), "capture",
-              "failed to write %s", cfg_.capture.path.c_str());
+    obs::metrics().counter("capture.write_failures").inc();
   }
 
   if (cfg_.wire_log_inspector) cfg_.wire_log_inspector(wire_log_);
@@ -235,8 +235,8 @@ TrialResult TrialWorld::finish() {
   r.bg_bytes_received = reg.counter_value("load.bg_bytes_received");
 
   // Allocation accounting, exported both on the TrialResult (for the bench
-  // perf record) and as registry counters (so metric snapshots and the
-  // metrics_inspector see them alongside everything else).
+  // perf record) and as registry counters (so metric snapshots see them
+  // alongside everything else).
   const sim::EventLoop::AllocStats& alloc = loop_.alloc_stats();
   const sim::BufferPool::Stats& pool = loop_.payload_pool().stats();
   const sim::EventLoop::SchedStats& sched = loop_.sched_stats();
@@ -256,8 +256,6 @@ TrialResult TrialWorld::finish() {
   r.sim_sched_slots_scanned = sched.slots_scanned;
   r.sim_sched_cascades = sched.cascades;
   r.sim_sched_cancels = sched.cancels;
-
-  if (cfg_.metrics_inspector) cfg_.metrics_inspector(reg.snapshot());
 
   double last_done = 0.0;
   for (const auto& o : browser.objects()) {

@@ -5,7 +5,6 @@
 
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::h2 {
 
@@ -105,9 +104,6 @@ void Connection::write_frame(Frame&& f) {
   } else if (f.type == FrameType::kHeaders) {
     ++stats_.headers_frames_sent;
   }
-  sim::logf(sim::LogLevel::kTrace, loop_.now(), is_server_ ? "h2.srv" : "h2.cli",
-            "send %s sid=%u len=%zu flags=%02x", to_string(f.type), f.stream_id,
-            f.payload.size(), f.flags);
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kH2)) {
     tr.instant(obs::Component::kH2, std::string("tx ") + to_string(f.type),
@@ -167,8 +163,15 @@ void Connection::destroy_stream_if_closed(std::uint32_t id) {
 
 void Connection::connection_error(ErrorCode code, const std::string& msg) {
   if (dead_) return;
-  sim::logf(sim::LogLevel::kWarn, loop_.now(), is_server_ ? "h2.srv" : "h2.cli",
-            "connection error %s: %s", to_string(code), msg.c_str());
+  auto& tr = obs::tracer();
+  if (tr.enabled(obs::Component::kH2)) {
+    tr.instant(obs::Component::kH2, "connection-error", loop_.now(),
+               is_server_ ? obs::track::kServer : obs::track::kClient, 0,
+               obs::TraceArgs()
+                   .add("code", to_string(code))
+                   .add("msg", msg)
+                   .take());
+  }
   send_goaway(code, msg);
   dead_ = true;
   on_dead(msg);
@@ -205,8 +208,13 @@ void Connection::send_headers(std::uint32_t stream_id,
   if (!s) s = &create_stream(stream_id);
   const StreamState before = s->state();
   if (!s->on_send_headers(end_stream)) {
-    sim::logf(sim::LogLevel::kWarn, loop_.now(), "h2",
-              "send_headers in invalid state, stream %u", stream_id);
+    auto& tr = obs::tracer();
+    if (tr.enabled(obs::Component::kH2)) {
+      tr.instant(obs::Component::kH2, "send-headers-invalid", loop_.now(),
+                 is_server_ ? obs::track::kServer : obs::track::kClient,
+                 stream_id,
+                 obs::TraceArgs().add("state", to_string(before)).take());
+    }
     return;
   }
   const std::vector<std::uint8_t> block = hpack_encoder_.encode(headers);
@@ -422,9 +430,6 @@ void Connection::on_plaintext(std::span<const std::uint8_t> bytes) {
 }
 
 void Connection::handle_frame(Frame&& f) {
-  sim::logf(sim::LogLevel::kTrace, loop_.now(), is_server_ ? "h2.srv" : "h2.cli",
-            "recv %s sid=%u len=%zu flags=%02x", to_string(f.type), f.stream_id,
-            f.payload.size(), f.flags);
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kH2)) {
     tr.instant(obs::Component::kH2, std::string("rx ") + to_string(f.type),

@@ -5,7 +5,6 @@
 
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::net {
 
@@ -24,8 +23,6 @@ void Link::send(Packet&& p) {
   if (cfg_.loss_rate > 0 && loss_rng_.bernoulli(cfg_.loss_rate)) {
     ++stats_.random_losses;
     metrics_.random_losses.inc();
-    sim::logf(sim::LogLevel::kDebug, loop_.now(), name_.c_str(),
-              "random loss of %s", p.describe().c_str());
     auto& tr = obs::tracer();
     if (tr.enabled(obs::Component::kNet)) {
       tr.instant(obs::Component::kNet, "loss:" + name_, loop_.now(),
@@ -46,8 +43,6 @@ void Link::send(Packet&& p) {
   if (queued_bytes_ + p.wire_size() > cfg_.queue_limit_bytes) {
     ++stats_.dropped_packets;
     metrics_.dropped.inc();
-    sim::logf(sim::LogLevel::kDebug, loop_.now(), name_.c_str(),
-              "queue overflow, dropping %s", p.describe().c_str());
     auto& tr = obs::tracer();
     if (tr.enabled(obs::Component::kNet)) {
       tr.instant(obs::Component::kNet, "drop:" + name_, loop_.now(),

@@ -4,7 +4,6 @@
 
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::net {
 
@@ -52,8 +51,6 @@ void Middlebox::process(Packet&& p, Direction dir) {
     case Decision::Action::kDrop:
       ++stats_.dropped;
       metrics_.dropped.inc();
-      sim::logf(sim::LogLevel::kDebug, now, "middlebox", "drop %s (%s)",
-                p.describe().c_str(), to_string(dir));
       if (tr.enabled(obs::Component::kNet)) {
         tr.instant(obs::Component::kNet, "mb-drop", now, obs::track::kNetwork,
                    p.tcp.src_port,
@@ -67,8 +64,6 @@ void Middlebox::process(Packet&& p, Direction dir) {
     case Decision::Action::kHold: {
       ++stats_.held;
       metrics_.held.inc();
-      sim::logf(sim::LogLevel::kDebug, now, "middlebox", "hold %.3fms %s",
-                d.hold_for.to_millis(), p.describe().c_str());
       if (tr.enabled(obs::Component::kNet)) {
         tr.complete(obs::Component::kNet, "mb-hold", now, now + d.hold_for,
                     obs::track::kNetwork, p.tcp.src_port,

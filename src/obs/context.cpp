@@ -1,10 +1,5 @@
 #include "obs/context.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <thread>
-
 namespace h2sim::obs {
 
 namespace {
@@ -30,30 +25,5 @@ ScopedContext::ScopedContext(Context& ctx) : prev_(tls_current) {
 }
 
 ScopedContext::~ScopedContext() { tls_current = prev_; }
-
-namespace detail {
-
-void assert_singleton_thread(const char* what) {
-  // A default-constructed thread::id names no thread, so it doubles as the
-  // "unclaimed" sentinel; the first caller CASes its own id in.
-  static std::atomic<std::thread::id> owner{};
-  const std::thread::id self = std::this_thread::get_id();
-  std::thread::id expected{};
-  if (owner.compare_exchange_strong(expected, self,
-                                    std::memory_order_acq_rel)) {
-    return;
-  }
-  if (expected != self) {
-    std::fprintf(stderr,
-                 "h2sim: %s called from a second thread. The legacy "
-                 "process-wide singleton is single-thread-only; concurrent "
-                 "trials must use obs::Context + obs::ScopedContext (or "
-                 "experiment::run_trials, which does this for you).\n",
-                 what);
-    std::abort();
-  }
-}
-
-}  // namespace detail
 
 }  // namespace h2sim::obs

@@ -21,10 +21,9 @@ struct Context {
   Context& operator=(const Context&) = delete;
 };
 
-/// The process-default context. This is what the legacy
-/// `MetricsRegistry::instance()` / `Tracer::instance()` accessors alias, and
-/// what current() falls back to when no ScopedContext is installed — so
-/// single-threaded code keeps its PR-1 behaviour unchanged.
+/// The process-default context: what current() falls back to when no
+/// ScopedContext is installed, so a standalone run_trial() on the main
+/// thread reports here and obs::metrics() / obs::tracer() read it back.
 Context& default_context();
 
 /// The context in force on this thread: the innermost ScopedContext, or
@@ -50,13 +49,5 @@ class ScopedContext {
  private:
   Context* prev_;
 };
-
-namespace detail {
-/// Legacy-singleton guard: records the first thread to take the process-wide
-/// path and aborts with a diagnostic if a second thread follows. The
-/// singletons are single-thread-only by contract; racing them silently
-/// corrupts metrics, so out-of-tree callers fail loudly instead.
-void assert_singleton_thread(const char* what);
-}  // namespace detail
 
 }  // namespace h2sim::obs

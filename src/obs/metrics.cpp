@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/context.hpp"
-
 namespace h2sim::obs {
 
 bool HistogramData::merge(const HistogramData& o) {
@@ -45,11 +43,6 @@ std::vector<double> exponential_buckets(double start, double factor, std::size_t
     e *= factor;
   }
   return edges;
-}
-
-MetricsRegistry& MetricsRegistry::instance() {
-  detail::assert_singleton_thread("obs::MetricsRegistry::instance()");
-  return default_context().metrics;
 }
 
 Counter MetricsRegistry::counter(const std::string& name) {

@@ -124,12 +124,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Legacy accessor for the process-default registry
-  /// (`obs::default_context().metrics`). Single-thread-only: the first
-  /// calling thread claims it and any other thread aborts with a
-  /// diagnostic. Multi-threaded code must use per-trial contexts instead.
-  static MetricsRegistry& instance();
-
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);
   /// Re-registering an existing histogram ignores `edges` and returns the

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/context.hpp"
-
 namespace h2sim::obs {
 
 const char* to_string(Component c) {
@@ -102,11 +100,6 @@ TraceArgs& TraceArgs::add(std::string_view k, std::string_view v) {
   key(k);
   append_quoted(s_, v);
   return *this;
-}
-
-Tracer& Tracer::instance() {
-  detail::assert_singleton_thread("obs::Tracer::instance()");
-  return default_context().tracer;
 }
 
 void Tracer::instant(Component c, std::string name, sim::TimePoint t,

@@ -94,11 +94,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Legacy accessor for the process-default tracer
-  /// (`obs::default_context().tracer`). Single-thread-only; see
-  /// MetricsRegistry::instance().
-  static Tracer& instance();
-
   bool enabled(Component c) const { return (mask_ & component_bit(c)) != 0; }
   std::uint32_t mask() const { return mask_; }
   void set_mask(std::uint32_t mask) { mask_ = mask; }

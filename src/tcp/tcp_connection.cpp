@@ -6,7 +6,6 @@
 
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::tcp {
 
@@ -16,15 +15,9 @@ using net::tcpflag::kFin;
 using net::tcpflag::kRst;
 using net::tcpflag::kSyn;
 
-namespace {
-
-/// Trace pid for a connection endpoint: node 1 is the client host, everything
-/// else renders under the server track.
 std::uint32_t trace_pid(net::NodeId node) {
   return node == 1 ? obs::track::kClient : obs::track::kServer;
 }
-
-}  // namespace
 
 const char* to_string(TcpConnection::State s) {
   switch (s) {
@@ -76,8 +69,6 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, const TcpConfig& cfg,
 TcpConnection::~TcpConnection() { cancel_rto(); }
 
 void TcpConnection::become(State s) {
-  sim::logf(sim::LogLevel::kTrace, loop_.now(), "tcp", "%u:%u %s -> %s",
-            local_node_, local_port_, to_string(state_), to_string(s));
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kTcp)) {
     tr.instant(obs::Component::kTcp, std::string("tcp:") + to_string(s),
@@ -141,7 +132,14 @@ void TcpConnection::connect() {
 void TcpConnection::send(std::span<const std::uint8_t> data) {
   if (state_ == State::kAborted || fin_pending_ || fin_sent_) return;
   if (send_buf_bytes() + data.size() > cfg_.send_buffer_limit) {
-    sim::logf(sim::LogLevel::kWarn, loop_.now(), "tcp", "send buffer overflow");
+    auto& tr = obs::tracer();
+    if (tr.enabled(obs::Component::kTcp)) {
+      tr.instant(obs::Component::kTcp, "send-buffer-overflow", loop_.now(),
+                 trace_pid(local_node_), local_port_,
+                 obs::TraceArgs()
+                     .add("bytes", static_cast<std::uint64_t>(data.size()))
+                     .take());
+    }
     return;
   }
   if (send_head_ == send_buf_.size()) {
@@ -250,8 +248,6 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
     ++stats_.retransmits_fast;
     metrics_.retransmits_fast.inc();
   }
-  sim::logf(sim::LogLevel::kDebug, loop_.now(), "tcp", "%u:%u retransmit seq=%u (%s)",
-            local_node_, local_port_, seq, why);
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kTcp)) {
     tr.instant(obs::Component::kTcp, "retransmit", loop_.now(),
@@ -261,8 +257,6 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
 }
 
 void TcpConnection::arm_rto() {
-  sim::logf(sim::LogLevel::kTrace, loop_.now(), "tcp", "%u:%u arm_rto %.1fms",
-            local_node_, local_port_, rto_.to_millis());
   // Rearm in place when possible: reschedule_after assigns the same fire time
   // and the same FIFO seq as cancel+schedule would, so traces are unchanged,
   // but the callback is kept instead of destroyed and rebuilt.
@@ -290,18 +284,11 @@ void TcpConnection::on_rto() {
   }
   ++consecutive_rto_;
   if (consecutive_rto_ > cfg_.max_rto_retries) {
-    sim::logf(sim::LogLevel::kWarn, loop_.now(), "tcp",
-              "%u:%u broken connection after %d consecutive RTOs", local_node_,
-              local_port_, consecutive_rto_);
     abort("rto-retries-exceeded");
     return;
   }
   if (snd_una_ != snd_nxt_ &&
       loop_.now() - last_forward_progress_ > cfg_.stuck_timeout) {
-    sim::logf(sim::LogLevel::kWarn, loop_.now(), "tcp",
-              "%u:%u broken connection: no forward progress for %.1fs",
-              local_node_, local_port_,
-              (loop_.now() - last_forward_progress_).to_seconds());
     abort("no-forward-progress");
     return;
   }
@@ -426,9 +413,6 @@ void TcpConnection::handle_ack(const net::Packet& p) {
     ++stats_.dup_acks_received;
     metrics_.dup_acks_received.inc();
     ++dupacks_;
-    sim::logf(sim::LogLevel::kTrace, loop_.now(), "tcp",
-              "%u:%u dupack #%d ack=%u flight=%zu", local_node_, local_port_,
-              dupacks_, ack, static_cast<std::size_t>(snd_nxt_ - snd_una_));
     if (in_fast_recovery_) {
       cwnd_ += cfg_.mss;  // inflate for the segment that left the network
       try_send();

@@ -191,4 +191,8 @@ class TcpConnection {
 
 const char* to_string(TcpConnection::State s);
 
+/// Trace pid for a TCP endpoint: node 1 is the client host, everything else
+/// renders under the server track.
+std::uint32_t trace_pid(net::NodeId node);
+
 }  // namespace h2sim::tcp

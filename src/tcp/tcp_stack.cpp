@@ -1,7 +1,7 @@
 #include "tcp/tcp_stack.hpp"
 
+#include "obs/context.hpp"
 #include "obs/profiler.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::tcp {
 
@@ -47,8 +47,12 @@ void TcpStack::handle(const net::Packet& p) {
       return;
     }
   }
-  sim::logf(sim::LogLevel::kDebug, loop_.now(), "tcp",
-            "node %u: no connection for %s", node_, p.describe().c_str());
+  auto& tr = obs::tracer();
+  if (tr.enabled(obs::Component::kTcp)) {
+    tr.instant(obs::Component::kTcp, "no-connection", loop_.now(),
+               trace_pid(node_), p.tcp.dst_port,
+               obs::TraceArgs().add("packet", p.describe()).take());
+  }
 }
 
 TcpStats TcpStack::aggregate_stats() const {

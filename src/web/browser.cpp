@@ -6,7 +6,6 @@
 #include "http/message.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::web {
 
@@ -177,8 +176,6 @@ void Browser::issue(std::size_t index, bool is_rerequest) {
   metrics_.requests_sent.inc();
   if (is_rerequest) metrics_.rerequests.inc();
 
-  sim::logf(sim::LogLevel::kDebug, loop_.now(), "browser", "GET %s (sid=%u%s)",
-            o.path.c_str(), sid, o.reissues > 0 ? ", reissue" : "");
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kWeb)) {
     tr.instant(obs::Component::kWeb, "GET " + o.label, loop_.now(),
@@ -254,8 +251,6 @@ void Browser::object_completed(std::size_t index, std::uint32_t winning_sid) {
   }
   if (index == html_index_ && !html_complete_) html_complete_ = true;
   metrics_.objects_completed.inc();
-  sim::logf(sim::LogLevel::kDebug, loop_.now(), "browser", "done %s (%zu bytes)",
-            o.path.c_str(), o.stream_bytes[winning_sid]);
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kWeb)) {
     tr.complete(obs::Component::kWeb, o.label, o.first_request_time, loop_.now(),
@@ -292,8 +287,6 @@ void Browser::stall_fired(std::size_t index) {
   }
   ++o.reissues;
   metrics_.reissues.inc();
-  sim::logf(sim::LogLevel::kDebug, loop_.now(), "browser",
-            "stalled, reissuing %s (attempt %d)", o.path.c_str(), o.reissues);
   issue(index, /*is_rerequest=*/false);
 }
 
@@ -309,8 +302,6 @@ void Browser::perform_reset_sweep() {
     fail("too many reset sweeps");
     return;
   }
-  sim::logf(sim::LogLevel::kInfo, loop_.now(), "browser",
-            "persistent stall: RST_STREAM sweep #%d", reset_sweeps_);
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kWeb)) {
     tr.instant(obs::Component::kWeb, "reset-sweep", loop_.now(),
@@ -358,8 +349,6 @@ void Browser::fail(std::string reason) {
   dispatch_timer_.cancel();
   deadline_timer_.cancel();
   metrics_.page_failures.inc();
-  sim::logf(sim::LogLevel::kInfo, loop_.now(), "browser", "page load failed: %s",
-            failure_reason_.c_str());
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kWeb)) {
     tr.instant(obs::Component::kWeb, "page-failed", loop_.now(),

@@ -5,7 +5,6 @@
 
 #include "defense/policy.hpp"
 #include "http/message.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim::web {
 

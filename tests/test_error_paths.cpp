@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "h2_fixture.hpp"
 #include "http/message.hpp"
+#include "obs/context.hpp"
 #include "tls/record.hpp"
 
 namespace h2sim {
@@ -130,6 +133,29 @@ TEST(ErrorPaths, FrameSizeViolationIsConnectionError) {
   pair.client_tls->write(h2::serialize_frame(f));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());
+}
+
+// A connection error has no counter; the trial's tracer is where it shows.
+TEST(ErrorPaths, ConnectionErrorIsTraced) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
+  ctx.tracer.enable(obs::Component::kH2);
+  H2Pair pair;
+  pair.run(1);
+  h2::Frame f;
+  f.type = h2::FrameType::kData;
+  f.stream_id = 1;
+  f.payload.assign(100000, 0x0);  // over the server's 16 KB max frame size
+  pair.client_tls->write(h2::serialize_frame(f));
+  pair.run(2);
+  ASSERT_TRUE(pair.server->dead());
+  const auto& events = ctx.tracer.events();
+  const auto it = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return e.name == "connection-error";
+  });
+  ASSERT_NE(it, events.end());
+  EXPECT_EQ(it->pid, obs::track::kServer);
+  EXPECT_NE(it->args.find("FRAME_SIZE_ERROR"), std::string::npos) << it->args;
 }
 
 TEST(ErrorPaths, GarbageHeaderBlockIsCompressionError) {

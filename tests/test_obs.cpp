@@ -1,7 +1,8 @@
 // Observability layer: metrics registry semantics, histogram bucketing,
 // tracer gating, export well-formedness (parsed back with the obs JSON
 // reader), and the harness contract that TrialResult counters are the
-// registry's numbers.
+// registry's numbers, read the same whether a trial ran standalone or under
+// run_trials.
 
 #include <gtest/gtest.h>
 
@@ -11,20 +12,21 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiment/harness.hpp"
+#include "experiment/runner.hpp"
+#include "experiment/sink.hpp"
+#include "obs/context.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace h2sim {
 namespace {
 
-using obs::MetricsRegistry;
-
 TEST(MetricsRegistryTest, CountersAggregateAcrossHandles) {
-  auto& reg = MetricsRegistry::instance();
+  auto& reg = obs::metrics();
   obs::Counter a = reg.counter("test_obs.shared");
   obs::Counter b = reg.counter("test_obs.shared");  // same storage
   a.inc();
@@ -47,7 +49,7 @@ TEST(MetricsRegistryTest, DefaultConstructedHandlesAreInert) {
 }
 
 TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsHandlesValid) {
-  auto& reg = MetricsRegistry::instance();
+  auto& reg = obs::metrics();
   obs::Counter c = reg.counter("test_obs.reset_me");
   obs::Gauge g = reg.gauge("test_obs.reset_gauge");
   obs::Histogram h = reg.histogram("test_obs.reset_hist", {1.0, 2.0});
@@ -64,7 +66,7 @@ TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsHandlesValid) {
 }
 
 TEST(MetricsRegistryTest, HistogramBucketEdges) {
-  auto& reg = MetricsRegistry::instance();
+  auto& reg = obs::metrics();
   obs::Histogram h = reg.histogram("test_obs.edges", {10.0, 20.0, 30.0});
   const obs::HistogramData* d = h.data();
   ASSERT_NE(d, nullptr);
@@ -99,7 +101,7 @@ TEST(MetricsRegistryTest, BucketGenerators) {
 }
 
 TEST(MetricsRegistryTest, MetricsJsonRoundTrips) {
-  auto& reg = MetricsRegistry::instance();
+  auto& reg = obs::metrics();
   reg.reset();
   reg.counter("test_obs.json_counter").add(42);
   reg.gauge("test_obs.json_gauge").set(2.5);
@@ -129,7 +131,7 @@ TEST(MetricsRegistryTest, MetricsJsonRoundTrips) {
 // reconstructed MetricsSnapshot must equal the original, histograms (edges,
 // counts, count, sum) included, with doubles carried bit-exactly by %.17g.
 TEST(MetricsRegistryTest, SnapshotJsonWriteReadRoundTrips) {
-  auto& reg = MetricsRegistry::instance();
+  auto& reg = obs::metrics();
   reg.reset();
   reg.counter("test_obs.rt_counter").add(7);
   // An awkward double that a short decimal rendering would corrupt.
@@ -152,7 +154,7 @@ TEST(MetricsRegistryTest, SnapshotJsonWriteReadRoundTrips) {
 // Non-finite guard: inf/nan have no JSON literal, so the writer emits null
 // (keeping the document parseable) and the reader maps null back to 0.0.
 TEST(MetricsRegistryTest, NonFiniteGaugeSurvivesExportAsNull) {
-  auto& reg = MetricsRegistry::instance();
+  auto& reg = obs::metrics();
   reg.reset();
   reg.gauge("test_obs.gauge_a").set(std::numeric_limits<double>::infinity());
   reg.gauge("test_obs.gauge_b").set(std::numeric_limits<double>::quiet_NaN());
@@ -173,7 +175,7 @@ TEST(MetricsRegistryTest, NonFiniteGaugeSurvivesExportAsNull) {
 }
 
 TEST(TracerTest, MaskGatesRecordingPerComponent) {
-  auto& tr = obs::Tracer::instance();
+  auto& tr = obs::tracer();
   tr.disable_all();
   tr.clear();
   tr.instant(obs::Component::kTcp, "off", sim::TimePoint::origin(), 1, 1);
@@ -192,7 +194,7 @@ TEST(TracerTest, MaskGatesRecordingPerComponent) {
 }
 
 TEST(TracerTest, ChromeTraceJsonIsWellFormed) {
-  auto& tr = obs::Tracer::instance();
+  auto& tr = obs::tracer();
   tr.disable_all();
   tr.enable(obs::Component::kWeb);
   tr.clear();
@@ -227,34 +229,26 @@ TEST(TracerTest, ChromeTraceJsonIsWellFormed) {
   tr.clear();
 }
 
-TEST(LoggerTest, SpecSetsGlobalAndComponentLevels) {
-  auto& lg = sim::Logger::instance();
-  const sim::LogLevel saved = lg.level();
-  lg.clear_component_levels();
-
-  EXPECT_TRUE(lg.apply_spec("warn, tcp=trace, browser=off"));
-  EXPECT_EQ(lg.level(), sim::LogLevel::kWarn);
-  EXPECT_TRUE(lg.should_log(sim::LogLevel::kTrace, "tcp"));
-  EXPECT_FALSE(lg.should_log(sim::LogLevel::kError, "browser"));
-  EXPECT_FALSE(lg.should_log(sim::LogLevel::kInfo, "middlebox"));
-  EXPECT_TRUE(lg.should_log(sim::LogLevel::kWarn, "middlebox"));
-
-  EXPECT_FALSE(lg.apply_spec("notalevel"));
-  EXPECT_FALSE(lg.apply_spec("tcp=notalevel"));
-
-  lg.clear_component_levels();
-  lg.set_level(saved);
-}
-
 // ---- Harness integration ----
+
+// Runs one standalone trial in a fresh context and returns the snapshot
+// obs::metrics() holds afterwards. The fresh context keeps registrations made
+// by other tests in this process out of the snapshot.
+obs::MetricsSnapshot standalone_snapshot(const experiment::TrialConfig& cfg,
+                                         experiment::TrialResult* result = nullptr) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
+  const experiment::TrialResult r = experiment::run_trial(cfg);
+  if (result) *result = r;
+  return obs::metrics().snapshot();
+}
 
 TEST(HarnessObsTest, TrialResultCountersMatchRegistrySnapshot) {
   experiment::TrialConfig cfg;
   cfg.seed = 7;
   cfg.attack = experiment::full_attack_config();
-  obs::MetricsSnapshot snap;
-  cfg.metrics_inspector = [&](const obs::MetricsSnapshot& s) { snap = s; };
-  const experiment::TrialResult r = experiment::run_trial(cfg);
+  experiment::TrialResult r;
+  const obs::MetricsSnapshot snap = standalone_snapshot(cfg, &r);
 
   auto counter = [&](const char* name) -> std::uint64_t {
     const auto it = snap.counters.find(name);
@@ -281,18 +275,41 @@ TEST(HarnessObsTest, TrialResultCountersMatchRegistrySnapshot) {
 TEST(HarnessObsTest, SameSeedTrialsProduceIdenticalSnapshots) {
   experiment::TrialConfig cfg;
   cfg.seed = 11;
-  obs::MetricsSnapshot first;
-  obs::MetricsSnapshot second;
-  cfg.metrics_inspector = [&](const obs::MetricsSnapshot& s) { first = s; };
-  (void)experiment::run_trial(cfg);
-  cfg.metrics_inspector = [&](const obs::MetricsSnapshot& s) { second = s; };
-  (void)experiment::run_trial(cfg);
+  const obs::MetricsSnapshot first = standalone_snapshot(cfg);
+  const obs::MetricsSnapshot second = standalone_snapshot(cfg);
   EXPECT_FALSE(first.counters.empty());
   EXPECT_EQ(first, second);
 }
 
+// The two surviving ways to read a trial's metrics agree: what a ResultSink
+// sees under run_trials is what obs::metrics() holds after run_trial.
+TEST(HarnessObsTest, SinkSnapshotEqualsStandaloneSnapshot) {
+  struct SnapshotSink : experiment::ResultSink {
+    std::vector<obs::MetricsSnapshot> snaps;
+    void consume(std::size_t index, const experiment::TrialConfig&,
+                 const experiment::TrialResult&,
+                 const obs::Context& ctx) override {
+      snaps[index] = ctx.metrics.snapshot();  // one slot per index
+    }
+  };
+  std::vector<experiment::TrialConfig> cfgs(2);
+  cfgs[0].seed = 5;
+  cfgs[1].seed = 6;
+  cfgs[1].attack = experiment::full_attack_config();
+  SnapshotSink sink;
+  sink.snaps.resize(cfgs.size());
+  experiment::RunOptions opts;
+  opts.jobs = 2;
+  opts.sink = &sink;
+  (void)experiment::run_trials(cfgs, opts);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    EXPECT_FALSE(sink.snaps[i].counters.empty());
+    EXPECT_EQ(sink.snaps[i], standalone_snapshot(cfgs[i])) << "trial " << i;
+  }
+}
+
 TEST(HarnessObsTest, AttackedTrialTraceCoversAllLayers) {
-  auto& tr = obs::Tracer::instance();
+  auto& tr = obs::tracer();
   tr.enable_all();
   experiment::TrialConfig cfg;
   cfg.seed = 3;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "experiment/runner.hpp"
+#include "experiment/sink.hpp"
 #include "obs/context.hpp"
 
 namespace h2sim::experiment {
@@ -26,15 +27,33 @@ TrialConfig quick_config(std::uint64_t seed) {
   return cfg;
 }
 
+/// Keeps each trial's final metrics snapshot in its index's slot; the slots
+/// are sized up front, so concurrent consume() calls never touch the same
+/// element.
+struct SnapshotSink : ResultSink {
+  explicit SnapshotSink(std::size_t n) : snaps(n) {}
+  void consume(std::size_t index, const TrialConfig&, const TrialResult&,
+               const obs::Context& ctx) override {
+    snaps[index] = ctx.metrics.snapshot();
+  }
+  std::vector<obs::MetricsSnapshot> snaps;
+};
+
 TEST(ResolveJobs, ExplicitThenEnvThenHardware) {
   EXPECT_EQ(resolve_jobs(3), 3);
+  ASSERT_EQ(unsetenv("H2SIM_JOBS"), 0);
+  const int unset = resolve_jobs(0);  // hardware_concurrency
+  EXPECT_GE(unset, 1);
+  EXPECT_EQ(resolve_jobs(-4), unset);
   ASSERT_EQ(setenv("H2SIM_JOBS", "5", 1), 0);
   EXPECT_EQ(resolve_jobs(0), 5);
-  ASSERT_EQ(setenv("H2SIM_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(resolve_jobs(0), 1);  // falls through to hardware_concurrency
+  // Only a whole positive integer counts; anything else acts as unset.
+  for (const char* bad :
+       {"not-a-number", "4x", "abc", "0", "-2", " 4", "+4", "4.0", ""}) {
+    ASSERT_EQ(setenv("H2SIM_JOBS", bad, 1), 0);
+    EXPECT_EQ(resolve_jobs(0), unset) << "H2SIM_JOBS=\"" << bad << "\"";
+  }
   ASSERT_EQ(unsetenv("H2SIM_JOBS"), 0);
-  EXPECT_GE(resolve_jobs(0), 1);
-  EXPECT_EQ(resolve_jobs(-4), resolve_jobs(0));
 }
 
 TEST(Runner, EmptyConfigListYieldsEmptyResults) {
@@ -60,25 +79,20 @@ TEST(Runner, ResultsComeBackInInputOrder) {
 // the serialized metrics snapshots, and the JSON each renders to.
 TEST(Runner, SequentialAndParallelBitIdenticalOver32Seeds) {
   constexpr std::size_t kSeeds = 32;
-  auto build = [](std::vector<obs::MetricsSnapshot>& snaps) {
-    std::vector<TrialConfig> cfgs;
-    for (std::size_t i = 0; i < kSeeds; ++i) {
-      TrialConfig cfg = quick_config(3000 + i);
-      cfg.metrics_inspector = [&snaps, i](const obs::MetricsSnapshot& s) {
-        snaps[i] = s;  // per-trial slot: safe from concurrent inspectors
-      };
-      cfgs.push_back(std::move(cfg));
-    }
-    return cfgs;
-  };
+  std::vector<TrialConfig> cfgs;
+  for (std::size_t i = 0; i < kSeeds; ++i) cfgs.push_back(quick_config(3000 + i));
 
-  std::vector<obs::MetricsSnapshot> seq_snaps(kSeeds), par_snaps(kSeeds);
+  SnapshotSink seq_sink(kSeeds), par_sink(kSeeds);
   RunOptions seq;
   seq.jobs = 1;
-  const auto sequential = run_trials(build(seq_snaps), seq);
+  seq.sink = &seq_sink;
+  const auto sequential = run_trials(cfgs, seq);
   RunOptions par;
   par.jobs = 4;
-  const auto parallel = run_trials(build(par_snaps), par);
+  par.sink = &par_sink;
+  const auto parallel = run_trials(cfgs, par);
+  const std::vector<obs::MetricsSnapshot>& seq_snaps = seq_sink.snaps;
+  const std::vector<obs::MetricsSnapshot>& par_snaps = par_sink.snaps;
 
   ASSERT_EQ(sequential.size(), kSeeds);
   ASSERT_EQ(parallel.size(), kSeeds);
@@ -102,18 +116,14 @@ TEST(Runner, SameSeedUnaffectedByConcurrentNeighbors) {
   auto run_batch = [](std::vector<std::uint64_t> seeds, std::size_t shared_at,
                       obs::MetricsSnapshot* snap) {
     std::vector<TrialConfig> cfgs;
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      TrialConfig cfg = quick_config(seeds[i]);
-      if (i == shared_at) {
-        cfg.metrics_inspector = [snap](const obs::MetricsSnapshot& s) {
-          *snap = s;
-        };
-      }
-      cfgs.push_back(std::move(cfg));
-    }
+    for (std::uint64_t seed : seeds) cfgs.push_back(quick_config(seed));
+    SnapshotSink sink(cfgs.size());
     RunOptions opts;
     opts.jobs = 4;
-    return run_trials(cfgs, opts)[shared_at];
+    opts.sink = &sink;
+    const TrialResult r = run_trials(cfgs, opts)[shared_at];
+    *snap = sink.snaps[shared_at];
+    return r;
   };
 
   obs::MetricsSnapshot snap_a, snap_b;
@@ -226,19 +236,25 @@ TEST(Runner, UnlimitedProgressKeepsPerTrialReports) {
   EXPECT_EQ(finals, 1u);
 }
 
-TEST(Runner, ContextInspectorSeesTrialPrivateMetricsAndTraces) {
+TEST(Runner, SinkSeesTrialPrivateMetricsAndTraces) {
   std::vector<TrialConfig> cfgs = {quick_config(800), quick_config(801)};
 
-  std::vector<std::uint64_t> requests(cfgs.size(), 0);
-  std::vector<std::size_t> events(cfgs.size(), 0);
+  struct CountingSink : ResultSink {
+    std::vector<std::uint64_t> requests = std::vector<std::uint64_t>(2, 0);
+    std::vector<std::size_t> events = std::vector<std::size_t>(2, 0);
+    void consume(std::size_t i, const TrialConfig&, const TrialResult&,
+                 const obs::Context& ctx) override {
+      requests[i] = ctx.metrics.counter_value("web.requests_sent");
+      events[i] = ctx.tracer.events().size();
+    }
+  } sink;
   RunOptions opts;
   opts.jobs = 2;
   opts.trace_mask = obs::component_bit(obs::Component::kWeb);
-  opts.context_inspector = [&](std::size_t i, const obs::Context& ctx) {
-    requests[i] = ctx.metrics.counter_value("web.requests_sent");
-    events[i] = ctx.tracer.events().size();
-  };
+  opts.sink = &sink;
   run_trials(cfgs, opts);
+  const std::vector<std::uint64_t>& requests = sink.requests;
+  const std::vector<std::size_t>& events = sink.events;
 
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     EXPECT_GT(requests[i], 0u) << "trial " << i;

@@ -19,15 +19,16 @@
 // 3 head fillers; html + the 8 emblems unchanged) so format/baseline golden
 // files stay small; the attack-relevant objects are identical to default.
 //
-// Prints one NDJSON summary line (trial outcome + capture counters).
+// Prints one NDJSON summary line (trial outcome + capture counters). Exits 1
+// without it when the capture file could not be written.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
 #include "experiment/harness.hpp"
+#include "obs/context.hpp"
+#include "sim/parse_number.hpp"
 
 namespace {
 
@@ -37,6 +38,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --seed N --out FILE [--attack full|off|single:K]\n"
                "          [--vantage gateway|client|server|all] [--sim-limit SECS]\n"
+               "          [--site default|small]\n"
                "          [--wire-pad none|quantum:N|random:F|plan:FILE]\n",
                argv0);
   return 1;
@@ -51,14 +53,14 @@ int main(int argc, char** argv) {
   cfg.capture.gateway_vantage = true;
   cfg.capture.server_vantage = false;
   std::string attack_mode = "full";
+  int single_k = 0;  // K of --attack single:K, 0 otherwise
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (arg == "--seed") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      cfg.seed = std::strtoull(v, nullptr, 10);
+      if (!v || !sim::parse_number(v, &cfg.seed)) return usage(argv[0]);
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -67,14 +69,16 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       attack_mode = v;
+      single_k = 0;
       if (attack_mode == "full") {
         cfg.attack = experiment::full_attack_config();
       } else if (attack_mode == "off") {
         cfg.attack = experiment::TrialConfig::default_attack_off();
-      } else if (attack_mode.rfind("single:", 0) == 0) {
-        const int k = std::atoi(attack_mode.c_str() + 7);
-        if (k <= 0) return usage(argv[0]);
-        cfg.attack = experiment::single_target_attack_config(k);
+      } else if (attack_mode.rfind("single:", 0) == 0 &&
+                 sim::parse_number(attack_mode.substr(7), &single_k) &&
+                 single_k > 0) {
+        // The upper bound depends on --site and is checked after parsing.
+        cfg.attack = experiment::single_target_attack_config(single_k);
       } else {
         return usage(argv[0]);
       }
@@ -100,9 +104,11 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--sim-limit") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      const double secs = std::atof(v);
-      if (secs <= 0) return usage(argv[0]);
+      // At most 1e9 s, so the limit's nanosecond count fits in 64 bits.
+      double secs = 0;
+      if (!v || !sim::parse_number(v, &secs) || secs <= 0 || secs > 1e9) {
+        return usage(argv[0]);
+      }
       cfg.sim_limit = sim::Duration::seconds_f(secs);
     } else if (arg == "--wire-pad") {
       const char* v = next();
@@ -129,8 +135,21 @@ int main(int argc, char** argv) {
     }
   }
   if (cfg.capture.path.empty()) return usage(argv[0]);
+  // single:K names the K-th GET of the page, so K cannot exceed the number
+  // of objects the site serves.
+  if (single_k > 0 && static_cast<std::size_t>(single_k) >
+                           web::make_isidewith_site(cfg.site).objects().size()) {
+    std::fprintf(stderr, "h2sim-capture: --attack %s is past the last GET\n",
+                 attack_mode.c_str());
+    return usage(argv[0]);
+  }
 
   const experiment::TrialResult r = experiment::run_trial(cfg);
+  if (obs::metrics().counter_value("capture.write_failures") > 0) {
+    std::fprintf(stderr, "h2sim-capture: cannot write %s\n",
+                 cfg.capture.path.c_str());
+    return 1;
+  }
 
   std::printf(
       "{\"type\":\"capture_run\",\"seed\":%llu,\"attack\":\"%s\","

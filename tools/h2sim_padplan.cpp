@@ -14,11 +14,11 @@
 // cardinality the plan guarantees.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "defense/defenses.hpp"
+#include "sim/parse_number.hpp"
 #include "web/website.hpp"
 
 namespace {
@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--budget") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      budget = std::atof(v);
+      if (!v || !sim::parse_number(v, &budget)) return usage(argv[0]);
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return usage(argv[0]);
