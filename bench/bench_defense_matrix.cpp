@@ -79,11 +79,11 @@ struct TrialProbe {
 
 int main(int argc, char** argv) {
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 8);
+  const char* synopsis = "[trials_per_cell] [full|smoke]";
+  const int trials = bench::trials_arg(argc, argv, 8, synopsis);
   const bool smoke = argc > 2 && std::strcmp(argv[2], "smoke") == 0;
   if (argc > 2 && !smoke && std::strcmp(argv[2], "full") != 0) {
-    std::fprintf(stderr, "usage: %s [trials_per_cell] [full|smoke]\n", argv[0]);
-    return 2;
+    bench::usage_exit(argv, synopsis);
   }
 
   // The public site: source of the attacker's ground truth and of the

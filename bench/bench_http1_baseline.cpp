@@ -7,7 +7,6 @@
 // boundary detector on the observed records.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -19,12 +18,13 @@
 #include "net/topology.hpp"
 #include "tcp/tcp_stack.hpp"
 #include "tls/session.hpp"
+#include "sweep_util.hpp"
 #include "web/website.hpp"
 
 using namespace h2sim;
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 20;
+  const int trials = bench::trials_arg(argc, argv, 20);
   const web::Website site = web::make_isidewith_site();
 
   int emblem_hits = 0, emblem_total = 0, order_hits = 0;

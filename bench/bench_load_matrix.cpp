@@ -20,9 +20,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiment/harness.hpp"
@@ -34,17 +34,18 @@
 
 namespace {
 
-std::vector<int> parse_counts(const char* csv) {
+/// Comma-separated positive client counts; empty when any item is malformed
+/// or non-positive.
+std::vector<int> parse_counts(std::string_view csv) {
   std::vector<int> counts;
-  const char* p = csv;
-  while (*p) {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    if (v >= 1) counts.push_back(static_cast<int>(v));
-    p = *end == ',' ? end + 1 : end;
+  for (;;) {
+    const std::size_t comma = csv.find(',');
+    int v = 0;
+    if (!h2sim::sim::parse_number(csv.substr(0, comma), &v) || v < 1) return {};
+    counts.push_back(v);
+    if (comma == std::string_view::npos) return counts;
+    csv.remove_prefix(comma + 1);
   }
-  return counts;
 }
 
 }  // namespace
@@ -52,13 +53,11 @@ std::vector<int> parse_counts(const char* csv) {
 int main(int argc, char** argv) {
   using namespace h2sim;
   using experiment::TablePrinter;
-  const int trials = bench::trials_arg(argc, argv, 16);
+  const char* synopsis = "[trials_per_cell] [counts_csv]";
+  const int trials = bench::trials_arg(argc, argv, 16, synopsis);
   const std::vector<int> counts =
       parse_counts(argc > 2 ? argv[2] : "1,8,64,256");
-  if (counts.empty()) {
-    std::fprintf(stderr, "usage: %s [trials_per_cell] [counts_csv]\n", argv[0]);
-    return 2;
-  }
+  if (counts.empty()) bench::usage_exit(argv, synopsis);
 
   bench::SweepSession sweep("bench_load_matrix");
 

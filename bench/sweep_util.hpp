@@ -19,12 +19,26 @@
 #include "experiment/runner.hpp"
 #include "experiment/sink.hpp"
 #include "obs/context.hpp"
+#include "sim/parse_number.hpp"
 
 namespace h2sim::bench {
 
-/// Common CLI convention: argv[1] overrides the trials-per-point default.
-inline int trials_arg(int argc, char** argv, int def) {
-  return argc > 1 ? std::atoi(argv[1]) : def;
+/// Prints `usage: <program> <synopsis>` to stderr and exits with status 2.
+[[noreturn]] inline void usage_exit(char** argv, const char* synopsis) {
+  std::fprintf(stderr, "usage: %s %s\n", argv[0], synopsis);
+  std::exit(2);
+}
+
+/// Common CLI convention: argv[1] overrides the trials-per-point default. A
+/// malformed or non-positive count prints the usage line and exits 2.
+inline int trials_arg(int argc, char** argv, int def,
+                      const char* synopsis = "[trials]") {
+  if (argc < 2) return def;
+  int trials = 0;
+  if (!sim::parse_number(argv[1], &trials) || trials < 1) {
+    usage_exit(argv, synopsis);
+  }
+  return trials;
 }
 
 /// `n` copies of `proto` with seed = seed_base + t. Inspector closures on

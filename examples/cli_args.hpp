@@ -7,12 +7,14 @@
 // arguments print the example's usage line and exit with status 2, and
 // `--help`/`-h` prints it and exits 0.
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <string>
+
+#include "sim/parse_number.hpp"
 
 namespace h2sim::examples {
 
@@ -37,10 +39,8 @@ class CliArgs {
   long long int_arg(int pos, long long def, long long min, long long max,
                     const char* name) const {
     if (pos >= argc_) return def;
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(argv_[pos], &end, 10);
-    if (errno != 0 || end == argv_[pos] || *end != '\0' || v < min || v > max) {
+    long long v = 0;
+    if (!sim::parse_number(argv_[pos], &v) || v < min || v > max) {
       fail(name, argv_[pos]);
     }
     return v;
@@ -54,13 +54,8 @@ class CliArgs {
   /// RNG seeds: any non-negative 64-bit value.
   std::uint64_t seed(int pos, std::uint64_t def) const {
     if (pos >= argc_) return def;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(argv_[pos], &end, 10);
-    if (errno != 0 || end == argv_[pos] || *end != '\0' ||
-        argv_[pos][0] == '-') {
-      fail("seed", argv_[pos]);
-    }
+    std::uint64_t v = 0;
+    if (!sim::parse_number(argv_[pos], &v)) fail("seed", argv_[pos]);
     return v;
   }
 

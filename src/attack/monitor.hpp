@@ -44,7 +44,6 @@ class TrafficMonitor {
 
   const analysis::PacketTrace& trace() const { return trace_; }
   int get_count() const { return get_count_; }
-  void reset_get_count() { get_count_ = 0; }
 
   /// True when the most recently observed packet with this id started a new
   /// client->server application-data record large enough to be a request.

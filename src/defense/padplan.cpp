@@ -31,16 +31,6 @@ std::size_t PadPlan::fallback_target(std::size_t size) const {
   return found ? best : size;
 }
 
-std::vector<std::size_t> PadPlan::target_set() const {
-  std::vector<std::size_t> out;
-  for (const PadPlanEntry& e : entries) {
-    for (const PadTarget& t : e.targets) out.push_back(t.to);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 namespace {
 
 void append_double(std::string& out, double v) {

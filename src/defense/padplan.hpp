@@ -50,9 +50,6 @@ struct PadPlan {
   /// inside the plan's size classes instead of leaking fresh sizes.
   std::size_t fallback_target(std::size_t size) const;
 
-  /// Every distinct wire size the plan can emit, ascending.
-  std::vector<std::size_t> target_set() const;
-
   /// Deterministic single-line JSON (sorted entries, %.17g doubles): equal
   /// plans serialize byte-identically on every platform, so plan files can
   /// be committed and sha256-compared like the capture goldens.

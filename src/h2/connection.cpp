@@ -194,14 +194,6 @@ void Connection::send_ping() {
   write_frame(std::move(f));
 }
 
-void Connection::send_priority(std::uint32_t stream_id, const PriorityPayload& p) {
-  Frame f;
-  f.type = FrameType::kPriority;
-  f.stream_id = stream_id;
-  f.payload = encode_priority(p);
-  write_frame(std::move(f));
-}
-
 void Connection::send_headers(std::uint32_t stream_id,
                               const hpack::HeaderList& headers, bool end_stream) {
   Stream* s = find_stream(stream_id);

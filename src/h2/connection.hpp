@@ -98,7 +98,6 @@ class Connection {
   void send_rst_stream(std::uint32_t stream_id, ErrorCode code);
   void send_goaway(ErrorCode code, std::string debug = "");
   void send_ping();
-  void send_priority(std::uint32_t stream_id, const PriorityPayload& p);
 
   Stream* find_stream(std::uint32_t id);
   bool ready() const { return handshake_done_; }

@@ -33,7 +33,6 @@ class DynamicTable {
   Match find(std::string_view name, std::string_view value) const;
 
   std::size_t entry_count() const { return entries_.size(); }
-  std::size_t size_bytes() const { return size_; }
   std::size_t max_size() const { return max_size_; }
 
  private:

@@ -70,12 +70,6 @@ class Link {
   /// Enqueues a packet for transmission; drops when the queue is full.
   void send(Packet&& p);
 
-  /// Adjusts the serialization rate / propagation delay. Applies to packets
-  /// sent from now on; packets already handed to the serializer keep the
-  /// timing they were admitted with.
-  void set_bandwidth(double bps) { cfg_.bandwidth_bps = bps; }
-  void set_delay(sim::Duration d) { cfg_.delay = d; }
-
   const Config& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
   const std::string& name() const { return name_; }

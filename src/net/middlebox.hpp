@@ -44,7 +44,6 @@ class RateLimiter {
   explicit RateLimiter(double rate_bps, double burst_bits = 12000.0)
       : rate_bps_(rate_bps), burst_bits_(burst_bits), tokens_(burst_bits) {}
 
-  void set_rate(double rate_bps) { rate_bps_ = rate_bps; }
   double rate() const { return rate_bps_; }
 
   /// Returns the delay before the packet of `bits` may be released, updating

@@ -78,11 +78,6 @@ double MetricsRegistry::gauge_value(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : *it->second;
 }
 
-const HistogramData* MetricsRegistry::find_histogram(const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 void MetricsRegistry::reset() {
   for (auto& [name, v] : counters_) *v = 0;
   for (auto& [name, v] : gauges_) *v = 0.0;

@@ -130,10 +130,9 @@ class MetricsRegistry {
   /// original storage.
   Histogram histogram(const std::string& name, std::vector<double> edges);
 
-  /// Lookup without registering; zero / nullptr when absent.
+  /// Lookup without registering; zero when absent.
   std::uint64_t counter_value(const std::string& name) const;
   double gauge_value(const std::string& name) const;
-  const HistogramData* find_histogram(const std::string& name) const;
 
   void reset();
   MetricsSnapshot snapshot() const;

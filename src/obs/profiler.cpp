@@ -78,12 +78,4 @@ std::vector<TraceEvent> Profiler::counter_events(sim::TimePoint t) const {
 
 Profiler& profiler() { return current().profiler; }
 
-bool write_collapsed(const Profiler& prof, const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string body = prof.collapsed();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace h2sim::obs

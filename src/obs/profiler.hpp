@@ -120,6 +120,4 @@ class ProfileScope {
   Profiler* p_ = nullptr;
 };
 
-bool write_collapsed(const Profiler& prof, const std::string& path);
-
 }  // namespace h2sim::obs

@@ -1,7 +1,6 @@
 #include "obs/sha256.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 namespace h2sim::obs {
@@ -127,18 +126,6 @@ std::string sha256_hex(const std::string& data) {
   Sha256 h;
   h.update(data);
   return h.hex_digest();
-}
-
-std::string sha256_file_hex(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return {};
-  Sha256 h;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) h.update(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok ? h.hex_digest() : std::string();
 }
 
 }  // namespace h2sim::obs

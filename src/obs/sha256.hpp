@@ -32,9 +32,7 @@ class Sha256 {
   std::size_t buffer_len_ = 0;
 };
 
-/// One-shot helpers.
+/// One-shot helper.
 std::string sha256_hex(const std::string& data);
-/// Hashes the whole file at `path`; empty string if the file cannot be read.
-std::string sha256_file_hex(const std::string& path);
 
 }  // namespace h2sim::obs

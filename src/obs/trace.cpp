@@ -20,14 +20,6 @@ const char* to_string(Component c) {
   return "?";
 }
 
-std::optional<Component> component_from_name(std::string_view name) {
-  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(Component::kCount); ++i) {
-    const auto c = static_cast<Component>(i);
-    if (name == to_string(c)) return c;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 void append_escaped(std::string& out, std::string_view s) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +25,6 @@ enum class Component : std::uint32_t {
 };
 
 const char* to_string(Component c);
-std::optional<Component> component_from_name(std::string_view name);
 
 constexpr std::uint32_t component_bit(Component c) {
   return 1u << static_cast<std::uint32_t>(c);

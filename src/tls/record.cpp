@@ -2,16 +2,18 @@
 
 namespace h2sim::tls {
 
+void write_record_header(ContentType type, std::size_t length, std::uint8_t* out) {
+  out[0] = static_cast<std::uint8_t>(type);
+  out[1] = static_cast<std::uint8_t>(kTlsVersion >> 8);
+  out[2] = static_cast<std::uint8_t>(kTlsVersion & 0xff);
+  out[3] = static_cast<std::uint8_t>(length >> 8);
+  out[4] = static_cast<std::uint8_t>(length & 0xff);
+}
+
 std::vector<std::uint8_t> serialize_record(const RecordHeader& h,
                                            std::span<const std::uint8_t> body) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kRecordHeaderBytes + body.size());
-  out.push_back(static_cast<std::uint8_t>(h.type));
-  out.push_back(static_cast<std::uint8_t>(h.version >> 8));
-  out.push_back(static_cast<std::uint8_t>(h.version & 0xff));
-  const auto len = static_cast<std::uint16_t>(body.size());
-  out.push_back(static_cast<std::uint8_t>(len >> 8));
-  out.push_back(static_cast<std::uint8_t>(len & 0xff));
+  std::vector<std::uint8_t> out(kRecordHeaderBytes);
+  write_record_header(h.type, body.size(), out.data());
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
@@ -29,42 +31,29 @@ void RecordParser::feed(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
-std::optional<RecordParser::Record> RecordParser::next() {
-  Record r;
-  if (!next(r)) return std::nullopt;
-  return r;
-}
-
-bool RecordParser::next(Record& out) {
+bool RecordParser::peek_header(RecordHeader& out) const {
+  if (pending_bytes() < kRecordHeaderBytes) return false;
   const std::uint8_t* p = buf_.data() + head_;
-  const std::size_t avail = buf_.size() - head_;
-  if (avail < kRecordHeaderBytes) return false;
-  const std::uint16_t len =
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[3]) << 8 | p[4]);
-  if (avail < kRecordHeaderBytes + len) return false;
-
-  out.header.type = static_cast<ContentType>(p[0]);
-  out.header.version =
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[1]) << 8 | p[2]);
-  out.header.length = len;
-  out.body.assign(p + kRecordHeaderBytes, p + kRecordHeaderBytes + len);
-  head_ += kRecordHeaderBytes + len;
+  out.type = static_cast<ContentType>(p[0]);
+  out.length = static_cast<std::uint16_t>(p[3] << 8 | p[4]);
   return true;
 }
 
 bool RecordParser::next_header(RecordHeader& out) {
-  const std::uint8_t* p = buf_.data() + head_;
-  const std::size_t avail = buf_.size() - head_;
-  if (avail < kRecordHeaderBytes) return false;
-  const std::uint16_t len =
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[3]) << 8 | p[4]);
-  if (avail < kRecordHeaderBytes + len) return false;
+  RecordHeader h;
+  if (!peek_header(h) || pending_bytes() < kRecordHeaderBytes + h.length) {
+    return false;
+  }
+  head_ += kRecordHeaderBytes + h.length;
+  out = h;
+  return true;
+}
 
-  out.type = static_cast<ContentType>(p[0]);
-  out.version =
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[1]) << 8 | p[2]);
-  out.length = len;
-  head_ += kRecordHeaderBytes + len;
+bool RecordParser::next(Record& out) {
+  const std::size_t start = head_;
+  if (!next_header(out.header)) return false;
+  const std::uint8_t* body = buf_.data() + start + kRecordHeaderBytes;
+  out.body.assign(body, body + out.header.length);
   return true;
 }
 

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -22,14 +20,21 @@ inline constexpr std::size_t kRecordHeaderBytes = 5;
 inline constexpr std::size_t kMaxPlaintextPerRecord = 16384;
 /// AEAD tag appended to every protected record.
 inline constexpr std::size_t kAeadTagBytes = 16;
+/// Largest record body a receiver accepts (RFC 8446 §5.2: 2^14 + 256).
+inline constexpr std::size_t kMaxCiphertextBytes = kMaxPlaintextPerRecord + 256;
 
+/// The cleartext 5-byte record header. The version field is always written
+/// as `kTlsVersion` and ignored on receipt (RFC 8446 §5.1), so it is not kept.
 struct RecordHeader {
   ContentType type = ContentType::kApplicationData;
-  std::uint16_t version = kTlsVersion;
   std::uint16_t length = 0;  // bytes following the 5-byte header
 };
 
-/// Serializes header + body into wire bytes.
+/// Writes the 5-byte header of a record with a `length`-byte body to `out`.
+void write_record_header(ContentType type, std::size_t length, std::uint8_t* out);
+
+/// Serializes header + body into wire bytes (the header's length is the
+/// body's size).
 std::vector<std::uint8_t> serialize_record(const RecordHeader& h,
                                            std::span<const std::uint8_t> body);
 
@@ -45,11 +50,12 @@ class RecordParser {
 
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Pops the next complete record, if any.
-  std::optional<Record> next();
+  /// Decodes the header at the front of the buffer without consuming it;
+  /// false until all five header bytes are buffered. Lets a receiver reject
+  /// a record by its header before the body arrives.
+  bool peek_header(RecordHeader& out) const;
 
   /// Pops the next complete record into `out`, reusing its body capacity.
-  /// The allocation-free variant for per-record hot loops.
   bool next(Record& out);
 
   /// Pops the next complete record's header, discarding the body without

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/profiler.hpp"
@@ -64,44 +63,6 @@ constexpr std::size_t kClientHelloBytes = 512;
 constexpr std::size_t kServerFlightBytes = 2500;  // hello + cert + finished
 constexpr std::size_t kClientFinishedBytes = 64;
 
-/// Sender-parked record cache: verification normally recomputes the keyed
-/// checksum over the whole ciphertext and then runs a keystream pass to
-/// decrypt — together the largest item on the trial profile. Both ends of a
-/// simulated connection live on the same thread, so the sender parks each
-/// protected record's ciphertext, plaintext and tag under (direction key,
-/// stream counter); the receiver memcmps the received bytes against the
-/// parked ciphertext and on an exact match reuses the parked tag and moves
-/// the parked plaintext out, skipping both the checksum and the keystream
-/// pass. Any mismatch — in-flight corruption, a stale entry from an earlier
-/// connection on the same ports — falls back to full recomputation, so
-/// accept/reject behavior (bad_record_mac semantics included) and the
-/// delivered plaintext are byte-for-byte identical, just cheaper on the
-/// by-far-common untampered path.
-struct ParkedRecord {
-  std::vector<std::uint8_t> body;
-  std::vector<std::uint8_t> plain;
-  TagWords tag{};
-};
-thread_local std::unordered_map<std::uint64_t, ParkedRecord> parked_records;
-
-std::uint64_t park_key(std::uint64_t key, std::uint64_t counter) {
-  // A collision only causes an overwrite and a later memcmp miss (fallback
-  // to recomputation), never a wrong accept.
-  return mix64(key ^ counter * 0x9e3779b97f4a7c15ULL);
-}
-
-void park_record(std::uint64_t key, std::uint64_t counter,
-                 const std::uint8_t* body, const std::uint8_t* plain,
-                 std::size_t n, TagWords tag) {
-  // Records that die in flight leave entries behind; cap the cache so a long
-  // sweep cannot accumulate them (dropping parked state is always safe).
-  if (parked_records.size() > 4096) parked_records.clear();
-  ParkedRecord& slot = parked_records[park_key(key, counter)];
-  slot.body.assign(body, body + n);
-  slot.plain.assign(plain, plain + n);
-  slot.tag = tag;
-}
-
 }  // namespace
 
 TlsSession::TlsSession(tcp::TcpConnection& conn, Role role)
@@ -145,13 +106,16 @@ void TlsSession::send_handshake_flight(std::size_t size) {
   send_record(ContentType::kHandshake, body);
 }
 
+std::uint8_t* TlsSession::begin_record(ContentType type, std::size_t body_len) {
+  wire_scratch_.resize(kRecordHeaderBytes + body_len);
+  write_record_header(type, body_len, wire_scratch_.data());
+  return wire_scratch_.data() + kRecordHeaderBytes;
+}
+
 void TlsSession::send_record(ContentType type, std::span<const std::uint8_t> body) {
-  RecordHeader h;
-  h.type = type;
-  h.length = static_cast<std::uint16_t>(body.size());
-  const std::vector<std::uint8_t> wire = serialize_record(h, body);
+  std::memcpy(begin_record(type, body.size()), body.data(), body.size());
   ++records_sent_;
-  conn_.send(wire);
+  conn_.send(wire_scratch_);
 }
 
 std::uint64_t TlsSession::direction_key(bool encrypt) const {
@@ -220,18 +184,9 @@ void TlsSession::send_protected(std::span<const std::uint8_t> plaintext) {
   obs::ProfileScope prof(obs::Component::kTls);
   const std::uint64_t key = direction_key(/*encrypt=*/true);
   const std::size_t n = plaintext.size();
-  const std::size_t body_len = n + kAeadTagBytes;
-  wire_scratch_.resize(kRecordHeaderBytes + body_len);
-  std::uint8_t* wire = wire_scratch_.data();
-  wire[0] = static_cast<std::uint8_t>(ContentType::kApplicationData);
-  wire[1] = static_cast<std::uint8_t>(kTlsVersion >> 8);
-  wire[2] = static_cast<std::uint8_t>(kTlsVersion & 0xff);
-  wire[3] = static_cast<std::uint8_t>(body_len >> 8);
-  wire[4] = static_cast<std::uint8_t>(body_len & 0xff);
-  std::uint8_t* body = wire + kRecordHeaderBytes;
+  std::uint8_t* body = begin_record(ContentType::kApplicationData, n + kAeadTagBytes);
   apply_keystream(key, encrypt_counter_, plaintext.data(), body, n);
   const TagWords tag = tag_words(key, encrypt_counter_, body, n);
-  park_record(key, encrypt_counter_, body, plaintext.data(), n, tag);
   store64(body + n, tag.t1);
   store64(body + n + 8, tag.t2);
   encrypt_counter_ += n;
@@ -244,25 +199,6 @@ bool TlsSession::unprotect(std::span<const std::uint8_t> body,
   if (body.size() < kAeadTagBytes) return false;
   const std::size_t n = body.size() - kAeadTagBytes;
   const std::uint64_t key = direction_key(/*encrypt=*/false);
-
-  // Parked fast path: the sender's exact ciphertext means the parked tag and
-  // plaintext are what recomputation would produce, so reuse both. A record
-  // whose trailing tag bytes were tampered with still fails the tag memcmp
-  // below, exactly as the recomputing path would.
-  const auto it = parked_records.find(park_key(key, decrypt_counter_));
-  if (it != parked_records.end() && it->second.body.size() == n &&
-      std::memcmp(it->second.body.data(), body.data(), n) == 0) {
-    std::uint8_t expected[kAeadTagBytes];
-    store64(expected, it->second.tag.t1);
-    store64(expected + 8, it->second.tag.t2);
-    if (std::memcmp(expected, body.data() + n, kAeadTagBytes) != 0) {
-      return false;
-    }
-    plaintext_out = std::move(it->second.plain);
-    parked_records.erase(it);
-    decrypt_counter_ += n;
-    return true;
-  }
 
   const TagWords tag = tag_words(key, decrypt_counter_, body.data(), n);
   std::uint8_t expected[kAeadTagBytes];
@@ -303,11 +239,18 @@ void TlsSession::fail(std::string_view reason) {
 void TlsSession::on_tcp_data(std::span<const std::uint8_t> bytes) {
   obs::ProfileScope prof(obs::Component::kTls);
   parser_.feed(bytes);
+  RecordHeader header;
   RecordParser::Record rec;  // body capacity reused across iterations
-  while (parser_.next(rec)) {
-    ++records_received_;
-    handle_record(rec);
-    if (failed_) return;
+  while (!failed_ && parser_.peek_header(header)) {
+    // An over-long record is refused on its header, before its body is
+    // buffered (RFC 8446 §5.2).
+    if (header.length > kMaxCiphertextBytes) {
+      fail("tls-record-overflow");
+    } else if (parser_.next(rec)) {
+      handle_record(rec);
+    } else {
+      return;
+    }
   }
 }
 
@@ -328,6 +271,9 @@ void TlsSession::handle_record(const RecordParser::Record& rec) {
       // close_notify; the TCP FIN that follows drives teardown.
       return;
     case ContentType::kChangeCipherSpec:
+      return;
+    default:
+      fail("tls-unexpected-message");  // RFC 8446 §5: unknown content type
       return;
   }
 }

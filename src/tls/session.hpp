@@ -33,7 +33,14 @@ void apply_keystream(std::uint64_t key, std::uint64_t stream_off,
 /// wire differ from plaintext, (b) records carry the authentic +21-byte
 /// overhead the paper's size side-channel sees, and (c) the checksum detects
 /// any byte-stream corruption, turning the TLS layer into a running
-/// integrity check on the TCP implementation underneath.
+/// integrity check on the TCP implementation underneath. Both ends do the
+/// full work per record: the sender encrypts and tags, the receiver
+/// recomputes the tag and decrypts. A session keeps no state outside itself,
+/// so nothing outlives the trial it belongs to.
+///
+/// The receiver aborts on an unknown content type ("tls-unexpected-message")
+/// and on a header whose length exceeds `kMaxCiphertextBytes`
+/// ("tls-record-overflow"), the latter before buffering the body.
 class TlsSession {
  public:
   enum class Role { kClient, kServer };
@@ -75,17 +82,19 @@ class TlsSession {
   tcp::TcpConnection& connection() { return conn_; }
 
   std::uint64_t records_sent() const { return records_sent_; }
-  std::uint64_t records_received() const { return records_received_; }
 
  private:
   void on_tcp_connected();
   void on_tcp_data(std::span<const std::uint8_t> bytes);
   void handle_record(const RecordParser::Record& rec);
   void handle_handshake_record(const RecordParser::Record& rec);
+  /// Sizes `wire_scratch_` for one record, writes its header and returns
+  /// where the `body_len`-byte body goes.
+  std::uint8_t* begin_record(ContentType type, std::size_t body_len);
+  /// Sends a cleartext (handshake or alert) record.
   void send_record(ContentType type, std::span<const std::uint8_t> body);
   /// Protects one plaintext chunk and sends it as a single ApplicationData
-  /// record, assembling header, ciphertext and tag in place in a reused
-  /// scratch buffer (no intermediate body vector).
+  /// record, writing ciphertext and tag in place after the header.
   void send_protected(std::span<const std::uint8_t> plaintext);
   void send_handshake_flight(std::size_t size);
   bool unprotect(std::span<const std::uint8_t> body,
@@ -105,8 +114,7 @@ class TlsSession {
   std::uint64_t encrypt_counter_ = 0;
   std::uint64_t decrypt_counter_ = 0;
   std::uint64_t records_sent_ = 0;
-  std::uint64_t records_received_ = 0;
-  std::vector<std::uint8_t> wire_scratch_;   // reused by send_protected
+  std::vector<std::uint8_t> wire_scratch_;   // reused by every send
   std::vector<std::uint8_t> plain_scratch_;  // reused by handle_record
 };
 

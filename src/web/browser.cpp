@@ -96,12 +96,6 @@ bool Browser::page_complete() const {
                      [](const ObjectState& o) { return o.complete; });
 }
 
-int Browser::total_reissues() const {
-  int n = 0;
-  for (const auto& o : objects_) n += o.reissues;
-  return n;
-}
-
 Duration Browser::noisy(Duration gap, double lo, double hi) {
   const double f = rng_.uniform_real(lo, hi);
   return Duration::nanos(

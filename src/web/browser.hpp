@@ -77,7 +77,6 @@ class Browser {
     return stream_to_object_;
   }
 
-  int total_reissues() const;
   int reset_sweeps() const { return reset_sweeps_; }
 
  private:

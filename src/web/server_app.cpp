@@ -25,7 +25,6 @@ ServerApp::ServerApp(sim::EventLoop& loop, const Website& site,
     if (it != workers_.end()) {
       it->second.timer.cancel();
       workers_.erase(it);
-      ++workers_cancelled_;
       start_next_queued();
     }
     std::erase_if(pending_, [sid](const auto& p) { return p.stream_id == sid; });
@@ -54,7 +53,6 @@ void ServerApp::handle_request(std::uint32_t stream_id,
     return;
   }
   const WebObject* obj = site_.find(req->path);
-  ++requests_handled_;
   if (!obj) {
     conn_.respond_headers(stream_id, 404, {}, /*end_stream=*/true);
     return;

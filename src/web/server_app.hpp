@@ -62,9 +62,6 @@ class ServerApp {
     return stream_objects_;
   }
 
-  std::uint64_t requests_handled() const { return requests_handled_; }
-  std::uint64_t workers_cancelled() const { return workers_cancelled_; }
-
   /// Optional notification when the connection dies.
   std::function<void(std::string_view)> on_connection_dead;
 
@@ -105,8 +102,6 @@ class ServerApp {
   std::map<std::uint32_t, Worker> workers_;
   std::deque<PendingRequest> pending_;  // serial mode
   std::map<std::uint32_t, std::string> stream_objects_;
-  std::uint64_t requests_handled_ = 0;
-  std::uint64_t workers_cancelled_ = 0;
 };
 
 }  // namespace h2sim::web

@@ -9,8 +9,12 @@ using sim::Duration;
 void WebObject::materialize() {
   if (content.size() == size) return;
   content.resize(size);
-  for (std::size_t j = 0; j < size; ++j) {
-    content[j] = static_cast<std::uint8_t>(j * 131 + size);
+  // Locals, not members: a byte store may alias `content` and `size`, which
+  // would force a reload of both per byte and keep the loop from vectorizing.
+  std::uint8_t* out = content.data();
+  const std::size_t n = size;
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = static_cast<std::uint8_t>(j * 131 + n);
   }
 }
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
 #include "sim/event_loop.hpp"
+#include "sim/random.hpp"
 #include "tcp/tcp_stack.hpp"
 #include "tls/record.hpp"
 #include "tls/session.hpp"
@@ -23,11 +26,12 @@ TEST(RecordCodec, SerializeParseRoundTrip) {
 
   RecordParser p;
   p.feed(wire);
-  auto rec = p.next();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->header.type, ContentType::kApplicationData);
-  EXPECT_EQ(rec->body, body);
-  EXPECT_FALSE(p.next().has_value());
+  RecordParser::Record rec;
+  ASSERT_TRUE(p.next(rec));
+  EXPECT_EQ(rec.header.type, ContentType::kApplicationData);
+  EXPECT_EQ(rec.header.length, 5u);
+  EXPECT_EQ(rec.body, body);
+  EXPECT_FALSE(p.next(rec));
 }
 
 TEST(RecordCodec, ParserHandlesFragmentedInput) {
@@ -37,16 +41,16 @@ TEST(RecordCodec, ParserHandlesFragmentedInput) {
   const auto wire = serialize_record(h, body);
 
   RecordParser p;
+  RecordParser::Record rec;
   // Feed one byte at a time.
   for (std::size_t i = 0; i < wire.size(); ++i) {
     p.feed(std::span(&wire[i], 1));
     if (i + 1 < wire.size()) {
-      EXPECT_FALSE(p.next().has_value());
+      EXPECT_FALSE(p.next(rec));
     }
   }
-  auto rec = p.next();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->body.size(), 100u);
+  ASSERT_TRUE(p.next(rec));
+  EXPECT_EQ(rec.body.size(), 100u);
 }
 
 TEST(RecordCodec, ParserHandlesCoalescedRecords) {
@@ -60,11 +64,84 @@ TEST(RecordCodec, ParserHandlesCoalescedRecords) {
 
   RecordParser p;
   p.feed(wire);
-  auto r1 = p.next();
-  auto r2 = p.next();
-  ASSERT_TRUE(r1 && r2);
-  EXPECT_EQ(r1->body.size(), 10u);
-  EXPECT_EQ(r2->body.size(), 20u);
+  RecordParser::Record r1, r2;
+  ASSERT_TRUE(p.next(r1));
+  ASSERT_TRUE(p.next(r2));
+  EXPECT_EQ(r1.body.size(), 10u);
+  EXPECT_EQ(r2.body.size(), 20u);
+}
+
+TEST(RecordCodec, PeekHeaderDoesNotConsume) {
+  RecordHeader h;
+  h.type = ContentType::kHandshake;
+  const std::vector<std::uint8_t> body(40, 7);
+  const auto wire = serialize_record(h, body);
+
+  RecordParser p;
+  RecordHeader peeked;
+  p.feed(std::span(wire).first(4));
+  EXPECT_FALSE(p.peek_header(peeked));
+  p.feed(std::span(wire).subspan(4, 1));
+  ASSERT_TRUE(p.peek_header(peeked));
+  EXPECT_EQ(peeked.type, ContentType::kHandshake);
+  EXPECT_EQ(peeked.length, 40u);
+  EXPECT_FALSE(p.next_header(peeked));  // body not yet buffered
+  p.feed(std::span(wire).subspan(5));
+  RecordParser::Record rec;
+  ASSERT_TRUE(p.next(rec));
+  EXPECT_EQ(rec.body, body);
+  EXPECT_EQ(p.pending_bytes(), 0u);
+}
+
+/// Deterministic stand-in for a fuzzer (no libFuzzer needed): valid record
+/// streams cut at random boundaries reassemble byte-exactly, and random
+/// garbage never crashes the parser (run under the ASan/UBSan build).
+TEST(RecordCodec, RandomSplitsReassembleAndGarbageNeverCrashes) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<std::uint8_t> stream;
+    std::vector<RecordParser::Record> sent;
+    for (int i = 0; i < 40; ++i) {
+      RecordParser::Record r;
+      r.header.type = static_cast<ContentType>(20 + rng.uniform(4));
+      r.body.resize(rng.uniform(i % 8 == 0 ? kMaxCiphertextBytes + 1 : 300));
+      for (auto& b : r.body) b = static_cast<std::uint8_t>(rng.uniform(256));
+      r.header.length = static_cast<std::uint16_t>(r.body.size());
+      const auto wire = serialize_record(r.header, r.body);
+      stream.insert(stream.end(), wire.begin(), wire.end());
+      sent.push_back(std::move(r));
+    }
+
+    RecordParser p;
+    RecordParser::Record rec;
+    std::size_t got = 0;
+    for (std::size_t pos = 0; pos < stream.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(rng.uniform(2000), stream.size() - pos);
+      p.feed(std::span(stream).subspan(pos, n));
+      pos += n;
+      while (p.next(rec)) {
+        ASSERT_LT(got, sent.size());
+        EXPECT_EQ(rec.header.type, sent[got].header.type);
+        EXPECT_EQ(rec.header.length, sent[got].header.length);
+        EXPECT_EQ(rec.body, sent[got].body) << "seed " << seed << " record " << got;
+        ++got;
+      }
+    }
+    EXPECT_EQ(got, sent.size()) << "seed " << seed;
+    EXPECT_EQ(p.pending_bytes(), 0u);
+
+    RecordParser junk;
+    RecordHeader h;
+    for (int i = 0; i < 200; ++i) {
+      std::vector<std::uint8_t> bytes(rng.uniform(600));
+      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
+      junk.feed(bytes);
+      junk.peek_header(h);
+      while (rng.uniform(2) ? junk.next(rec) : junk.next_header(h)) {
+      }
+    }
+  }
 }
 
 /// Full client/server TLS-over-TCP fixture through the simulated topo.
@@ -87,6 +164,7 @@ class TlsPairTest : public ::testing::Test {
       server_tls_ = std::make_unique<TlsSession>(c, TlsSession::Role::kServer);
       TlsSession::Callbacks cbs;
       cbs.on_established = [this] { server_established_ = true; };
+      cbs.on_aborted = [this](std::string_view r) { server_abort_ = r; };
       cbs.on_plaintext = [this](std::span<const std::uint8_t> b) {
         server_received_.insert(server_received_.end(), b.begin(), b.end());
         if (echo_) server_tls_->write(b);
@@ -120,6 +198,7 @@ class TlsPairTest : public ::testing::Test {
   bool client_established_ = false;
   bool server_established_ = false;
   bool echo_ = false;
+  std::string server_abort_;
 };
 
 TEST_F(TlsPairTest, HandshakeCompletesBothSides) {
@@ -191,6 +270,27 @@ TEST_F(TlsPairTest, ManySmallWritesSurviveTcpCoalescing) {
   }
   run(5);
   EXPECT_EQ(server_received_.size(), 50u * 37u);
+}
+
+TEST_F(TlsPairTest, UnknownContentTypeAborts) {
+  run(1);
+  ASSERT_TRUE(server_established_);
+  const std::uint8_t bogus[] = {0x63, 0x03, 0x03, 0x00, 0x02, 0xaa, 0xbb};
+  client_tls_->connection().send(bogus);
+  run(1);
+  EXPECT_EQ(server_abort_, "tls-unexpected-message");
+  EXPECT_TRUE(server_tls_->connection().aborted());
+}
+
+TEST_F(TlsPairTest, OversizedHeaderAbortsBeforeBody) {
+  run(1);
+  ASSERT_TRUE(server_established_);
+  // Claims 65535 body bytes; only the header and a few bytes are ever sent.
+  const std::uint8_t huge[] = {23, 0x03, 0x03, 0xff, 0xff, 1, 2, 3};
+  client_tls_->connection().send(huge);
+  run(1);
+  EXPECT_EQ(server_abort_, "tls-record-overflow");
+  EXPECT_TRUE(server_tls_->connection().aborted());
 }
 
 TEST_F(TlsPairTest, CloseDeliversCleanTeardown) {
