@@ -86,8 +86,10 @@ std::optional<PadPlan> PadPlan::parse(const std::string& json,
       v && v->is_number()) {
     plan.achieved_overhead = v->number;
   }
-  if (const obs::json::Value* v = doc->find("min_class"); v && v->is_number()) {
-    plan.min_class = static_cast<int>(v->number);
+  if (const obs::json::Value* v = doc->find("min_class")) {
+    const auto n = v->as_uint(std::numeric_limits<int>::max());
+    if (!n) return fail("\"min_class\" is not a non-negative integer");
+    plan.min_class = static_cast<int>(*n);
   }
   const obs::json::Value* entries = doc->find("entries");
   if (!entries || !entries->is_array()) return fail("missing \"entries\"");
@@ -95,21 +97,22 @@ std::optional<PadPlan> PadPlan::parse(const std::string& json,
     if (!ev.is_object()) return fail("entry is not an object");
     const obs::json::Value* size = ev.find("size");
     const obs::json::Value* targets = ev.find("targets");
-    if (!size || !size->is_number() || !targets || !targets->is_array() ||
-        targets->array.empty()) {
+    const auto size_n = size ? size->as_uint() : std::nullopt;
+    if (!size_n || !targets || !targets->is_array() || targets->array.empty()) {
       return fail("entry missing \"size\" or \"targets\"");
     }
     PadPlanEntry entry;
-    entry.size = static_cast<std::size_t>(size->number);
+    entry.size = *size_n;
     double psum = 0.0;
     for (const obs::json::Value& tv : targets->array) {
       const obs::json::Value* to = tv.is_object() ? tv.find("to") : nullptr;
       const obs::json::Value* p = tv.is_object() ? tv.find("p") : nullptr;
-      if (!to || !to->is_number() || !p || !p->is_number()) {
+      const auto to_n = to ? to->as_uint() : std::nullopt;
+      if (!to_n || !p || !p->is_number()) {
         return fail("target missing \"to\" or \"p\"");
       }
       PadTarget t;
-      t.to = static_cast<std::size_t>(to->number);
+      t.to = *to_n;
       t.p = p->number;
       if (t.to < entry.size) return fail("target below original size");
       if (t.p < 0.0) return fail("negative probability");

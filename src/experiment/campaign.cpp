@@ -4,11 +4,13 @@
 #include <sys/types.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -96,37 +98,71 @@ std::string config_digest(const CampaignOptions& o) {
 
 /// Per-wave streaming sink: one preallocated slot per config position (the
 /// runner invokes consume() concurrently but never twice for one index), so
-/// no lock is needed for the records; the profiler merge has its own.
+/// no lock is needed for the records. The profiler merge and mid-wave
+/// reports share one mutex; reports are rate-limited by an atomic timestamp
+/// checked *before* the mutex, so a fine report interval does not serialize
+/// the workers.
 class WaveSink : public ResultSink {
  public:
+  /// `report(done, rate)` delivers a mid-wave report given the trials
+  /// finished this wave and their rate; null disables mid-wave reports.
+  using Report = std::function<void(std::uint64_t done, double rate)>;
+
   WaveSink(std::vector<TrialRecord>& slots,
            const std::vector<std::uint64_t>& global_index,
-           const std::vector<const std::string*>& labels, bool profile,
-           std::map<std::string, std::uint64_t>* folded)
+           const std::vector<const std::string*>& labels,
+           std::map<std::string, std::uint64_t>* folded,
+           double report_interval_seconds, Report report)
       : slots_(slots),
         global_index_(global_index),
         labels_(labels),
-        profile_(profile),
-        folded_(folded) {}
+        folded_(folded),
+        // Capped at ~31 years so the conversion cannot overflow.
+        interval_ns_(static_cast<std::int64_t>(
+            std::min(report_interval_seconds, 1e9) * 1e9)),
+        report_(std::move(report)) {}
 
   void consume(std::size_t index, const TrialConfig& cfg,
                const TrialResult& result, const obs::Context& ctx) override {
     slots_[index] =
         make_trial_record(global_index_[index], cfg, *labels_[index], result);
-    if (profile_ && folded_) {
+    if (folded_) {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [path, stat] : ctx.profiler.paths()) {
         (*folded_)[path] += stat.self_ns;
       }
     }
+    if (!report_) return;
+    const std::uint64_t done = done_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::int64_t now_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count();
+    // Claim the report slot by advancing the timestamp; losers and
+    // too-soon reports skip without touching the mutex.
+    std::int64_t last = last_report_ns_.load(std::memory_order_relaxed);
+    if (last >= 0 && now_ns - last < interval_ns_) return;
+    if (!last_report_ns_.compare_exchange_strong(last, now_ns,
+                                                 std::memory_order_relaxed)) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    report_(done, now_ns > 0 ? static_cast<double>(done) * 1e9 /
+                                   static_cast<double>(now_ns)
+                             : 0.0);
   }
 
  private:
   std::vector<TrialRecord>& slots_;
   const std::vector<std::uint64_t>& global_index_;
   const std::vector<const std::string*>& labels_;
-  bool profile_;
   std::map<std::string, std::uint64_t>* folded_;
+  const std::int64_t interval_ns_;
+  const Report report_;
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+  std::atomic<std::uint64_t> done_{0};
+  std::atomic<std::int64_t> last_report_ns_{-1};
   std::mutex mu_;
 };
 
@@ -179,17 +215,20 @@ std::optional<CampaignManifest> CampaignManifest::parse(const std::string& text)
   const auto* cells = doc->find("cells");
   const auto* shards = doc->find("shards");
   const auto* complete = doc->find("complete");
-  if (!digest || !digest->is_string() || !seed_base || !seed_base->is_number() ||
-      !tpc || !tpc->is_number() || !wave_seeds || !wave_seeds->is_number() ||
+  if (!digest || !digest->is_string() || !seed_base || !tpc || !wave_seeds ||
       !cells || !cells->is_array() || !shards || !shards->is_array() ||
       !complete || complete->kind != obs::json::Value::Kind::kBool) {
     return std::nullopt;
   }
+  const auto seed_base_n = seed_base->as_uint();
+  const auto tpc_n = tpc->as_uint();
+  const auto wave_seeds_n = wave_seeds->as_uint();
+  if (!seed_base_n || !tpc_n || !wave_seeds_n) return std::nullopt;
   CampaignManifest m;
   m.config_digest = digest->string;
-  m.seed_base = static_cast<std::uint64_t>(seed_base->number);
-  m.trials_per_cell = static_cast<std::uint64_t>(tpc->number);
-  m.wave_seeds = static_cast<std::uint64_t>(wave_seeds->number);
+  m.seed_base = *seed_base_n;
+  m.trials_per_cell = *tpc_n;
+  m.wave_seeds = *wave_seeds_n;
   for (const auto& c : cells->array) {
     if (!c.is_string()) return std::nullopt;
     m.cells.push_back(c.string);
@@ -198,13 +237,15 @@ std::optional<CampaignManifest> CampaignManifest::parse(const std::string& text)
     const auto* file = sh.find("file");
     const auto* rows = sh.find("rows");
     const auto* sha = sh.find("sha256");
-    if (!file || !file->is_string() || !rows || !rows->is_number() || !sha ||
+    const auto rows_n = rows ? rows->as_uint() : std::nullopt;
+    // Shard i is always shard_name(i): resume joins the name to out_dir, so
+    // anything else ("../../etc/hostname") is refused here.
+    if (!file || !file->is_string() ||
+        file->string != shard_name(m.shards.size()) || !rows_n || !sha ||
         !sha->is_string()) {
       return std::nullopt;
     }
-    m.shards.push_back(Shard{file->string,
-                             static_cast<std::uint64_t>(rows->number),
-                             sha->string});
+    m.shards.push_back(Shard{file->string, *rows_n, sha->string});
   }
   if (const auto* stopped = doc->find("stopped_cells");
       stopped && stopped->is_array()) {
@@ -407,19 +448,20 @@ CampaignOutcome run_campaign(const CampaignOptions& opts) {
     }
 
     std::vector<TrialRecord> records(cfgs.size());
-    WaveSink sink(records, global_index, labels, opts.profile,
-                  opts.profile ? &folded : nullptr);
+    WaveSink::Report report;
+    if (opts.on_report && opts.report_interval_seconds > 0) {
+      report = [&](std::uint64_t done, double rate) {
+        opts.on_report(make_report(done, rate));
+      };
+    }
+    WaveSink sink(records, global_index, labels,
+                  opts.profile ? &folded : nullptr,
+                  opts.report_interval_seconds, std::move(report));
     RunOptions ropts;
     ropts.jobs = opts.jobs;
     ropts.collect_results = false;
     ropts.sink = &sink;
     ropts.profile = opts.profile;
-    if (opts.on_report && opts.report_interval_seconds > 0) {
-      ropts.progress_min_interval_seconds = opts.report_interval_seconds;
-      ropts.on_progress = [&](const Progress& p) {
-        opts.on_report(make_report(p.done, p.trials_per_sec));
-      };
-    }
     run_trials(cfgs, ropts);
     out.trials_run += records.size();
 

@@ -50,7 +50,10 @@ struct CampaignReport {
   std::uint64_t trials_done = 0;    // applied to the aggregate, all sessions
   std::uint64_t trials_target = 0;  // shrinks when cells stop early
   double elapsed_seconds = 0.0;     // this session
-  double trials_per_sec = 0.0;      // recent completion rate, this session
+  /// Mid-wave: trials finished this wave / seconds since it began (a wave
+  /// interleaves every active cell, so this is the recent rate). At a wave
+  /// boundary: the session mean.
+  double trials_per_sec = 0.0;
   double eta_seconds = 0.0;
   std::uint64_t wave = 0;
   /// Per-cell 95% CI half-width of the stop field (label, halfwidth, trials,
@@ -79,8 +82,9 @@ struct CampaignOptions {
   bool profile = false;         // enable obs::Profiler per trial; merged
                                 // collapsed stacks land in profile.folded
 
-  /// Live telemetry: minimum seconds between reports (0 = wave boundaries
-  /// only when on_report is set).
+  /// Live telemetry: on_report runs at every wave boundary and, when
+  /// report_interval_seconds > 0, also mid-wave — on a worker thread,
+  /// serialized, at most once per interval.
   double report_interval_seconds = 0.0;
   std::function<void(const CampaignReport&)> on_report;
 

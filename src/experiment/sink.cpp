@@ -70,13 +70,15 @@ std::optional<TrialRecord> parse_trial_record(const std::string& line) {
   const obs::json::Value* seed = doc->find("seed");
   const obs::json::Value* cell = doc->find("cell");
   const obs::json::Value* v = doc->find("v");
-  if (!index || !index->is_number() || !seed || !seed->is_number() || !cell ||
-      !cell->is_string() || !v || !v->is_object()) {
+  const auto index_n = index ? index->as_uint() : std::nullopt;
+  const auto seed_n = seed ? seed->as_uint() : std::nullopt;
+  if (!index_n || !seed_n || !cell || !cell->is_string() || !v ||
+      !v->is_object()) {
     return std::nullopt;
   }
   TrialRecord rec;
-  rec.index = static_cast<std::uint64_t>(index->number);
-  rec.seed = static_cast<std::uint64_t>(seed->number);
+  rec.index = *index_n;
+  rec.seed = *seed_n;
   rec.cell = cell->string;
   const auto& names = TrialRecord::field_names();
   if (v->object.size() != TrialRecord::kFieldCount) return std::nullopt;

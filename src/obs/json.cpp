@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "obs/metrics.hpp"
@@ -13,6 +14,17 @@ const Value* Value::find(const std::string& key) const {
   return it == object.end() ? nullptr : &it->second;
 }
 
+std::optional<std::uint64_t> Value::as_uint(std::uint64_t max) const {
+  // 0x1p64 is exact; anything below it that is integral converts without UB.
+  if (kind != Kind::kNumber || !(number >= 0.0) || !(number < 0x1p64) ||
+      number != std::floor(number)) {
+    return std::nullopt;
+  }
+  const auto u = static_cast<std::uint64_t>(number);
+  if (u > max) return std::nullopt;
+  return u;
+}
+
 namespace {
 
 class Parser {
@@ -22,7 +34,7 @@ class Parser {
   std::optional<Value> run() {
     skip_ws();
     Value v;
-    if (!parse_value(v)) return std::nullopt;
+    if (!parse_value(v, 0)) return std::nullopt;
     skip_ws();
     if (pos_ != s_.size()) return std::nullopt;  // trailing garbage
     return v;
@@ -51,11 +63,12 @@ class Parser {
     return true;
   }
 
-  bool parse_value(Value& out) {
+  /// `depth` counts the containers enclosing `out`.
+  bool parse_value(Value& out, int depth) {
     if (pos_ >= s_.size()) return false;
     switch (s_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{': return depth < kMaxDepth && parse_object(out, depth + 1);
+      case '[': return depth < kMaxDepth && parse_array(out, depth + 1);
       case '"': {
         out.kind = Value::Kind::kString;
         return parse_string(out.string);
@@ -75,7 +88,7 @@ class Parser {
     }
   }
 
-  bool parse_object(Value& out) {
+  bool parse_object(Value& out, int depth) {
     out.kind = Value::Kind::kObject;
     if (!eat('{')) return false;
     skip_ws();
@@ -88,7 +101,7 @@ class Parser {
       if (!eat(':')) return false;
       skip_ws();
       Value v;
-      if (!parse_value(v)) return false;
+      if (!parse_value(v, depth)) return false;
       out.object.emplace(std::move(key), std::move(v));
       skip_ws();
       if (eat('}')) return true;
@@ -96,7 +109,7 @@ class Parser {
     }
   }
 
-  bool parse_array(Value& out) {
+  bool parse_array(Value& out, int depth) {
     out.kind = Value::Kind::kArray;
     if (!eat('[')) return false;
     skip_ws();
@@ -104,7 +117,7 @@ class Parser {
     for (;;) {
       skip_ws();
       Value v;
-      if (!parse_value(v)) return false;
+      if (!parse_value(v, depth)) return false;
       out.array.push_back(std::move(v));
       skip_ws();
       if (eat(']')) return true;
@@ -223,8 +236,9 @@ std::optional<MetricsSnapshot> metrics_snapshot_from_json(const std::string& tex
 
   MetricsSnapshot snap;
   for (const auto& [name, v] : counters->object) {
-    if (!v.is_number()) return std::nullopt;
-    snap.counters[name] = static_cast<std::uint64_t>(v.number);
+    const auto n = v.as_uint();
+    if (!n) return std::nullopt;
+    snap.counters[name] = *n;
   }
   for (const auto& [name, v] : gauges->object) {
     if (!v.is_number() && v.kind != json::Value::Kind::kNull) return std::nullopt;
@@ -237,7 +251,7 @@ std::optional<MetricsSnapshot> metrics_snapshot_from_json(const std::string& tex
     const json::Value* count = v.find("count");
     const json::Value* sum = v.find("sum");
     if (!edges || !edges->is_array() || !counts || !counts->is_array() ||
-        !count || !count->is_number() || !sum) {
+        !count || !sum) {
       return std::nullopt;
     }
     HistogramData h;
@@ -248,11 +262,14 @@ std::optional<MetricsSnapshot> metrics_snapshot_from_json(const std::string& tex
     }
     h.counts.reserve(counts->array.size());
     for (const auto& c : counts->array) {
-      if (!c.is_number()) return std::nullopt;
-      h.counts.push_back(static_cast<std::uint64_t>(c.number));
+      const auto n = c.as_uint();
+      if (!n) return std::nullopt;
+      h.counts.push_back(*n);
     }
     if (h.counts.size() != h.edges.size() + 1) return std::nullopt;
-    h.count = static_cast<std::uint64_t>(count->number);
+    const auto n = count->as_uint();
+    if (!n) return std::nullopt;
+    h.count = *n;
     h.sum = number_or_zero(*sum);
     snap.histograms[name] = std::move(h);
   }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -11,7 +13,8 @@ namespace h2sim::obs::json {
 /// Minimal JSON DOM used to validate and inspect the tracer's / registry's
 /// own exports (round-trip tests, example post-processing). Not a general
 /// purpose library: strict RFC 8259 syntax, numbers as double, no
-/// surrogate-pair decoding (escapes are preserved verbatim in strings).
+/// surrogate-pair decoding (escapes are preserved verbatim in strings),
+/// nesting capped at kMaxDepth.
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
@@ -28,10 +31,20 @@ struct Value {
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(const std::string& key) const;
+
+  /// The number as an unsigned integer when it is finite, integral and at
+  /// most `max`; nullopt otherwise (not a number, negative, fractional, NaN,
+  /// or out of range). The one way to read a count or an index from JSON.
+  std::optional<std::uint64_t> as_uint(
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
 };
 
-/// Parses a complete JSON document. nullopt on any syntax error or trailing
-/// garbage.
+/// Deepest array/object nesting parse() accepts. Our deepest document, a pad
+/// plan, nests 5; the cap keeps hostile input from exhausting the stack.
+inline constexpr int kMaxDepth = 64;
+
+/// Parses a complete JSON document. nullopt on any syntax error, trailing
+/// garbage, or nesting deeper than kMaxDepth.
 std::optional<Value> parse(const std::string& text);
 
 }  // namespace h2sim::obs::json

@@ -26,8 +26,6 @@ struct BrowserConfig {
   sim::Duration reset_stall_timeout = sim::Duration::millis(3500);
   sim::Duration reset_backoff = sim::Duration::millis(200);
   int max_resets = 6;
-  /// Multiplicative noise on scheduled request gaps, uniform [1-n, 1+n].
-  double gap_noise = 0.15;
   /// §VII defense: randomize the order of gated embedded requests.
   bool randomize_embedded_order = false;
   sim::Duration page_deadline = sim::Duration::seconds(60);

@@ -1,8 +1,9 @@
 // Streaming campaign telemetry: Welford accumulators vs naive statistics,
 // mergeable histograms, the TrialRecord NDJSON schema's exact round-trip,
 // streamed-vs-reference aggregate equality over a 32-seed grid, the wave
-// manifest, kill-and-resume byte-equivalence, shard-corruption detection,
-// and the wall-time component profiler.
+// manifest (and its rejection of hostile fields), kill-and-resume
+// byte-equivalence, shard-corruption detection, live reports, and the
+// wall-time component profiler.
 
 #include <gtest/gtest.h>
 
@@ -185,6 +186,10 @@ TEST(TrialRecord, ParseRejectsMalformedAndForeignSchema) {
   ASSERT_NE(pos, std::string::npos);
   line.replace(pos, 13, "page_COMPLETE");
   EXPECT_FALSE(parse_trial_record(line));
+  // A negative index is not an index (it used to wrap to 2^64 - 1).
+  std::string negative = trial_record_ndjson(rec);
+  negative.replace(0, 11, "{\"index\": -1");
+  EXPECT_FALSE(parse_trial_record(negative)) << negative;
 }
 
 // -------------------------------------------------- streamed == reference
@@ -386,6 +391,102 @@ TEST(Campaign, CiEarlyStopHaltsCellDeterministically) {
     EXPECT_EQ(out.trials_total, 8u);
   }
   EXPECT_EQ(slurp(d1 + "/aggregates.ndjson"), slurp(d2 + "/aggregates.ndjson"));
+}
+
+// Hostile manifests: every count must be a non-negative integer that fits,
+// shard i must be named shard_name(i) (resume joins it to out_dir), and no
+// nesting depth may crash the reader.
+TEST(Campaign, ManifestParseRejectsHostileFields) {
+  CampaignManifest m;
+  m.config_digest = "abc";
+  m.seed_base = 3;
+  m.trials_per_cell = 100;
+  m.wave_seeds = 10;
+  m.cells = {"x"};
+  m.shards.push_back({"shard-00000.ndjson", 20, "feed"});
+  const std::string good = m.json();
+  ASSERT_TRUE(CampaignManifest::parse(good));
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    std::string s = good;
+    const std::size_t pos = s.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return pos == std::string::npos ? s : s.replace(pos, from.size(), to);
+  };
+  const std::vector<std::string> hostile = {
+      with("\"wave_seeds\": 10", "\"wave_seeds\": -5"),
+      with("\"seed_base\": 3", "\"seed_base\": 3.5"),
+      with("\"trials_per_cell\": 100", "\"trials_per_cell\": 1e300"),
+      with("\"trials_per_cell\": 100",
+           "\"trials_per_cell\": 18446744073709551616"),
+      with("\"rows\": 20", "\"rows\": -1"),
+      with("shard-00000.ndjson", "../../etc/hostname"),
+      with("shard-00000.ndjson", "shard-00001.ndjson"),
+      std::string(1'000'000, '['),
+  };
+  for (const std::string& text : hostile) {
+    EXPECT_FALSE(CampaignManifest::parse(text)) << text.substr(0, 200);
+  }
+
+  // Through --resume, a hostile manifest is a clean "malformed" error.
+  const std::string dir = temp_dir("hostile");
+  CampaignOptions opts = small_campaign(dir);
+  opts.max_trials_this_run = 4;
+  ASSERT_TRUE(run_campaign(opts).ok);
+  spit(dir + "/manifest.json", hostile.back());
+  opts.max_trials_this_run = 0;
+  opts.resume = true;
+  const CampaignOutcome out = run_campaign(opts);
+  EXPECT_FALSE(out.ok);
+  EXPECT_NE(out.error.find("malformed manifest"), std::string::npos)
+      << out.error;
+}
+
+// Live telemetry rides the wave sink: with a fine interval, reports also
+// land inside waves, and they never change a byte of the output.
+TEST(Campaign, MidWaveReportsLeaveAggregatesByteIdentical) {
+  const std::string quiet_dir = temp_dir("quiet");
+  const std::string live_dir = temp_dir("live");
+  CampaignOptions quiet = small_campaign(quiet_dir);
+  quiet.jobs = 1;
+  ASSERT_TRUE(run_campaign(quiet).ok);
+
+  CampaignOptions live = small_campaign(live_dir);
+  live.jobs = 1;
+  live.report_interval_seconds = 1e-9;
+  std::vector<CampaignReport> reports;
+  live.on_report = [&reports](const CampaignReport& r) {
+    reports.push_back(r);
+  };
+  const CampaignOutcome out = run_campaign(live);
+  ASSERT_TRUE(out.ok) << out.error;
+
+  // 2 cells x 2 seeds per wave: boundaries fall on multiples of 4 trials.
+  std::size_t inside = 0;
+  for (const CampaignReport& r : reports) {
+    EXPECT_GE(r.eta_seconds, 0.0);
+    EXPECT_GE(r.trials_per_sec, 0.0);
+    EXPECT_LE(r.trials_done, r.trials_target);
+    if (r.trials_done % 4 != 0) ++inside;
+  }
+  EXPECT_GE(inside, 1u);
+  EXPECT_EQ(slurp(quiet_dir + "/aggregates.ndjson"),
+            slurp(live_dir + "/aggregates.ndjson"));
+}
+
+TEST(Campaign, ZeroReportIntervalReportsOnlyAtWaveBoundaries) {
+  CampaignOptions opts = small_campaign(temp_dir("boundary"));
+  std::vector<CampaignReport> reports;
+  opts.on_report = [&reports](const CampaignReport& r) {
+    reports.push_back(r);
+  };
+  ASSERT_TRUE(run_campaign(opts).ok);
+  ASSERT_EQ(reports.size(), 3u);  // 6 trials per cell in waves of 2
+  for (std::size_t w = 0; w < reports.size(); ++w) {
+    EXPECT_EQ(reports[w].wave, w + 1);
+    EXPECT_EQ(reports[w].trials_done, 4 * (w + 1));
+    EXPECT_EQ(reports[w].trials_target, 12u);
+  }
+  EXPECT_EQ(reports.back().eta_seconds, 0.0);
 }
 
 // ---------------------------------------------------------------- sha256

@@ -347,26 +347,6 @@ TEST(Reassembler, DirectionComesFromTheServerPort) {
   EXPECT_EQ(r.direction_of(p), net::Direction::kServerToClient);
 }
 
-// --- expand_capture_path ---
-
-TEST(CapturePath, PlaceholderSubstitutionAndCollisionAvoidance) {
-  using experiment::expand_capture_path;
-  EXPECT_EQ(expand_capture_path("caps/trial_{seed}.pcapng", 3, 42, 10),
-            "caps/trial_42.pcapng");
-  EXPECT_EQ(expand_capture_path("{index}_{seed}.pcapng", 3, 42, 10),
-            "3_42.pcapng");
-  // No placeholder + multi-trial sweep: index inserted before the extension
-  // so concurrent trials never write the same file.
-  EXPECT_EQ(expand_capture_path("caps/out.pcapng", 3, 42, 10),
-            "caps/out_3.pcapng");
-  EXPECT_EQ(expand_capture_path("caps/out", 3, 42, 10), "caps/out_3");
-  // The dot in a directory name is not an extension.
-  EXPECT_EQ(expand_capture_path("caps.d/out", 3, 42, 10), "caps.d/out_3");
-  // Single trial: pattern used verbatim.
-  EXPECT_EQ(expand_capture_path("caps/out.pcapng", 0, 42, 1),
-            "caps/out.pcapng");
-}
-
 // --- Round-trip identity over 32 seeds (the acceptance criterion) ---
 
 experiment::TrialConfig small_site(experiment::TrialConfig cfg) {
@@ -400,16 +380,16 @@ TEST(RoundTrip, ThirtyTwoSeedsReproduceTheLiveAdversaryView) {
     } else {
       cfg = small_site(std::move(cfg));  // attack off, multiplexed baseline
     }
+    cfg.capture.path =
+        (dir / ("trial_" + std::to_string(i) + ".pcapng")).string();
     cfg.trace_inspector = [&live, i](const analysis::PacketTrace& t) {
       live[i] = t;  // per-trial slot: safe from concurrent inspectors
     };
     cfgs.push_back(std::move(cfg));
   }
 
-  experiment::RunOptions opts;
-  opts.capture_path = (dir / "trial_{index}.pcapng").string();
   const std::vector<experiment::TrialResult> results =
-      experiment::run_trials(cfgs, opts);
+      experiment::run_trials(cfgs);
   ASSERT_EQ(results.size(), kTrials);
 
   const analysis::SizeIdentityDb emblem_db = default_emblem_db();

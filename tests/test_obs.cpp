@@ -149,6 +149,9 @@ TEST(MetricsRegistryTest, SnapshotJsonWriteReadRoundTrips) {
 
   EXPECT_FALSE(obs::metrics_snapshot_from_json("{\"counters\": {}}"));
   EXPECT_FALSE(obs::metrics_snapshot_from_json("not json"));
+  // Counts are non-negative integers (a negative one used to wrap).
+  EXPECT_FALSE(obs::metrics_snapshot_from_json(
+      "{\"counters\": {\"x\": -1}, \"gauges\": {}, \"histograms\": {}}"));
 }
 
 // Non-finite guard: inf/nan have no JSON literal, so the writer emits null
@@ -172,6 +175,18 @@ TEST(MetricsRegistryTest, NonFiniteGaugeSurvivesExportAsNull) {
   EXPECT_EQ(back->gauges.at("test_obs.gauge_a"), 0.0);
   EXPECT_EQ(back->gauges.at("test_obs.gauge_b"), 0.0);
   EXPECT_EQ(back->gauges.at("test_obs.gauge_c"), 1.25);
+}
+
+// The reader behind manifests, shards, pad plans and metrics snapshots must
+// reject hostile nesting instead of recursing off the stack.
+TEST(ObsJson, DeepNestingIsRejectedNotACrash) {
+  EXPECT_FALSE(obs::json::parse(std::string(1'000'000, '[')));
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(obs::json::parse(nested(obs::json::kMaxDepth)));
+  EXPECT_FALSE(obs::json::parse(nested(obs::json::kMaxDepth + 1)));
 }
 
 TEST(TracerTest, MaskGatesRecordingPerComponent) {

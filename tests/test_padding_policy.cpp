@@ -223,6 +223,13 @@ TEST(PadPlan, ParseRejectsMalformedPlans) {
           "\"min_class\":1,\"entries\":[{\"size\":500,\"targets\":"
           "[{\"to\":600,\"p\":0.5}]}]}")
           .has_value());
+  // Sizes are non-negative integers (a negative one used to wrap).
+  EXPECT_FALSE(
+      PadPlan::parse(
+          "{\"version\":1,\"budget\":0.1,\"achieved_overhead\":0,"
+          "\"min_class\":1,\"entries\":[{\"size\":-500,\"targets\":"
+          "[{\"to\":600,\"p\":1}]}]}")
+          .has_value());
 }
 
 TEST(PadPlan, PlanForSiteCoversEveryObjectSize) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -133,107 +132,6 @@ TEST(Runner, SameSeedUnaffectedByConcurrentNeighbors) {
       run_batch({21, 22, 23, kShared, 24, 25, 26, 27}, 3, &snap_b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(snap_a, snap_b);
-}
-
-TEST(Runner, ProgressReportsEveryTrialExactlyOnce) {
-  std::vector<TrialConfig> cfgs;
-  for (std::uint64_t s : {700, 701, 702, 703, 704}) cfgs.push_back(quick_config(s));
-
-  std::vector<Progress> seen;
-  RunOptions opts;
-  opts.jobs = 2;
-  // The runner serializes on_progress internally; the vector needs no lock.
-  // Callbacks can arrive out of `done` order (the count is taken before the
-  // serialization lock), so assert on the set of reports, not the sequence.
-  opts.on_progress = [&seen](const Progress& p) { seen.push_back(p); };
-  run_trials(cfgs, opts);
-
-  ASSERT_EQ(seen.size(), cfgs.size());
-  std::vector<std::size_t> done_counts;
-  for (const Progress& p : seen) {
-    EXPECT_EQ(p.total, cfgs.size());
-    EXPECT_GE(p.elapsed_seconds, 0.0);
-    EXPECT_GE(p.eta_seconds, 0.0);
-    if (p.done == cfgs.size()) {
-      EXPECT_EQ(p.eta_seconds, 0.0);
-    }
-    done_counts.push_back(p.done);
-  }
-  std::sort(done_counts.begin(), done_counts.end());
-  for (std::size_t i = 0; i < done_counts.size(); ++i) {
-    EXPECT_EQ(done_counts[i], i + 1);
-  }
-}
-
-// The ETA-bias fix: a sliding window must track the *recent* completion
-// rate. Simulate a heterogeneous grid — 100 fast trials at 100/s, then slow
-// trials at 10/s. The lifetime mean would predict the remaining 100 slow
-// trials finish 4x too soon; the window converges on the true rate.
-TEST(ProgressWindow, TracksRecentRateNotLifetimeMean) {
-  ProgressWindow w(8);
-  w.sample(0.0, 0);
-  w.sample(1.0, 100);  // fast phase: 100 trials/s
-  // Slow phase: 10 trials/s for 10 samples — enough to fill the window.
-  for (int i = 1; i <= 10; ++i) {
-    w.sample(1.0 + i, 100 + static_cast<std::size_t>(10 * i));
-  }
-  EXPECT_NEAR(w.rate(), 10.0, 1e-9);
-  // 200 done, 300 to go at 10/s -> 30 s. Lifetime mean (200/11 ~ 18.2/s)
-  // would claim ~16.5 s.
-  EXPECT_NEAR(w.eta_seconds(200, 500), 30.0, 1e-6);
-}
-
-TEST(ProgressWindow, FallsBackToLifetimeMeanWhenSparse) {
-  ProgressWindow w;
-  EXPECT_EQ(w.rate(), 0.0);
-  EXPECT_EQ(w.eta_seconds(0, 10), 0.0);  // unknowable, not negative/inf
-  w.sample(2.0, 10);
-  EXPECT_NEAR(w.rate(), 5.0, 1e-12);  // single sample: lifetime mean
-  EXPECT_NEAR(w.eta_seconds(10, 20), 2.0, 1e-9);
-  EXPECT_EQ(w.eta_seconds(20, 20), 0.0);  // done
-}
-
-// Rate-limited progress: intermediate reports may be dropped, but exactly
-// one final done == total report always arrives, and none after it.
-TEST(Runner, RateLimitedProgressStillDeliversExactlyOneFinal) {
-  std::vector<TrialConfig> cfgs;
-  for (std::uint64_t s = 600; s < 612; ++s) cfgs.push_back(quick_config(s));
-
-  std::vector<Progress> seen;
-  RunOptions opts;
-  opts.jobs = 3;
-  // An interval far longer than the sweep: every intermediate report is
-  // rate-limited away; only the guaranteed final survives.
-  opts.progress_min_interval_seconds = 3600.0;
-  opts.on_progress = [&seen](const Progress& p) { seen.push_back(p); };
-  run_trials(cfgs, opts);
-
-  std::size_t finals = 0;
-  for (const Progress& p : seen) {
-    if (p.done == p.total) ++finals;
-  }
-  EXPECT_EQ(finals, 1u);
-  ASSERT_FALSE(seen.empty());
-  EXPECT_EQ(seen.back().done, cfgs.size());  // final is last
-  EXPECT_EQ(seen.back().eta_seconds, 0.0);
-  // The long interval drops the other 11 reports (the very first may slip
-  // through before the timestamp is primed).
-  EXPECT_LE(seen.size(), 2u);
-}
-
-TEST(Runner, UnlimitedProgressKeepsPerTrialReports) {
-  std::vector<TrialConfig> cfgs;
-  for (std::uint64_t s = 620; s < 625; ++s) cfgs.push_back(quick_config(s));
-  std::size_t reports = 0, finals = 0;
-  RunOptions opts;
-  opts.jobs = 1;
-  opts.on_progress = [&](const Progress& p) {
-    ++reports;
-    if (p.done == p.total) ++finals;
-  };
-  run_trials(cfgs, opts);
-  EXPECT_EQ(reports, cfgs.size());
-  EXPECT_EQ(finals, 1u);
 }
 
 TEST(Runner, SinkSeesTrialPrivateMetricsAndTraces) {
