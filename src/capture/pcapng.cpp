@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 
 namespace h2sim::capture {
 
@@ -161,8 +163,13 @@ struct Cursor {
   }
 };
 
-std::int64_t pow10_i64(int e) {
-  std::int64_t v = 1;
+/// Largest if_tsresol exponent read: 10^18 is the largest power of ten an
+/// int64 holds.
+constexpr int kMaxTsresolExp = 18;
+constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+std::uint64_t pow10_u64(int e) {
+  std::uint64_t v = 1;
   for (int i = 0; i < e; ++i) v *= 10;
   return v;
 }
@@ -240,6 +247,11 @@ bool PcapngReader::open(const std::string& path, std::string* error) {
           if (r & 0x80) {
             return fail(error, path + ": power-of-two if_tsresol unsupported");
           }
+          if (r > kMaxTsresolExp) {
+            return fail(error, path + ": if_tsresol exponent " +
+                                   std::to_string(r) + " exceeds " +
+                                   std::to_string(kMaxTsresolExp));
+          }
           idb.tsresol_exp = r;
         }
         c.off += olen;
@@ -263,12 +275,13 @@ bool PcapngReader::open(const std::string& path, std::string* error) {
       const std::uint64_t ticks = ts_high << 32 | ts_low;
       const int exp = interfaces_[pkt.iface].tsresol_exp;
       // Normalize to nanoseconds: scale up for coarser clocks, truncate for
-      // (hypothetical) finer-than-ns ones.
-      pkt.ts_nanos = exp <= 9
-                         ? static_cast<std::int64_t>(ticks) * pow10_i64(9 - exp)
-                         : static_cast<std::int64_t>(
-                               ticks / static_cast<std::uint64_t>(
-                                           pow10_i64(exp - 9)));
+      // (hypothetical) finer-than-ns ones. Only scaling up can leave int64.
+      const std::uint64_t scale = pow10_u64(exp <= 9 ? 9 - exp : exp - 9);
+      if (exp <= 9 && ticks > kInt64Max / scale) {
+        return fail(error, path + ": EPB timestamp overflows int64 nanoseconds");
+      }
+      pkt.ts_nanos =
+          static_cast<std::int64_t>(exp <= 9 ? ticks * scale : ticks / scale);
       pkt.frame.assign(c.p + c.off, c.p + c.off + cap_len);
       packets_.push_back(std::move(pkt));
     }

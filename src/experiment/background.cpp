@@ -25,7 +25,8 @@ BackgroundClient::BackgroundClient(sim::EventLoop& loop, net::Topology& topo,
                                    BackgroundWorkload workload,
                                    std::uint64_t seed, const LoadConfig& cfg,
                                    const tcp::TcpConfig& tcp_cfg,
-                                   h2::ConnectionConfig h2_cfg)
+                                   h2::ConnectionConfig h2_cfg,
+                                   tls::TlsSession::Protection protection)
     : loop_(loop),
       topo_(topo),
       index_(index),
@@ -33,6 +34,7 @@ BackgroundClient::BackgroundClient(sim::EventLoop& loop, net::Topology& topo,
       workload_(workload),
       cfg_(cfg),
       h2_cfg_(h2_cfg),
+      protection_(protection),
       rng_(seed),
       stack_(loop, rng_.split(), net::Topology::client_node(index), tcp_cfg,
              [&topo, index](net::Packet&& p) {
@@ -82,7 +84,8 @@ void BackgroundClient::start() {
 
 void BackgroundClient::open_connection() {
   tcp::TcpConnection& tcp = stack_.connect(net::Topology::kServerNode, 443);
-  tls_ = std::make_unique<tls::TlsSession>(tcp, tls::TlsSession::Role::kClient);
+  tls_ = std::make_unique<tls::TlsSession>(
+      tcp, tls::TlsSession::Role::kClient, protection_);
   conn_ = std::make_unique<h2::ClientConnection>(loop_, *tls_, h2_cfg_,
                                                  rng_.split());
   h2::ClientConnection::Handlers handlers;

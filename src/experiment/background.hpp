@@ -60,14 +60,16 @@ struct LoadConfig {
 /// `index` (>= 1), driven by a deterministic workload. All randomness comes
 /// from `seed`, which run_trial derives as trial-seed ⊕ mix(index) — the
 /// victim's RNG streams are never consulted, so adding or removing
-/// background clients cannot perturb the victim's draws.
+/// background clients cannot perturb the victim's draws. Its TLS session
+/// uses the trial's record-protection mode, `protection`.
 class BackgroundClient {
  public:
   BackgroundClient(sim::EventLoop& loop, net::Topology& topo, std::size_t index,
                    const web::Website& site, BackgroundWorkload workload,
                    std::uint64_t seed, const LoadConfig& cfg,
                    const tcp::TcpConfig& tcp_cfg,
-                   h2::ConnectionConfig h2_cfg);
+                   h2::ConnectionConfig h2_cfg,
+                   tls::TlsSession::Protection protection);
 
   BackgroundClient(const BackgroundClient&) = delete;
   BackgroundClient& operator=(const BackgroundClient&) = delete;
@@ -94,6 +96,7 @@ class BackgroundClient {
   BackgroundWorkload workload_;
   LoadConfig cfg_;
   h2::ConnectionConfig h2_cfg_;
+  tls::TlsSession::Protection protection_;
   sim::Rng rng_;
   tcp::TcpStack stack_;
 

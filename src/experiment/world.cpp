@@ -88,8 +88,8 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
         cfg_.seed ^ (0x9e3779b97f4a7c15ULL *
                      static_cast<std::uint64_t>(c.remote_node()));
     auto sc = std::make_unique<ServerSide>();
-    sc->tls =
-        std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kServer);
+    sc->tls = std::make_unique<tls::TlsSession>(
+        c, tls::TlsSession::Role::kServer, tls_protection());
     sc->conn = std::make_unique<h2::ServerConnection>(
         loop_, *sc->tls, cfg_.server_h2,
         is_victim ? rng_server_h2_.split()
@@ -155,7 +155,7 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
   tcp::TcpConnection& client_tcp =
       client_stack_->connect(net::Topology::kServerNode, 443);
   client_tls_ = std::make_unique<tls::TlsSession>(
-      client_tcp, tls::TlsSession::Role::kClient);
+      client_tcp, tls::TlsSession::Role::kClient, tls_protection());
   client_conn_ = std::make_unique<h2::ClientConnection>(
       loop_, *client_tls_, cfg_.client_h2, rng_client_h2);
   browser_ = std::make_unique<web::Browser>(loop_, *client_conn_, *site_,
@@ -176,7 +176,7 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
         cfg_.seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i));
     backgrounds_.push_back(std::make_unique<BackgroundClient>(
         loop_, *topo_, static_cast<std::size_t>(i), *site_, w, bg_seed,
-        cfg_.load, tcp_cfg_, cfg_.client_h2));
+        cfg_.load, tcp_cfg_, cfg_.client_h2, tls_protection()));
     backgrounds_.back()->start();
   }
 

@@ -54,6 +54,13 @@ class TrialWorld {
   std::chrono::steady_clock::time_point setup_begin_ =
       std::chrono::steady_clock::now();
 
+  /// Every TLS session of the trial computes ciphertext only when a capture
+  /// session is there to see it; no TrialResult depends on those bytes.
+  tls::TlsSession::Protection tls_protection() const {
+    return capture_session_ ? tls::TlsSession::Protection::kFull
+                            : tls::TlsSession::Protection::kElided;
+  }
+
   struct ServerSide {
     std::unique_ptr<tls::TlsSession> tls;
     std::unique_ptr<h2::ServerConnection> conn;

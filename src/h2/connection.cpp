@@ -605,7 +605,12 @@ void Connection::handle_settings(const Frame& f) {
     connection_error(ErrorCode::kProtocolError, "SETTINGS on non-zero stream");
     return;
   }
-  if (f.has_flag(flags::kAck)) return;
+  if (f.has_flag(flags::kAck)) {
+    if (!f.payload.empty()) {  // RFC 7540 §6.5
+      connection_error(ErrorCode::kFrameSizeError, "SETTINGS ACK with payload");
+    }
+    return;
+  }
   auto entries = parse_settings(f.payload);
   if (!entries) {
     connection_error(ErrorCode::kFrameSizeError, "bad SETTINGS payload");
@@ -617,6 +622,10 @@ void Connection::handle_settings(const Frame& f) {
         // Peer's decode table limit constrains our encoder.
         break;
       case SettingId::kEnablePush:
+        if (e.value > 1) {  // RFC 7540 §6.5.2
+          connection_error(ErrorCode::kProtocolError, "bad ENABLE_PUSH");
+          return;
+        }
         peer_push_enabled_ = e.value != 0;
         break;
       case SettingId::kMaxConcurrentStreams:
@@ -652,9 +661,13 @@ void Connection::handle_settings(const Frame& f) {
 }
 
 void Connection::handle_rst(const Frame& f) {
+  if (f.stream_id == 0) {
+    connection_error(ErrorCode::kProtocolError, "RST_STREAM on stream 0");
+    return;
+  }
   auto code = parse_rst_stream(f.payload);
-  if (!code || f.stream_id == 0) {
-    connection_error(ErrorCode::kProtocolError, "bad RST_STREAM");
+  if (!code) {  // RFC 7540 §6.4
+    connection_error(ErrorCode::kFrameSizeError, "bad RST_STREAM length");
     return;
   }
   ++stats_.rst_received;
@@ -707,8 +720,12 @@ void Connection::handle_window_update(const Frame& f) {
 }
 
 void Connection::handle_ping(const Frame& f) {
-  if (f.payload.size() != 8 || f.stream_id != 0) {
-    connection_error(ErrorCode::kFrameSizeError, "bad PING");
+  if (f.stream_id != 0) {  // RFC 7540 §6.7
+    connection_error(ErrorCode::kProtocolError, "PING on non-zero stream");
+    return;
+  }
+  if (f.payload.size() != 8) {
+    connection_error(ErrorCode::kFrameSizeError, "bad PING length");
     return;
   }
   if (f.has_flag(flags::kAck)) return;
@@ -720,6 +737,10 @@ void Connection::handle_ping(const Frame& f) {
 }
 
 void Connection::handle_goaway(const Frame& f) {
+  if (f.stream_id != 0) {  // RFC 7540 §6.8
+    connection_error(ErrorCode::kProtocolError, "GOAWAY on non-zero stream");
+    return;
+  }
   auto g = parse_goaway(f.payload);
   if (!g) {
     connection_error(ErrorCode::kFrameSizeError, "bad GOAWAY");

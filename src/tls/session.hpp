@@ -28,22 +28,34 @@ void apply_keystream(std::uint64_t key, std::uint64_t stream_off,
 ///
 /// Fidelity notes (documented substitution, see DESIGN.md): the handshake is
 /// a fixed-shape record exchange with realistic sizes, and record protection
-/// is a keystream XOR plus a 16-byte keyed checksum standing in for an AEAD
-/// tag. This is NOT cryptography — it exists so that (a) payload bytes on the
-/// wire differ from plaintext, (b) records carry the authentic +21-byte
-/// overhead the paper's size side-channel sees, and (c) the checksum detects
-/// any byte-stream corruption, turning the TLS layer into a running
-/// integrity check on the TCP implementation underneath. Both ends do the
-/// full work per record: the sender encrypts and tags, the receiver
-/// recomputes the tag and decrypts. A session keeps no state outside itself,
-/// so nothing outlives the trial it belongs to.
+/// stands in for an AEAD. This is NOT cryptography — it exists so that
+/// records carry the authentic +21-byte overhead the paper's size
+/// side-channel sees, and so that a 16-byte keyed checksum detects any
+/// byte-stream corruption, turning the TLS layer into a running integrity
+/// check on the TCP implementation underneath.
 ///
-/// The receiver aborts on an unknown content type ("tls-unexpected-message")
-/// and on a header whose length exceeds `kMaxCiphertextBytes`
-/// ("tls-record-overflow"), the latter before buffering the body.
+/// Record protection has two modes, fixed at construction:
+/// - `kFull`: the body is keystream-XORed ciphertext plus a tag over it, so
+///   payload bytes on the wire differ from the plaintext. The sender
+///   encrypts and tags, the receiver recomputes the tag and decrypts.
+/// - `kElided`: the body is the plaintext plus a keyed 4-lane checksum of
+///   it, computed while the plaintext is copied into the record. The
+///   receiver verifies the checksum and delivers the record body in place.
+/// Record sizes, types and timing — all the adversary reads — are identical
+/// in both modes. A trial runs `kFull` when it has a capture session (the
+/// only place ciphertext bytes can be seen) and `kElided` otherwise;
+/// sessions built outside a trial default to `kFull`. Both peers of a
+/// connection must use the same mode. A session keeps no state outside
+/// itself, so nothing outlives the trial it belongs to.
+///
+/// The receiver aborts on a tag or checksum mismatch ("tls-bad-record-mac"),
+/// on an unknown content type ("tls-unexpected-message") and on a header
+/// whose length exceeds `kMaxCiphertextBytes` ("tls-record-overflow"), the
+/// latter before buffering the body.
 class TlsSession {
  public:
   enum class Role { kClient, kServer };
+  enum class Protection { kFull, kElided };
 
   struct Callbacks {
     std::function<void()> on_established;
@@ -56,7 +68,8 @@ class TlsSession {
 
   /// Installs itself as the TCP connection's callback owner. The connection
   /// must outlive the session.
-  TlsSession(tcp::TcpConnection& conn, Role role);
+  TlsSession(tcp::TcpConnection& conn, Role role,
+             Protection protection = Protection::kFull);
 
   TlsSession(const TlsSession&) = delete;
   TlsSession& operator=(const TlsSession&) = delete;
@@ -94,28 +107,33 @@ class TlsSession {
   /// Sends a cleartext (handshake or alert) record.
   void send_record(ContentType type, std::span<const std::uint8_t> body);
   /// Protects one plaintext chunk and sends it as a single ApplicationData
-  /// record, writing ciphertext and tag in place after the header.
+  /// record, writing the protected body and its tag in place after the
+  /// header.
   void send_protected(std::span<const std::uint8_t> plaintext);
   void send_handshake_flight(std::size_t size);
+  /// Checks `body`'s tag and points `plaintext` at its plaintext: decrypted
+  /// into `plain_scratch_` (kFull) or the body itself (kElided). False on a
+  /// tag mismatch.
   bool unprotect(std::span<const std::uint8_t> body,
-                 std::vector<std::uint8_t>& plaintext_out);
+                 std::span<const std::uint8_t>& plaintext);
   void fail(std::string_view reason);
 
   std::uint64_t direction_key(bool encrypt) const;
 
   tcp::TcpConnection& conn_;
   Role role_;
+  Protection protection_;
   Callbacks cbs_;
   RecordParser parser_;
   bool established_ = false;
   bool failed_ = false;
   int handshake_flights_seen_ = 0;
   std::uint64_t session_key_ = 0;
-  std::uint64_t encrypt_counter_ = 0;
-  std::uint64_t decrypt_counter_ = 0;
+  std::uint64_t encrypt_counter_ = 0;  // protected bytes sent
+  std::uint64_t decrypt_counter_ = 0;  // protected bytes received
   std::uint64_t records_sent_ = 0;
   std::vector<std::uint8_t> wire_scratch_;   // reused by every send
-  std::vector<std::uint8_t> plain_scratch_;  // reused by handle_record
+  std::vector<std::uint8_t> plain_scratch_;  // kFull decrypt target
 };
 
 }  // namespace h2sim::tls

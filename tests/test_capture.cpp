@@ -110,6 +110,90 @@ TEST(Pcapng, ReaderRejectsMissingAndMalformedFiles) {
   EXPECT_FALSE(error.empty());
 }
 
+/// Little-endian pcapng bytes for the reader's hostile-input tests.
+class RawPcapng {
+ public:
+  RawPcapng() {
+    // Section Header Block: magic, version 1.0, unspecified section length.
+    block(0x0A0D0D0A, {0x4D, 0x3C, 0x2B, 0x1A, 1, 0, 0, 0,
+                       0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF});
+  }
+
+  /// An Ethernet IDB; `tsresol` < 0 leaves the default microsecond clock.
+  RawPcapng& interface(int tsresol) {
+    std::vector<std::uint8_t> body = {1, 0, 0, 0, 0, 0, 0, 0};
+    if (tsresol >= 0) {
+      const std::vector<std::uint8_t> opt = {
+          9, 0, 1, 0, static_cast<std::uint8_t>(tsresol), 0, 0, 0};
+      body.insert(body.end(), opt.begin(), opt.end());
+    }
+    body.insert(body.end(), {0, 0, 0, 0});  // opt_endofopt
+    block(0x00000001, body);
+    return *this;
+  }
+
+  /// An empty EPB on interface 0 with the given raw timestamp.
+  RawPcapng& packet(std::uint32_t ts_high, std::uint32_t ts_low) {
+    std::vector<std::uint8_t> body;
+    for (const std::uint32_t v : {0u, ts_high, ts_low, 0u, 0u}) put_u32(body, v);
+    block(0x00000006, body);
+    return *this;
+  }
+
+  void write(const std::string& path) const {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes_.data(), 1, bytes_.size(), f);
+    std::fclose(f);
+  }
+
+ private:
+  static void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void block(std::uint32_t type, const std::vector<std::uint8_t>& body) {
+    const auto total = static_cast<std::uint32_t>(12 + body.size());
+    put_u32(bytes_, type);
+    put_u32(bytes_, total);
+    bytes_.insert(bytes_.end(), body.begin(), body.end());
+    put_u32(bytes_, total);
+  }
+
+  std::vector<std::uint8_t> bytes_;
+};
+
+TEST(Pcapng, ReaderRejectsOverflowingTimestamps) {
+  // Both used to be signed-overflow UB: 10^127 in the resolution scale, and
+  // ~9.2e18 microseconds times 1000.
+  ScratchDir dir("pcapng_ts");
+  const std::string resol = (dir / "resol.pcapng").string();
+  const std::string ticks = (dir / "ticks.pcapng").string();
+  RawPcapng().interface(127).write(resol);
+  RawPcapng().interface(-1).packet(0x7fffffff, 0).write(ticks);
+
+  PcapngReader reader;
+  std::string error;
+  EXPECT_FALSE(reader.open(resol, &error));
+  EXPECT_NE(error.find("if_tsresol exponent 127 exceeds 18"), std::string::npos)
+      << error;
+  error.clear();
+  EXPECT_FALSE(reader.open(ticks, &error));
+  EXPECT_NE(error.find("EPB timestamp overflows int64 nanoseconds"),
+            std::string::npos)
+      << error;
+
+  // The largest legal values still parse: 10^-18 s ticks, and a microsecond
+  // timestamp just under the int64 nanosecond limit.
+  const std::string ok = (dir / "ok.pcapng").string();
+  RawPcapng().interface(18).interface(-1).packet(0, 1).write(ok);
+  ASSERT_TRUE(reader.open(ok, &error)) << error;
+  ASSERT_EQ(reader.packets().size(), 1u);
+  EXPECT_EQ(reader.packets()[0].ts_nanos, 0);
+  RawPcapng().interface(-1).packet(0x0020c49b, 0xa5e353f7).write(ok);
+  ASSERT_TRUE(reader.open(ok, &error)) << error;
+  EXPECT_EQ(reader.packets()[0].ts_nanos, 9'223'372'036'854'775'000LL);
+}
+
 // --- Synthetic framing ---
 
 net::Packet sample_packet() {
@@ -431,32 +515,38 @@ TEST(RoundTrip, ThirtyTwoSeedsReproduceTheLiveAdversaryView) {
 }
 
 TEST(RoundTrip, CaptureIsPurelyObservational) {
+  // A captured trial runs full TLS record protection and an uncaptured one
+  // the elided mode, so this also pins that no TrialResult field depends on
+  // ciphertext bytes.
   ScratchDir dir("observational");
-  for (const bool attack_on : {true, false}) {
-    experiment::TrialConfig off_cfg;
-    off_cfg.seed = 77;
-    if (attack_on) off_cfg.attack = experiment::full_attack_config();
-    else off_cfg = small_site(std::move(off_cfg));
+  for (std::uint64_t seed = 77; seed < 85; ++seed) {
+    for (const bool attack_on : {true, false}) {
+      SCOPED_TRACE(seed);
+      experiment::TrialConfig off_cfg;
+      off_cfg.seed = seed;
+      if (attack_on) off_cfg.attack = experiment::full_attack_config();
+      else off_cfg = small_site(std::move(off_cfg));
 
-    experiment::TrialConfig on_cfg = off_cfg;
-    on_cfg.capture.path =
-        (dir / (attack_on ? "on.pcapng" : "off.pcapng")).string();
-    on_cfg.capture.client_vantage = true;
-    on_cfg.capture.gateway_vantage = true;
-    on_cfg.capture.server_vantage = true;
+      experiment::TrialConfig on_cfg = off_cfg;
+      on_cfg.capture.path =
+          (dir / (attack_on ? "on.pcapng" : "off.pcapng")).string();
+      on_cfg.capture.client_vantage = true;
+      on_cfg.capture.gateway_vantage = true;
+      on_cfg.capture.server_vantage = true;
 
-    const experiment::TrialResult without = experiment::run_trial(off_cfg);
-    experiment::TrialResult with = experiment::run_trial(on_cfg);
+      const experiment::TrialResult without = experiment::run_trial(off_cfg);
+      experiment::TrialResult with = experiment::run_trial(on_cfg);
 
-    EXPECT_GT(with.capture_packets, 0u);
-    EXPECT_GT(with.capture_bytes_written, 0u);
-    EXPECT_EQ(without.capture_packets, 0u);
-    EXPECT_EQ(without.capture_bytes_written, 0u);
-    // Every other field — timings, retransmits, verdicts, hot-path alloc
-    // counts — must be bit-identical: the taps observe, never perturb.
-    with.capture_packets = 0;
-    with.capture_bytes_written = 0;
-    EXPECT_EQ(with, without) << (attack_on ? "full attack" : "baseline");
+      EXPECT_GT(with.capture_packets, 0u);
+      EXPECT_GT(with.capture_bytes_written, 0u);
+      EXPECT_EQ(without.capture_packets, 0u);
+      EXPECT_EQ(without.capture_bytes_written, 0u);
+      // Every other field — timings, retransmits, verdicts, hot-path alloc
+      // counts — must be bit-identical: the taps observe, never perturb.
+      with.capture_packets = 0;
+      with.capture_bytes_written = 0;
+      EXPECT_EQ(with, without) << (attack_on ? "full attack" : "baseline");
+    }
   }
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "h2_fixture.hpp"
 #include "http/message.hpp"
@@ -15,9 +18,21 @@ namespace {
 
 using h2sim::testing::H2Pair;
 
-TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
-  // Flip one payload byte in flight: the record MAC must fail and the
-  // session must abort rather than deliver garbage.
+/// An in-flight rewrite of the client-to-server TLS byte stream.
+enum class Mutation { kNone, kFlipByte, kSwapWords, kReplayRecord };
+
+struct CorruptionOutcome {
+  std::string server_abort;        // empty if the server never aborted
+  std::vector<std::uint8_t> delivered;  // plaintext the server accepted
+  bool mutated = false;            // the rewrite hit the stream
+};
+
+/// Sends two equal-length application records A and B from client to server
+/// through a middlebox that applies `m` to the byte stream.
+CorruptionOutcome send_through_corruptor(tls::TlsSession::Protection mode,
+                                         Mutation m,
+                                         const std::vector<std::uint8_t>& a,
+                                         const std::vector<std::uint8_t>& b) {
   sim::EventLoop loop;
   net::Topology topo(loop, net::Topology::Config{}, 1);
   tcp::TcpConfig cfg;
@@ -32,52 +47,127 @@ TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
   topo.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });
   topo.set_client_sink(0, [&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
 
+  CorruptionOutcome out;
   std::unique_ptr<tls::TlsSession> server_tls;
-  bool server_aborted = false;
-  bool got_plaintext = false;
   server_stack.listen(443, [&](tcp::TcpConnection& c) {
-    server_tls = std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kServer);
+    server_tls = std::make_unique<tls::TlsSession>(
+        c, tls::TlsSession::Role::kServer, mode);
     tls::TlsSession::Callbacks cbs;
-    cbs.on_plaintext = [&](std::span<const std::uint8_t>) { got_plaintext = true; };
-    cbs.on_aborted = [&](std::string_view) { server_aborted = true; };
+    cbs.on_plaintext = [&](std::span<const std::uint8_t> p) {
+      out.delivered.insert(out.delivered.end(), p.begin(), p.end());
+    };
+    cbs.on_aborted = [&](std::string_view r) { out.server_abort = r; };
     server_tls->set_callbacks(std::move(cbs));
   });
 
   tcp::TcpConnection& conn = client_stack.connect(net::Topology::kServerNode, 443);
-  tls::TlsSession client_tls(conn, tls::TlsSession::Role::kClient);
+  tls::TlsSession client_tls(conn, tls::TlsSession::Role::kClient, mode);
 
-  // Corrupt the 4th client->server payload packet (application data; the
-  // first three carry the handshake).
-  int payload_count = 0;
+  // Stream layout: ClientHello (5 + 512) and Finished (5 + 64) records, then
+  // A and B, each a 5-byte header, the body and the 16-byte tag.
+  constexpr std::size_t kAppStart = 5 + 512 + 5 + 64;
+  const std::size_t rec_len = tls::kRecordHeaderBytes + a.size() + tls::kAeadTagBytes;
+  // The middlebox API is non-mutating; corrupt via const_cast to simulate
+  // in-flight rewriting (test-only). Offsets are stream positions from the
+  // TCP sequence number, so the rewrite does not depend on segmentation.
   class Corruptor : public net::PacketPolicy {
    public:
-    int* counter;
+    Corruptor(Mutation m, std::size_t rec_len, bool* mutated)
+        : m_(m), rec_len_(rec_len), mutated_(mutated) {}
     net::Decision on_packet(const net::Packet& p, net::Direction dir,
                             sim::TimePoint) override {
-      if (dir == net::Direction::kClientToServer && !p.payload.empty()) {
-        ++*counter;
-        if (*counter == 4) {
-          // The middlebox API is non-mutating; corrupt via const_cast to
-          // simulate in-flight bit rot (test-only).
-          auto& mutable_packet = const_cast<net::Packet&>(p);
-          mutable_packet.payload[mutable_packet.payload.size() / 2] ^= 0xff;
+      if (dir != net::Direction::kClientToServer || p.payload.empty()) {
+        return net::Decision::forward();
+      }
+      if (!base_) base_ = p.tcp.seq;
+      const std::size_t off = p.tcp.seq - *base_;
+      auto& payload = const_cast<net::Packet&>(p).payload;
+      if (seen_.size() < off + payload.size()) seen_.resize(off + payload.size());
+      std::copy(payload.begin(), payload.end(), seen_.begin() + off);
+      for (std::size_t i = 0; i < payload.size(); ++i) {
+        const std::optional<std::size_t> from = source(off + i);
+        if (from && *from < seen_.size()) {
+          payload[i] = *from == off + i ? payload[i] ^ 0xff : seen_[*from];
+          *mutated_ = true;
         }
       }
       return net::Decision::forward();
     }
-  } corruptor;
-  corruptor.counter = &payload_count;
+
+   private:
+    /// Where the byte at stream offset `o` is taken from (itself means
+    /// "flip it"), or nullopt to leave it alone.
+    std::optional<std::size_t> source(std::size_t o) const {
+      const std::size_t body = kAppStart + tls::kRecordHeaderBytes;
+      switch (m_) {
+        case Mutation::kNone:
+          return std::nullopt;
+        case Mutation::kFlipByte:  // one byte in the middle of A's body
+          if (o == body + rec_len_ / 2) return o;
+          return std::nullopt;
+        case Mutation::kSwapWords:  // A's body words 1 and 3
+          if (o >= body + 8 && o < body + 16) return o + 16;
+          if (o >= body + 24 && o < body + 32) return o - 16;
+          return std::nullopt;
+        case Mutation::kReplayRecord:  // B's bytes become A's
+          if (o >= kAppStart + rec_len_ && o < kAppStart + 2 * rec_len_) {
+            return o - rec_len_;
+          }
+          return std::nullopt;
+      }
+      return std::nullopt;
+    }
+
+    Mutation m_;
+    std::size_t rec_len_;
+    bool* mutated_;
+    std::optional<std::uint32_t> base_;
+    std::vector<std::uint8_t> seen_;  // the stream as sent
+  } corruptor(m, rec_len, &out.mutated);
   topo.middlebox().set_policy(&corruptor);
 
   tls::TlsSession::Callbacks ccbs;
   ccbs.on_established = [&] {
-    std::vector<std::uint8_t> msg(5000, 0x61);
-    client_tls.write(msg);
+    client_tls.write(a);
+    client_tls.write(b);
   };
   client_tls.set_callbacks(std::move(ccbs));
 
   loop.run(sim::TimePoint::origin() + sim::Duration::seconds(10));
-  EXPECT_TRUE(server_aborted);  // bad_record_mac semantics
+  return out;
+}
+
+TEST(ErrorPaths, TlsDetectsCorruptedCiphertext) {
+  // A flipped byte, two swapped 8-byte words and a replayed record must each
+  // fail the record MAC, in both protection modes: the session aborts rather
+  // than deliver the rewritten record.
+  std::vector<std::uint8_t> a(1000), b(1000);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    b[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  std::vector<std::uint8_t> ab = a;
+  ab.insert(ab.end(), b.begin(), b.end());
+
+  using P = tls::TlsSession::Protection;
+  for (const P mode : {P::kFull, P::kElided}) {
+    SCOPED_TRACE(mode == P::kFull ? "full" : "elided");
+    const CorruptionOutcome clean =
+        send_through_corruptor(mode, Mutation::kNone, a, b);
+    EXPECT_EQ(clean.server_abort, "");
+    EXPECT_EQ(clean.delivered, ab);
+
+    for (const Mutation m :
+         {Mutation::kFlipByte, Mutation::kSwapWords, Mutation::kReplayRecord}) {
+      SCOPED_TRACE(static_cast<int>(m));
+      const CorruptionOutcome bad = send_through_corruptor(mode, m, a, b);
+      EXPECT_TRUE(bad.mutated);
+      EXPECT_EQ(bad.server_abort, "tls-bad-record-mac");
+      // Only the records before the rewritten one get through.
+      EXPECT_EQ(bad.delivered,
+                m == Mutation::kReplayRecord ? a : std::vector<std::uint8_t>{});
+    }
+  }
 }
 
 TEST(ErrorPaths, BadConnectionPrefaceKillsConnection) {
@@ -156,6 +246,57 @@ TEST(ErrorPaths, ConnectionErrorIsTraced) {
   ASSERT_NE(it, events.end());
   EXPECT_EQ(it->pid, obs::track::kServer);
   EXPECT_NE(it->args.find("FRAME_SIZE_ERROR"), std::string::npos) << it->args;
+}
+
+TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
+  struct Case {
+    const char* what;
+    h2::FrameType type;
+    std::uint8_t flags;
+    std::uint32_t stream_id;
+    std::vector<std::uint8_t> payload;
+    const char* code;
+  };
+  const h2::SettingsEntry push2[] = {{h2::SettingId::kEnablePush, 2}};
+  const std::vector<Case> cases = {
+      {"SETTINGS ACK with payload (6.5)", h2::FrameType::kSettings,
+       h2::flags::kAck, 0, {0, 0, 0, 0, 0, 0}, "FRAME_SIZE_ERROR"},
+      {"ENABLE_PUSH = 2 (6.5.2)", h2::FrameType::kSettings, 0, 0,
+       h2::encode_settings(push2), "PROTOCOL_ERROR"},
+      {"3-byte RST_STREAM (6.4)", h2::FrameType::kRstStream, 0, 1, {0, 0, 0},
+       "FRAME_SIZE_ERROR"},
+      {"PING on stream 1 (6.7)", h2::FrameType::kPing, 0, 1,
+       std::vector<std::uint8_t>(8, 0), "PROTOCOL_ERROR"},
+      {"GOAWAY on stream 1 (6.8)", h2::FrameType::kGoaway, 0, 1,
+       h2::encode_goaway({0, h2::ErrorCode::kNoError, ""}), "PROTOCOL_ERROR"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    obs::Context ctx;
+    obs::ScopedContext scope(ctx);
+    ctx.tracer.enable(obs::Component::kH2);
+    H2Pair pair;
+    pair.run(1);
+    h2::Frame f;
+    f.type = c.type;
+    f.flags = c.flags;
+    f.stream_id = c.stream_id;
+    f.payload = c.payload;
+    pair.client_tls->write(h2::serialize_frame(f));
+    pair.run(2);
+    EXPECT_TRUE(pair.server->dead());
+    const auto& events = ctx.tracer.events();
+    const auto it = std::find_if(events.begin(), events.end(), [](const auto& e) {
+      return e.name == "connection-error" && e.pid == obs::track::kServer;
+    });
+    if (it == events.end()) {
+      ADD_FAILURE() << "no server connection-error event";
+      continue;
+    }
+    EXPECT_NE(it->args.find(std::string("\"code\": \"") + c.code + "\""),
+              std::string::npos)
+        << it->args;
+  }
 }
 
 TEST(ErrorPaths, GarbageHeaderBlockIsCompressionError) {

@@ -144,9 +144,14 @@ TEST(RecordCodec, RandomSplitsReassembleAndGarbageNeverCrashes) {
   }
 }
 
-/// Full client/server TLS-over-TCP fixture through the simulated topo.
+/// Full client/server TLS-over-TCP fixture through the simulated topo. Both
+/// sessions use `protection()`.
 class TlsPairTest : public ::testing::Test {
  protected:
+  virtual TlsSession::Protection protection() const {
+    return TlsSession::Protection::kFull;
+  }
+
   void SetUp() override {
     topo_ = std::make_unique<net::Topology>(loop_, net::Topology::Config{}, 1);
     server_stack_ = std::make_unique<tcp::TcpStack>(
@@ -161,7 +166,8 @@ class TlsPairTest : public ::testing::Test {
         [this](net::Packet&& p) { client_stack_->deliver(std::move(p)); });
 
     server_stack_->listen(443, [this](tcp::TcpConnection& c) {
-      server_tls_ = std::make_unique<TlsSession>(c, TlsSession::Role::kServer);
+      server_tls_ =
+          std::make_unique<TlsSession>(c, TlsSession::Role::kServer, protection());
       TlsSession::Callbacks cbs;
       cbs.on_established = [this] { server_established_ = true; };
       cbs.on_aborted = [this](std::string_view r) { server_abort_ = r; };
@@ -173,7 +179,8 @@ class TlsPairTest : public ::testing::Test {
     });
 
     tcp::TcpConnection& c = client_stack_->connect(net::Topology::kServerNode, 443);
-    client_tls_ = std::make_unique<TlsSession>(c, TlsSession::Role::kClient);
+    client_tls_ =
+        std::make_unique<TlsSession>(c, TlsSession::Role::kClient, protection());
     TlsSession::Callbacks cbs;
     cbs.on_established = [this] { client_established_ = true; };
     cbs.on_plaintext = [this](std::span<const std::uint8_t> b) {
@@ -220,6 +227,7 @@ TEST_F(TlsPairTest, PlaintextRoundTrip) {
 }
 
 TEST_F(TlsPairTest, CiphertextDiffersFromPlaintext) {
+  ASSERT_EQ(protection(), TlsSession::Protection::kFull);
   run(1);
   // Tap the path to confirm no plaintext pattern leaks on the wire.
   std::vector<std::uint8_t> wire_bytes;
@@ -240,6 +248,52 @@ TEST_F(TlsPairTest, CiphertextDiffersFromPlaintext) {
     max_run = std::max(max_run, run_len);
   }
   EXPECT_LT(max_run, 100);
+}
+
+/// The same pair with elided record protection: plaintext bodies.
+class TlsElidedPairTest : public TlsPairTest {
+ protected:
+  TlsSession::Protection protection() const override {
+    return TlsSession::Protection::kElided;
+  }
+};
+
+TEST_F(TlsElidedPairTest, RecordsKeepTheirSizeAndCarryPlaintext) {
+  run(1);
+  ASSERT_TRUE(client_established_ && server_established_);
+  std::vector<std::uint8_t> wire_bytes;
+  topo_->middlebox().set_tap(
+      [&](const net::Packet& p, net::Direction d, sim::TimePoint) {
+        if (d == net::Direction::kClientToServer) {
+          wire_bytes.insert(wire_bytes.end(), p.payload.begin(), p.payload.end());
+        }
+      });
+  echo_ = true;
+  std::vector<std::uint8_t> msg(40000);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  client_tls_->write(msg);
+  run(5);
+  EXPECT_EQ(server_received_, msg);
+  EXPECT_EQ(client_received_, msg);
+  EXPECT_EQ(server_abort_, "");
+
+  // Records of 16384, 16384 and 7232 plaintext bytes, each +5 header and
+  // +16 tag as in full mode, with the plaintext as the body.
+  RecordParser parser;
+  parser.feed(wire_bytes);
+  RecordParser::Record rec;
+  std::size_t pos = 0;
+  for (const std::size_t n : {16384u, 16384u, 7232u}) {
+    ASSERT_TRUE(parser.next(rec));
+    EXPECT_EQ(rec.header.type, ContentType::kApplicationData);
+    ASSERT_EQ(rec.header.length, n + kAeadTagBytes);
+    EXPECT_TRUE(std::equal(msg.begin() + pos, msg.begin() + pos + n,
+                           rec.body.begin()));
+    pos += n;
+  }
+  EXPECT_FALSE(parser.next(rec));
 }
 
 TEST_F(TlsPairTest, RecordOverheadIsAccounted) {
