@@ -198,7 +198,8 @@ bool PcapngReader::open(const std::string& path, std::string* error) {
 
   Cursor c{data.data(), data.size(), 0, false};
   bool saw_section = false;
-  while (c.has(12)) {
+  while (c.off < data.size()) {
+    if (!c.has(12)) return fail(error, path + ": truncated block");
     const std::size_t block_start = c.off;
     std::uint32_t type = c.u32();
     // The SHB's byte-order magic governs everything that follows, including
@@ -226,6 +227,11 @@ bool PcapngReader::open(const std::string& path, std::string* error) {
       return fail(error, path + ": bad block length");
     }
     const std::size_t body_end = block_start + total - 4;
+    Cursor trailer = c;
+    trailer.off = body_end;
+    if (trailer.u32() != total) {
+      return fail(error, path + ": block trailer length mismatch");
+    }
 
     if (type == kBlockInterface) {
       if (c.off + 8 > body_end) return fail(error, path + ": truncated IDB");

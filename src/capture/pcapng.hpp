@@ -80,7 +80,9 @@ class PcapngWriter {
 class PcapngReader {
  public:
   /// Reads and parses the whole file. False with a human-readable message in
-  /// `*error` on malformed input or IO failure.
+  /// `*error` on malformed input or IO failure — among it a block whose
+  /// trailing length differs from its leading one, and bytes after the last
+  /// block too few to hold one.
   bool open(const std::string& path, std::string* error);
 
   const std::vector<PcapngInterface>& interfaces() const { return interfaces_; }

@@ -33,45 +33,22 @@ struct TagWords {
   std::uint64_t t2;
 };
 
-/// kFull tag: a keyed checksum over the ciphertext, standing in for the AEAD
-/// tag. Two chained mix64 lanes consume the body one 64-bit word at a time
-/// (the last partial word zero-padded), then the length is folded in so
-/// padding cannot collide with genuine zero bytes.
-TagWords tag_words(std::uint64_t key, std::uint64_t counter,
-                   const std::uint8_t* body, std::size_t n) {
-  std::uint64_t t1 = key ^ counter;
-  std::uint64_t t2 = ~key;
-  std::size_t i = 0;
-  std::uint64_t j = 0;
-  for (; i + 8 <= n; i += 8, ++j) {
-    t1 = mix64(t1 + load64(body + i));
-    t2 = mix64(t2 ^ (t1 + j));
-  }
-  if (i < n) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, body + i, n - i);
-    t1 = mix64(t1 + w);
-    t2 = mix64(t2 ^ (t1 + j));
-  }
-  t1 = mix64(t1 + n);
-  t2 = mix64(t2 ^ t1);
-  return {t1, t2};
-}
-
-/// kElided tag: a keyed checksum over the plaintext, optionally copying it to
-/// `dst` in the same pass. Body word j (the last partial word zero-padded)
-/// feeds lane j % 4 through an xxHash64-style round, which is a bijection in
-/// both the lane and the word. So any change confined to one word — a
-/// flipped byte, or another word duplicated over it — always changes that
-/// lane, and the finaliser, a bijection in each lane with the others fixed,
-/// always changes the tag. Reordered words pass through different points of
-/// the nonlinear lane chains and collide only by chance (~2^-64). The lanes
-/// are seeded from the key and the record's stream offset, which no two
-/// records of a direction share (write() never sends an empty record), so a
-/// replayed record fails too; the length
-/// is folded in so padding cannot collide with genuine zero bytes. The four
-/// lanes are independent chains, so the pass runs near memcpy speed instead
-/// of at the latency of tag_words' serial mix64 chain.
+/// The record tag, in both protection modes: a keyed checksum over the
+/// plaintext, optionally copying it to `dst` in the same pass. Body word j
+/// (the last partial word zero-padded) feeds lane j % 4 through an
+/// xxHash64-style round, which is a bijection in both the lane and the word.
+/// So any change confined to one word — a flipped byte, or another word
+/// duplicated over it — always changes that lane, and the finaliser, a
+/// bijection in each lane with the others fixed, always changes the tag.
+/// kFull XORs the keystream over the body after tagging it, so a change to a
+/// ciphertext byte is a change to the plaintext byte under it, caught alike.
+/// Reordered words pass through different points of the nonlinear lane
+/// chains and collide only by chance (~2^-64). The lanes are seeded from the
+/// key and the record's stream offset, which no two records of a direction
+/// share (write() never sends an empty record), so a replayed record fails
+/// too; the length is folded in so padding cannot collide with genuine zero
+/// bytes. The four lanes are independent chains, so the pass runs near
+/// memcpy speed.
 template <bool kCopy>
 TagWords checksum_words(std::uint64_t key, std::uint64_t counter,
                         const std::uint8_t* src, std::uint8_t* dst,
@@ -239,11 +216,11 @@ void TlsSession::send_protected(std::span<const std::uint8_t> plaintext) {
   const std::uint64_t key = direction_key(/*encrypt=*/true);
   const std::size_t n = plaintext.size();
   std::uint8_t* body = begin_record(ContentType::kApplicationData, n + kAeadTagBytes);
-  const bool full = protection_ == Protection::kFull;
-  if (full) apply_keystream(key, encrypt_counter_, plaintext.data(), body, n);
   const TagWords tag =
-      full ? tag_words(key, encrypt_counter_, body, n)
-           : checksum_words<true>(key, encrypt_counter_, plaintext.data(), body, n);
+      checksum_words<true>(key, encrypt_counter_, plaintext.data(), body, n);
+  if (protection_ == Protection::kFull) {
+    apply_keystream(key, encrypt_counter_, body, body, n);
+  }
   store64(body + n, tag.t1);
   store64(body + n + 8, tag.t2);
   encrypt_counter_ += n;
@@ -256,23 +233,20 @@ bool TlsSession::unprotect(std::span<const std::uint8_t> body,
   if (body.size() < kAeadTagBytes) return false;
   const std::size_t n = body.size() - kAeadTagBytes;
   const std::uint64_t key = direction_key(/*encrypt=*/false);
-  const bool full = protection_ == Protection::kFull;
+  std::span<const std::uint8_t> plain = body.first(n);
+  if (protection_ == Protection::kFull) {
+    plain_scratch_.resize(n);
+    apply_keystream(key, decrypt_counter_, body.data(), plain_scratch_.data(), n);
+    plain = plain_scratch_;
+  }
 
   const TagWords tag =
-      full ? tag_words(key, decrypt_counter_, body.data(), n)
-           : checksum_words<false>(key, decrypt_counter_, body.data(), nullptr, n);
+      checksum_words<false>(key, decrypt_counter_, plain.data(), nullptr, n);
   std::uint8_t expected[kAeadTagBytes];
   store64(expected, tag.t1);
   store64(expected + 8, tag.t2);
   if (std::memcmp(expected, body.data() + n, kAeadTagBytes) != 0) return false;
-
-  if (full) {
-    plain_scratch_.resize(n);
-    apply_keystream(key, decrypt_counter_, body.data(), plain_scratch_.data(), n);
-    plaintext = plain_scratch_;
-  } else {
-    plaintext = body.first(n);
-  }
+  plaintext = plain;
   decrypt_counter_ += n;
   return true;
 }

@@ -16,7 +16,7 @@ namespace h2sim::tls {
 std::uint64_t keystream_word(std::uint64_t dir_key, std::uint64_t counter);
 
 /// XORs the deterministic keystream over [src, src+n) into dst, starting at
-/// absolute keystream offset `stream_off`. Word-at-a-time with a 4-wide
+/// absolute keystream offset `stream_off`; `dst` may equal `src`. Word-at-a-time with a 4-wide
 /// unrolled middle on the aligned body; bit-identical to the bytewise
 /// definition. A free function (no session state) so bench_micro can measure
 /// the record-protection inner loop on the real code.
@@ -34,23 +34,25 @@ void apply_keystream(std::uint64_t key, std::uint64_t stream_off,
 /// byte-stream corruption, turning the TLS layer into a running integrity
 /// check on the TCP implementation underneath.
 ///
-/// Record protection has two modes, fixed at construction:
-/// - `kFull`: the body is keystream-XORed ciphertext plus a tag over it, so
-///   payload bytes on the wire differ from the plaintext. The sender
-///   encrypts and tags, the receiver recomputes the tag and decrypts.
-/// - `kElided`: the body is the plaintext plus a keyed 4-lane checksum of
-///   it, computed while the plaintext is copied into the record. The
-///   receiver verifies the checksum and delivers the record body in place.
-/// Record sizes, types and timing — all the adversary reads — are identical
-/// in both modes. A trial runs `kFull` when it has a capture session (the
-/// only place ciphertext bytes can be seen) and `kElided` otherwise;
-/// sessions built outside a trial default to `kFull`. Both peers of a
-/// connection must use the same mode. A session keeps no state outside
+/// Every ApplicationData record carries a 16-byte tag: a keyed 4-lane
+/// checksum of its plaintext, computed while the plaintext is copied into the
+/// record. Record protection has two modes, fixed at construction, that
+/// differ only in the body:
+/// - `kFull`: the keystream is XORed over the body, so payload bytes on the
+///   wire differ from the plaintext. The receiver decrypts into a scratch
+///   buffer, then verifies the tag.
+/// - `kElided`: the body is the plaintext. The receiver verifies the tag
+///   and delivers the record body in place.
+/// Headers and tags are byte-identical in both modes, and so are record
+/// sizes, types and timing — all the adversary reads. A trial runs `kFull`
+/// when it has a capture session (the only place ciphertext bytes can be
+/// seen) and `kElided` otherwise; sessions built outside a trial default to
+/// `kFull`. Both peers of a connection must use the same mode. A session keeps no state outside
 /// itself, so nothing outlives the trial it belongs to.
 ///
-/// The receiver aborts on a tag or checksum mismatch ("tls-bad-record-mac"),
-/// on an unknown content type ("tls-unexpected-message") and on a header
-/// whose length exceeds `kMaxCiphertextBytes` ("tls-record-overflow"), the
+/// The receiver aborts on a tag mismatch ("tls-bad-record-mac"), on an
+/// unknown content type ("tls-unexpected-message") and on a header whose
+/// length exceeds `kMaxCiphertextBytes` ("tls-record-overflow"), the
 /// latter before buffering the body.
 class TlsSession {
  public:
@@ -111,9 +113,9 @@ class TlsSession {
   /// header.
   void send_protected(std::span<const std::uint8_t> plaintext);
   void send_handshake_flight(std::size_t size);
-  /// Checks `body`'s tag and points `plaintext` at its plaintext: decrypted
-  /// into `plain_scratch_` (kFull) or the body itself (kElided). False on a
-  /// tag mismatch.
+  /// Recovers `body`'s plaintext — decrypted into `plain_scratch_` (kFull)
+  /// or the body itself (kElided) — and checks its tag. Points `plaintext`
+  /// at it only on a match; false on a mismatch.
   bool unprotect(std::span<const std::uint8_t> body,
                  std::span<const std::uint8_t>& plaintext);
   void fail(std::string_view reason);

@@ -140,6 +140,24 @@ class RawPcapng {
     return *this;
   }
 
+  /// A block of `type` around `body`. Its leading and trailing length fields
+  /// are `lead` and `trail`, where 0 means the true total.
+  RawPcapng& block(std::uint32_t type, const std::vector<std::uint8_t>& body,
+                   std::uint32_t lead = 0, std::uint32_t trail = 0) {
+    const auto total = static_cast<std::uint32_t>(12 + body.size());
+    put_u32(bytes_, type);
+    put_u32(bytes_, lead ? lead : total);
+    bytes_.insert(bytes_.end(), body.begin(), body.end());
+    put_u32(bytes_, trail ? trail : total);
+    return *this;
+  }
+
+  /// Raw bytes after the last block.
+  RawPcapng& tail(const std::vector<std::uint8_t>& bytes) {
+    bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+    return *this;
+  }
+
   void write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -150,13 +168,6 @@ class RawPcapng {
  private:
   static void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void block(std::uint32_t type, const std::vector<std::uint8_t>& body) {
-    const auto total = static_cast<std::uint32_t>(12 + body.size());
-    put_u32(bytes_, type);
-    put_u32(bytes_, total);
-    bytes_.insert(bytes_.end(), body.begin(), body.end());
-    put_u32(bytes_, total);
   }
 
   std::vector<std::uint8_t> bytes_;
@@ -192,6 +203,50 @@ TEST(Pcapng, ReaderRejectsOverflowingTimestamps) {
   RawPcapng().interface(-1).packet(0x0020c49b, 0xa5e353f7).write(ok);
   ASSERT_TRUE(reader.open(ok, &error)) << error;
   EXPECT_EQ(reader.packets()[0].ts_nanos, 9'223'372'036'854'775'000LL);
+}
+
+TEST(Pcapng, ReaderRejectsMalformedBlockStructure) {
+  // An EPB on interface 0 whose 100-byte capture the 20-byte body cannot hold.
+  const std::vector<std::uint8_t> overlong_epb = {
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 100, 0, 0, 0};
+  // An IDB whose if_name option claims 255 bytes of a 4-byte block rest.
+  const std::vector<std::uint8_t> overlong_option = {
+      1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 255, 0, 0, 0, 0, 0};
+  const struct {
+    const char* name;
+    RawPcapng file;
+    const char* error;
+  } cases[] = {
+      {"total_below_12", RawPcapng().block(0x6, {}, 8, 8), "bad block length"},
+      {"total_not_4_aligned", RawPcapng().block(0x6, {0, 0, 0, 0}, 14),
+       "bad block length"},
+      {"total_past_eof", RawPcapng().interface(-1).block(0x6, {}, 1000),
+       "bad block length"},
+      {"trailer_mismatch", RawPcapng().interface(-1).block(0x6, {}, 0, 16),
+       "block trailer length mismatch"},
+      {"stray_tail", RawPcapng().interface(-1).tail({1, 2, 3, 4, 5}),
+       "truncated block"},
+      {"idb_option_overrun", RawPcapng().block(0x1, overlong_option),
+       "bad option"},
+      {"epb_cap_len_overrun", RawPcapng().interface(-1).block(0x6, overlong_epb),
+       "EPB capture length overruns block"},
+  };
+  ScratchDir dir("pcapng_blocks");
+  PcapngReader reader;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = (dir / (std::string(c.name) + ".pcapng")).string();
+    c.file.write(path);
+    std::string error;
+    EXPECT_FALSE(reader.open(path, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find(c.error), std::string::npos) << error;
+  }
+  // The same blocks with consistent lengths and no tail still parse.
+  const std::string ok = (dir / "ok.pcapng").string();
+  RawPcapng().interface(-1).packet(0, 1).write(ok);
+  std::string error;
+  EXPECT_TRUE(reader.open(ok, &error)) << error;
 }
 
 // --- Synthetic framing ---

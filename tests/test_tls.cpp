@@ -296,6 +296,81 @@ TEST_F(TlsElidedPairTest, RecordsKeepTheirSizeAndCarryPlaintext) {
   EXPECT_FALSE(parser.next(rec));
 }
 
+/// A client/server pair with its protection picked at construction, so one
+/// test can drive a kFull and a kElided pair side by side.
+class TlsPair : public TlsPairTest {
+ public:
+  explicit TlsPair(TlsSession::Protection protection) : protection_(protection) {
+    SetUp();
+  }
+  void TestBody() override {}
+  TlsSession::Protection protection() const override { return protection_; }
+
+  std::uint16_t client_port() { return client_tls_->connection().local_port(); }
+
+  /// Completes the handshake, writes `msg` from the client and returns the
+  /// client-to-server TCP payload bytes that carried it.
+  std::vector<std::uint8_t> client_wire(const std::vector<std::uint8_t>& msg) {
+    run(1);
+    std::vector<std::uint8_t> wire;
+    topo_->middlebox().set_tap(
+        [&](const net::Packet& p, net::Direction d, sim::TimePoint) {
+          if (d == net::Direction::kClientToServer) {
+            wire.insert(wire.end(), p.payload.begin(), p.payload.end());
+          }
+        });
+    client_tls_->write(msg);
+    run(5);
+    EXPECT_EQ(server_received_, msg);
+    EXPECT_EQ(server_abort_, "");
+    return wire;
+  }
+
+ private:
+  TlsSession::Protection protection_;
+};
+
+TEST(TlsRecordTag, FullRecordIsTheElidedRecordUnderTheKeystream) {
+  std::vector<std::uint8_t> msg(40000);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  TlsPair full(TlsSession::Protection::kFull);
+  TlsPair elided(TlsSession::Protection::kElided);
+  // Same ports, hence the same session key.
+  ASSERT_EQ(full.client_port(), elided.client_port());
+  const std::vector<std::uint8_t> full_wire = full.client_wire(msg);
+  const std::vector<std::uint8_t> elided_wire = elided.client_wire(msg);
+  ASSERT_EQ(full_wire.size(), elided_wire.size());
+
+  // Record by record: the header and the tag are byte-equal, the body is not.
+  std::size_t pos = 0;
+  int records = 0;
+  while (pos + kRecordHeaderBytes <= elided_wire.size()) {
+    SCOPED_TRACE(records);
+    const auto at = [pos](const std::vector<std::uint8_t>& w, std::size_t from,
+                          std::size_t len) {
+      return std::vector<std::uint8_t>(w.begin() + pos + from,
+                                       w.begin() + pos + from + len);
+    };
+    ASSERT_EQ(at(full_wire, 0, kRecordHeaderBytes),
+              at(elided_wire, 0, kRecordHeaderBytes));
+    EXPECT_EQ(elided_wire[pos], static_cast<std::uint8_t>(ContentType::kApplicationData));
+    const std::size_t len = std::size_t{elided_wire[pos + 3]} << 8 | elided_wire[pos + 4];
+    ASSERT_GT(len, kAeadTagBytes);
+    ASSERT_LE(pos + kRecordHeaderBytes + len, elided_wire.size());
+    const std::size_t n = len - kAeadTagBytes;
+    EXPECT_NE(at(full_wire, kRecordHeaderBytes, n),
+              at(elided_wire, kRecordHeaderBytes, n));
+    EXPECT_EQ(at(full_wire, kRecordHeaderBytes + n, kAeadTagBytes),
+              at(elided_wire, kRecordHeaderBytes + n, kAeadTagBytes));
+    pos += kRecordHeaderBytes + len;
+    ++records;
+  }
+  EXPECT_EQ(pos, elided_wire.size());
+  EXPECT_EQ(records, 3);  // 16384 + 16384 + 7232 plaintext bytes
+}
+
 TEST_F(TlsPairTest, RecordOverheadIsAccounted) {
   run(1);
   const auto before = client_tls_->records_sent();
