@@ -69,7 +69,7 @@ CaseResult run_case(double gap_ms, h2::SchedulerKind scheduler) {
     s->conn = std::make_unique<h2::ServerConnection>(loop, *s->tls, scfg, rng.split());
     s->app = std::make_unique<web::ServerApp>(loop, site, *s->conn, rng.split(), app_cfg);
     auto* app = s->app.get();
-    s->conn->set_frame_tap([app, &wire_log](const h2::Frame& f, sim::TimePoint t) {
+    s->conn->set_frame_tap([app, &wire_log](const h2::FrameView& f, sim::TimePoint t) {
       analysis::ServerWireEvent ev;
       ev.time = t;
       ev.stream_id = f.stream_id;

@@ -54,8 +54,8 @@ void TrafficMonitor::observe(const net::Packet& p, net::Direction dir,
 
 void TrafficMonitor::drain_records(StreamState& st, net::Direction dir,
                                    sim::TimePoint now) {
-  tls::RecordHeader header;
-  while (st.parser.next_header(header)) {
+  while (const auto rec = st.parser.next()) {
+    const tls::RecordHeader& header = rec->header;
     analysis::RecordObs obs;
     obs.time = now;
     obs.dir = dir;

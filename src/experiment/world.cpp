@@ -110,7 +110,7 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
     // change, so the map lookup only runs on stream switches.
     sc->conn->set_frame_tap([app, this, cached_id = 0u,
                              cached_label = static_cast<const std::string*>(
-                                 nullptr)](const h2::Frame& f,
+                                 nullptr)](const h2::FrameView& f,
                                            sim::TimePoint t) mutable {
       analysis::ServerWireEvent ev;
       ev.time = t;

@@ -1,6 +1,7 @@
 #include "h2/connection.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "obs/context.hpp"
@@ -77,33 +78,20 @@ void Connection::send_initial_settings() {
       {SettingId::kInitialWindowSize, cfg_.initial_window_size},
       {SettingId::kMaxFrameSize, cfg_.max_frame_size},
   };
-  Frame f;
-  f.type = FrameType::kSettings;
-  f.payload = encode_settings(entries);
-  write_frame(std::move(f));
+  write_frame({FrameType::kSettings, 0, 0, encode_settings(entries)});
   decoder_.set_max_frame_size(cfg_.max_frame_size);
 
   if (cfg_.connection_window_bonus > 0) {
-    Frame wu;
-    wu.type = FrameType::kWindowUpdate;
-    wu.stream_id = 0;
-    wu.payload = encode_window_update(cfg_.connection_window_bonus);
-    write_frame(std::move(wu));
+    write_frame({FrameType::kWindowUpdate, 0, 0,
+                 encode_window_update(cfg_.connection_window_bonus)});
     conn_recv_window_.replenish(cfg_.connection_window_bonus);
   }
 }
 
-void Connection::write_frame(Frame&& f) {
+void Connection::write_frame(const FrameView& f) {
   if (dead_) return;
-  ++stats_.frames_sent;
   metrics_.frames_sent.inc();
-  if (f.type == FrameType::kData) {
-    ++stats_.data_frames_sent;
-    stats_.data_bytes_sent += f.payload.size();
-    metrics_.data_bytes_sent.add(f.payload.size());
-  } else if (f.type == FrameType::kHeaders) {
-    ++stats_.headers_frames_sent;
-  }
+  if (f.type == FrameType::kData) metrics_.data_bytes_sent.add(f.payload.size());
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kH2)) {
     tr.instant(obs::Component::kH2, std::string("tx ") + to_string(f.type),
@@ -115,7 +103,11 @@ void Connection::write_frame(Frame&& f) {
                    .take());
   }
   if (frame_tap_) frame_tap_(f, loop_.now());
-  tls_.write(serialize_frame(f));
+  std::uint8_t header[kFrameHeaderBytes];
+  write_frame_header(f, header);
+  frame_scratch_.assign(header, header + kFrameHeaderBytes);
+  frame_scratch_.insert(frame_scratch_.end(), f.payload.begin(), f.payload.end());
+  tls_.write(frame_scratch_);
 }
 
 Stream& Connection::create_stream(std::uint32_t id) {
@@ -124,7 +116,6 @@ Stream& Connection::create_stream(std::uint32_t id) {
   Stream& ref = *s;
   streams_[id] = std::move(s);
   rr_order_.push_back(id);
-  ++stats_.streams_opened;
   metrics_.streams_opened.inc();
   return ref;
 }
@@ -179,19 +170,15 @@ void Connection::connection_error(ErrorCode code, const std::string& msg) {
 }
 
 void Connection::send_goaway(ErrorCode code, std::string debug) {
-  Frame f;
-  f.type = FrameType::kGoaway;
-  f.payload = encode_goaway({highest_remote_stream_, code, std::move(debug)});
-  ++stats_.goaway_sent;
-  write_frame(std::move(f));
+  const std::vector<std::uint8_t> payload =
+      encode_goaway({highest_remote_stream_, code, std::move(debug)});
+  write_frame({FrameType::kGoaway, 0, 0, payload});
 }
 
 void Connection::send_ping() {
-  Frame f;
-  f.type = FrameType::kPing;
-  f.payload.assign(8, 0x42);
-  ++stats_.pings_sent;
-  write_frame(std::move(f));
+  std::array<std::uint8_t, 8> payload;
+  payload.fill(0x42);
+  write_frame({FrameType::kPing, 0, 0, payload});
 }
 
 void Connection::send_headers(std::uint32_t stream_id,
@@ -216,16 +203,15 @@ void Connection::send_headers(std::uint32_t stream_id,
   do {
     const std::size_t n = std::min<std::size_t>(peer_max_frame_size_,
                                                 block.size() - pos);
-    Frame f;
+    FrameView f;
     f.type = first ? FrameType::kHeaders : FrameType::kContinuation;
     f.stream_id = stream_id;
-    f.payload.assign(block.begin() + static_cast<std::ptrdiff_t>(pos),
-                     block.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    f.payload = std::span(block).subspan(pos, n);
     pos += n;
     if (first && end_stream) f.flags |= flags::kEndStream;
     if (pos == block.size()) f.flags |= flags::kEndHeaders;
     first = false;
-    write_frame(std::move(f));
+    write_frame(f);
   } while (pos < block.size());
   trace_stream_state(stream_id, before);
   destroy_stream_if_closed(stream_id);
@@ -238,13 +224,8 @@ void Connection::send_rst_stream(std::uint32_t stream_id, ErrorCode code) {
     s->flush_queue();
     s->on_send_rst();
   }
-  Frame f;
-  f.type = FrameType::kRstStream;
-  f.stream_id = stream_id;
-  f.payload = encode_rst_stream(code);
-  ++stats_.rst_sent;
   metrics_.rst_sent.inc();
-  write_frame(std::move(f));
+  write_frame({FrameType::kRstStream, 0, stream_id, encode_rst_stream(code)});
   trace_stream_state(stream_id, before);
   destroy_stream_if_closed(stream_id);
 }
@@ -368,18 +349,15 @@ void Connection::pump() {
                           std::min(s.send_window().available(),
                                    conn_send_window_.available())));
     }
-    const std::vector<std::uint8_t> chunk = s.dequeue(n);
+    // The payload is borrowed from the stream's queue: write_frame copies it
+    // before anything can enqueue to or flush that queue.
+    FrameView f{FrameType::kData, 0, id, s.take(n)};
     const bool end = s.queued_bytes() == 0 && s.end_stream_queued();
-
-    Frame f;
-    f.type = FrameType::kData;
-    f.stream_id = id;
-    f.payload = chunk;
-    if (end) f.flags |= flags::kEndStream;
+    if (end) f.flags = flags::kEndStream;
 
     s.send_window().consume(static_cast<std::int64_t>(n));
     conn_send_window_.consume(static_cast<std::int64_t>(n));
-    write_frame(std::move(f));
+    write_frame(f);
 
     if (end) {
       const StreamState before = s.state();
@@ -402,18 +380,17 @@ void Connection::on_plaintext(std::span<const std::uint8_t> bytes) {
       return;
     }
     preface_received_ = true;
-    const std::vector<std::uint8_t> rest(preface_buffer_.begin() + 24,
-                                         preface_buffer_.end());
+    decoder_.feed(std::span(preface_buffer_).subspan(expected.size()));
     preface_buffer_.clear();
-    decoder_.feed(rest);
   } else {
     decoder_.feed(bytes);
   }
 
-  while (auto f = decoder_.next()) {
-    ++stats_.frames_received;
+  // Each frame's payload is borrowed from the decoder's buffer, which only
+  // the feed() above touches.
+  while (const auto f = decoder_.next()) {
     metrics_.frames_received.inc();
-    handle_frame(std::move(*f));
+    handle_frame(*f);
     if (dead_) return;
   }
   if (decoder_.error()) {
@@ -421,7 +398,7 @@ void Connection::on_plaintext(std::span<const std::uint8_t> bytes) {
   }
 }
 
-void Connection::handle_frame(Frame&& f) {
+void Connection::handle_frame(const FrameView& f) {
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kH2)) {
     tr.instant(obs::Component::kH2, std::string("rx ") + to_string(f.type),
@@ -441,24 +418,31 @@ void Connection::handle_frame(Frame&& f) {
 
   switch (f.type) {
     case FrameType::kData: handle_data(f); return;
-    case FrameType::kHeaders: handle_headers(std::move(f)); return;
+    case FrameType::kHeaders: handle_headers(f); return;
     case FrameType::kPriority: handle_priority(f); return;
     case FrameType::kRstStream: handle_rst(f); return;
     case FrameType::kSettings: handle_settings(f); return;
-    case FrameType::kPushPromise: handle_push_promise(std::move(f)); return;
+    case FrameType::kPushPromise: handle_push_promise(f); return;
     case FrameType::kPing: handle_ping(f); return;
     case FrameType::kGoaway: handle_goaway(f); return;
     case FrameType::kWindowUpdate: handle_window_update(f); return;
-    case FrameType::kContinuation: handle_continuation(std::move(f)); return;
+    case FrameType::kContinuation: handle_continuation(f); return;
   }
   // Unknown frame types are ignored (§4.1).
 }
 
-void Connection::handle_data(const Frame& f) {
+void Connection::handle_data(const FrameView& f) {
   if (f.stream_id == 0) {
     connection_error(ErrorCode::kProtocolError, "DATA on stream 0");
     return;
   }
+  const auto body = unpadded_payload(f);
+  if (!body) {
+    connection_error(ErrorCode::kProtocolError, "DATA padding overruns payload");
+    return;
+  }
+  // The whole payload, padding included, counts against flow control
+  // (RFC 7540 §6.1); only the body reaches the application.
   const auto len = static_cast<std::int64_t>(f.payload.size());
   if (!conn_recv_window_.can_send(len)) {
     connection_error(ErrorCode::kFlowControlError, "connection window exceeded");
@@ -472,9 +456,8 @@ void Connection::handle_data(const Frame& f) {
     const StreamState before = s->state();
     s->recv_window().consume(len);
     s->on_recv_data(end);
-    stats_.data_bytes_received += f.payload.size();
     trace_stream_state(f.stream_id, before);
-    on_remote_data(f.stream_id, std::span(f.payload), end);
+    on_remote_data(f.stream_id, *body, end);
     replenish_recv_windows(f.stream_id, f.payload.size());
     destroy_stream_if_closed(f.stream_id);
   } else {
@@ -495,12 +478,9 @@ void Connection::replenish_recv_windows(std::uint32_t stream_id,
   const auto conn_threshold = static_cast<std::int64_t>(cfg_.window_update_batch);
   if (conn_recv_consumed_ >= conn_threshold) {
     conn_recv_window_.replenish(conn_recv_consumed_);
-    Frame wu;
-    wu.type = FrameType::kWindowUpdate;
-    wu.stream_id = 0;
-    wu.payload = encode_window_update(static_cast<std::uint32_t>(conn_recv_consumed_));
+    const auto increment = static_cast<std::uint32_t>(conn_recv_consumed_);
     conn_recv_consumed_ = 0;
-    write_frame(std::move(wu));
+    write_frame({FrameType::kWindowUpdate, 0, 0, encode_window_update(increment)});
   }
 
   if (stream_id == 0) return;
@@ -511,20 +491,21 @@ void Connection::replenish_recv_windows(std::uint32_t stream_id,
     const auto credit = static_cast<std::uint32_t>(s->consumed_unacked());
     s->recv_window().replenish(credit);
     s->clear_consumed();
-    Frame swu;
-    swu.type = FrameType::kWindowUpdate;
-    swu.stream_id = stream_id;
-    swu.payload = encode_window_update(credit);
-    write_frame(std::move(swu));
+    write_frame({FrameType::kWindowUpdate, 0, stream_id, encode_window_update(credit)});
   }
 }
 
-void Connection::handle_headers(Frame&& f) {
+void Connection::handle_headers(const FrameView& f) {
   if (f.stream_id == 0) {
     connection_error(ErrorCode::kProtocolError, "HEADERS on stream 0");
     return;
   }
-  std::span<const std::uint8_t> block(f.payload);
+  const auto unpadded = unpadded_payload(f);
+  if (!unpadded) {
+    connection_error(ErrorCode::kProtocolError, "HEADERS padding overruns payload");
+    return;
+  }
+  std::span<const std::uint8_t> block = *unpadded;
   // Strip optional priority fields (PRIORITY flag).
   if (f.has_flag(flags::kPriority)) {
     if (block.size() < 5) {
@@ -545,7 +526,7 @@ void Connection::handle_headers(Frame&& f) {
   }
 }
 
-void Connection::handle_continuation(Frame&& f) {
+void Connection::handle_continuation(const FrameView& f) {
   if (!assembling_headers_ || f.stream_id != assembling_stream_) {
     connection_error(ErrorCode::kProtocolError, "unexpected CONTINUATION");
     return;
@@ -600,7 +581,7 @@ void Connection::finish_header_block(std::uint32_t stream_id, bool end_stream,
   destroy_stream_if_closed(stream_id);
 }
 
-void Connection::handle_settings(const Frame& f) {
+void Connection::handle_settings(const FrameView& f) {
   if (f.stream_id != 0) {
     connection_error(ErrorCode::kProtocolError, "SETTINGS on non-zero stream");
     return;
@@ -653,14 +634,11 @@ void Connection::handle_settings(const Frame& f) {
         break;
     }
   }
-  Frame ack;
-  ack.type = FrameType::kSettings;
-  ack.flags = flags::kAck;
-  write_frame(std::move(ack));
+  write_frame({FrameType::kSettings, flags::kAck, 0, {}});
   pump();
 }
 
-void Connection::handle_rst(const Frame& f) {
+void Connection::handle_rst(const FrameView& f) {
   if (f.stream_id == 0) {
     connection_error(ErrorCode::kProtocolError, "RST_STREAM on stream 0");
     return;
@@ -670,7 +648,6 @@ void Connection::handle_rst(const Frame& f) {
     connection_error(ErrorCode::kFrameSizeError, "bad RST_STREAM length");
     return;
   }
-  ++stats_.rst_received;
   metrics_.rst_received.inc();
   Stream* s = find_stream(f.stream_id);
   if (s) {
@@ -695,7 +672,7 @@ void Connection::handle_rst(const Frame& f) {
   pump();  // capacity freed: other streams may proceed
 }
 
-void Connection::handle_window_update(const Frame& f) {
+void Connection::handle_window_update(const FrameView& f) {
   auto inc = parse_window_update(f.payload);
   if (!inc) {
     connection_error(ErrorCode::kFrameSizeError, "bad WINDOW_UPDATE");
@@ -719,7 +696,7 @@ void Connection::handle_window_update(const Frame& f) {
   pump();
 }
 
-void Connection::handle_ping(const Frame& f) {
+void Connection::handle_ping(const FrameView& f) {
   if (f.stream_id != 0) {  // RFC 7540 §6.7
     connection_error(ErrorCode::kProtocolError, "PING on non-zero stream");
     return;
@@ -729,14 +706,10 @@ void Connection::handle_ping(const Frame& f) {
     return;
   }
   if (f.has_flag(flags::kAck)) return;
-  Frame ack;
-  ack.type = FrameType::kPing;
-  ack.flags = flags::kAck;
-  ack.payload = f.payload;
-  write_frame(std::move(ack));
+  write_frame({FrameType::kPing, flags::kAck, 0, f.payload});
 }
 
-void Connection::handle_goaway(const Frame& f) {
+void Connection::handle_goaway(const FrameView& f) {
   if (f.stream_id != 0) {  // RFC 7540 §6.8
     connection_error(ErrorCode::kProtocolError, "GOAWAY on non-zero stream");
     return;
@@ -750,13 +723,13 @@ void Connection::handle_goaway(const Frame& f) {
   on_remote_goaway(*g);
 }
 
-void Connection::handle_priority(const Frame& f) {
+void Connection::handle_priority(const FrameView& f) {
   auto p = parse_priority(f.payload);
   if (!p || f.stream_id == 0) return;  // lenient
   if (Stream* s = find_stream(f.stream_id)) s->weight = p->weight;
 }
 
-void Connection::handle_push_promise(Frame&& f) {
+void Connection::handle_push_promise(const FrameView& f) {
   if (is_server_) {
     connection_error(ErrorCode::kProtocolError, "PUSH_PROMISE from client");
     return;
@@ -765,7 +738,13 @@ void Connection::handle_push_promise(Frame&& f) {
     connection_error(ErrorCode::kProtocolError, "push disabled");
     return;
   }
-  auto p = parse_push_promise(f.payload);
+  const auto unpadded = unpadded_payload(f);
+  if (!unpadded) {
+    connection_error(ErrorCode::kProtocolError,
+                     "PUSH_PROMISE padding overruns payload");
+    return;
+  }
+  auto p = parse_push_promise(*unpadded);
   if (!p) {
     connection_error(ErrorCode::kFrameSizeError, "bad PUSH_PROMISE");
     return;

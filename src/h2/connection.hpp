@@ -61,21 +61,6 @@ struct ConnectionConfig {
   std::size_t window_update_batch = 32768;
 };
 
-struct ConnectionStats {
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t data_frames_sent = 0;
-  std::uint64_t data_bytes_sent = 0;
-  std::uint64_t data_bytes_received = 0;
-  std::uint64_t headers_frames_sent = 0;
-  std::uint64_t rst_sent = 0;
-  std::uint64_t rst_received = 0;
-  std::uint64_t pings_sent = 0;
-  std::uint64_t goaway_sent = 0;
-  std::uint64_t push_promises_sent = 0;
-  std::uint64_t streams_opened = 0;
-};
-
 /// Base HTTP/2 connection over a TlsSession: framing, settings negotiation,
 /// HPACK, flow control, stream lifecycle and the multiplexing send scheduler.
 /// ServerConnection / ClientConnection specialize the semantic layer.
@@ -102,7 +87,6 @@ class Connection {
   Stream* find_stream(std::uint32_t id);
   bool ready() const { return handshake_done_; }
   bool dead() const { return dead_; }
-  const ConnectionStats& stats() const { return stats_; }
   const ConnectionConfig& config() const { return cfg_; }
   sim::EventLoop& loop() { return loop_; }
 
@@ -115,8 +99,9 @@ class Connection {
 
   /// Observation hook invoked for every frame written, in wire order. Used
   /// by the experiment harness to build the ground-truth wire log (each
-  /// frame becomes exactly one TLS record).
-  void set_frame_tap(std::function<void(const Frame&, sim::TimePoint)> tap) {
+  /// frame becomes exactly one TLS record). The frame's payload is borrowed
+  /// and valid only for the duration of the call.
+  void set_frame_tap(std::function<void(const FrameView&, sim::TimePoint)> tap) {
     frame_tap_ = std::move(tap);
   }
 
@@ -142,7 +127,9 @@ class Connection {
   /// must use the same dynamic table).
   hpack::Encoder& header_encoder() { return hpack_encoder_; }
   void connection_error(ErrorCode code, const std::string& msg);
-  void write_frame(Frame&& f);
+  /// Writes one frame: its header and payload go into a reused scratch
+  /// buffer and from there to TLS as one record.
+  void write_frame(const FrameView& f);
   void pump();
 
   sim::EventLoop& loop_;
@@ -171,29 +158,28 @@ class Connection {
   FlowWindow conn_recv_window_{kDefaultInitialWindow};
   std::int64_t conn_recv_consumed_ = 0;
 
-  ConnectionStats stats_;
-
  private:
   void on_tls_established();
   void on_plaintext(std::span<const std::uint8_t> bytes);
-  void handle_frame(Frame&& f);
-  void handle_data(const Frame& f);
-  void handle_headers(Frame&& f);
-  void handle_continuation(Frame&& f);
+  void handle_frame(const FrameView& f);
+  void handle_data(const FrameView& f);
+  void handle_headers(const FrameView& f);
+  void handle_continuation(const FrameView& f);
   void finish_header_block(std::uint32_t stream_id, bool end_stream,
                            bool is_push_promise, std::uint32_t promised_id);
-  void handle_settings(const Frame& f);
-  void handle_rst(const Frame& f);
-  void handle_window_update(const Frame& f);
-  void handle_ping(const Frame& f);
-  void handle_goaway(const Frame& f);
-  void handle_priority(const Frame& f);
-  void handle_push_promise(Frame&& f);
+  void handle_settings(const FrameView& f);
+  void handle_rst(const FrameView& f);
+  void handle_window_update(const FrameView& f);
+  void handle_ping(const FrameView& f);
+  void handle_goaway(const FrameView& f);
+  void handle_priority(const FrameView& f);
+  void handle_push_promise(const FrameView& f);
   void send_initial_settings();
   std::uint32_t pick_ready_stream();
   void replenish_recv_windows(std::uint32_t stream_id, std::size_t consumed);
 
   FrameDecoder decoder_;
+  std::vector<std::uint8_t> frame_scratch_;  // reused by every write_frame
   hpack::Encoder hpack_encoder_;
   hpack::Decoder hpack_decoder_;
   std::vector<std::uint8_t> preface_buffer_;
@@ -207,7 +193,7 @@ class Connection {
   std::vector<std::uint8_t> header_block_;
 
   std::vector<std::uint32_t> rr_order_;  // round-robin rotation state
-  std::function<void(const Frame&, sim::TimePoint)> frame_tap_;
+  std::function<void(const FrameView&, sim::TimePoint)> frame_tap_;
 
   // Process-wide observability handles (aggregate across connections).
   struct Metrics {

@@ -8,11 +8,17 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
+void store_u32(std::uint8_t* out, std::uint32_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 24);
+  out[1] = static_cast<std::uint8_t>(v >> 16);
+  out[2] = static_cast<std::uint8_t>(v >> 8);
+  out[3] = static_cast<std::uint8_t>(v);
+}
+
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+  std::uint8_t b[4];
+  store_u32(b, v);
+  out.insert(out.end(), b, b + 4);
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t pos) {
@@ -60,44 +66,46 @@ const char* to_string(ErrorCode e) {
   return "UNKNOWN";
 }
 
-std::vector<std::uint8_t> serialize_frame(const Frame& f) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + f.payload.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(f.payload.size());
-  out.push_back(static_cast<std::uint8_t>(len >> 16));
-  out.push_back(static_cast<std::uint8_t>(len >> 8));
-  out.push_back(static_cast<std::uint8_t>(len));
-  out.push_back(static_cast<std::uint8_t>(f.type));
-  out.push_back(f.flags);
-  put_u32(out, f.stream_id & 0x7fffffff);
+void write_frame_header(const FrameView& f, std::uint8_t* out) {
+  const std::size_t len = f.payload.size();
+  out[0] = static_cast<std::uint8_t>(len >> 16);
+  out[1] = static_cast<std::uint8_t>(len >> 8);
+  out[2] = static_cast<std::uint8_t>(len);
+  out[3] = static_cast<std::uint8_t>(f.type);
+  out[4] = f.flags;
+  store_u32(out + 5, f.stream_id & 0x7fffffff);
+}
+
+std::vector<std::uint8_t> serialize_frame(const FrameView& f) {
+  std::vector<std::uint8_t> out(kFrameHeaderBytes);
+  write_frame_header(f, out.data());
   out.insert(out.end(), f.payload.begin(), f.payload.end());
   return out;
 }
 
-void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+std::optional<std::span<const std::uint8_t>> unpadded_payload(const FrameView& f) {
+  if (!f.has_flag(flags::kPadded)) return f.payload;
+  if (f.payload.empty() || f.payload[0] >= f.payload.size()) return std::nullopt;
+  return f.payload.subspan(1, f.payload.size() - 1 - f.payload[0]);
 }
 
-std::optional<Frame> FrameDecoder::next() {
+std::optional<FrameView> FrameDecoder::next() {
   if (error_ || buf_.size() < kFrameHeaderBytes) return std::nullopt;
-  const std::size_t len = static_cast<std::size_t>(buf_[0]) << 16 |
-                          static_cast<std::size_t>(buf_[1]) << 8 | buf_[2];
+  const std::span<const std::uint8_t> b = buf_.bytes();
+  const std::size_t len = static_cast<std::size_t>(b[0]) << 16 |
+                          static_cast<std::size_t>(b[1]) << 8 | b[2];
   if (len > max_frame_size_) {
     error_ = true;
     return std::nullopt;
   }
-  if (buf_.size() < kFrameHeaderBytes + len) return std::nullopt;
+  if (b.size() < kFrameHeaderBytes + len) return std::nullopt;
 
-  Frame f;
-  f.type = static_cast<FrameType>(buf_[3]);
-  f.flags = buf_[4];
-  f.stream_id = (static_cast<std::uint32_t>(buf_[5]) << 24 |
-                 static_cast<std::uint32_t>(buf_[6]) << 16 |
-                 static_cast<std::uint32_t>(buf_[7]) << 8 | buf_[8]) &
-                0x7fffffff;
-  buf_.erase(buf_.begin(), buf_.begin() + kFrameHeaderBytes);
-  f.payload.assign(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(len));
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(len));
+  FrameView f;
+  f.type = static_cast<FrameType>(b[3]);
+  f.flags = b[4];
+  f.stream_id = get_u32(b, 5) & 0x7fffffff;
+  f.payload = b.subspan(kFrameHeaderBytes, len);
+  buf_.consume(kFrameHeaderBytes + len);
   return f;
 }
 
@@ -125,9 +133,9 @@ std::optional<std::vector<SettingsEntry>> parse_settings(
   return out;
 }
 
-std::vector<std::uint8_t> encode_rst_stream(ErrorCode code) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, static_cast<std::uint32_t>(code));
+std::array<std::uint8_t, 4> encode_rst_stream(ErrorCode code) {
+  std::array<std::uint8_t, 4> out;
+  store_u32(out.data(), static_cast<std::uint32_t>(code));
   return out;
 }
 
@@ -136,9 +144,9 @@ std::optional<ErrorCode> parse_rst_stream(std::span<const std::uint8_t> payload)
   return static_cast<ErrorCode>(get_u32(payload, 0));
 }
 
-std::vector<std::uint8_t> encode_window_update(std::uint32_t increment) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, increment & 0x7fffffff);
+std::array<std::uint8_t, 4> encode_window_update(std::uint32_t increment) {
+  std::array<std::uint8_t, 4> out;
+  store_u32(out.data(), increment & 0x7fffffff);
   return out;
 }
 

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "sim/byte_queue.hpp"
 
 namespace h2sim::h2 {
 
@@ -72,33 +74,52 @@ struct SettingsEntry {
   std::uint32_t value;
 };
 
-/// One HTTP/2 frame: 9-byte header + payload.
-struct Frame {
+/// One HTTP/2 frame: the 9-byte header's fields and a payload borrowed from
+/// whoever made the view (a stream's send queue, the decoder's buffer, a
+/// caller's array). It owns nothing, so the payload is valid only as long as
+/// that storage is; see FrameDecoder::next() and Stream::take().
+struct FrameView {
   FrameType type = FrameType::kData;
   std::uint8_t flags = 0;
   std::uint32_t stream_id = 0;  // 31 bits; high bit reserved
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 
   bool has_flag(std::uint8_t f) const { return (flags & f) != 0; }
   std::size_t wire_size() const { return kFrameHeaderBytes + payload.size(); }
 };
 
-std::vector<std::uint8_t> serialize_frame(const Frame& f);
+/// Writes the 9-byte header of `f` to `out`, with the reserved bit cleared.
+void write_frame_header(const FrameView& f, std::uint8_t* out);
 
-/// Incremental frame decoder over an in-order byte stream.
+/// The header and payload of `f` as one wire buffer.
+std::vector<std::uint8_t> serialize_frame(const FrameView& f);
+
+/// The payload of a DATA, HEADERS or PUSH_PROMISE frame without its padding
+/// (RFC 7540 §6.1, §6.2, §6.6): with the PADDED flag set, the Pad Length byte
+/// and the padding it names are cut off. nullopt when the padding reaches the
+/// end of the payload, a PROTOCOL_ERROR connection error.
+std::optional<std::span<const std::uint8_t>> unpadded_payload(const FrameView& f);
+
+/// Incremental frame decoder over an in-order byte stream: a flat buffer with
+/// a consumed-prefix offset.
 class FrameDecoder {
  public:
   void set_max_frame_size(std::size_t n) { max_frame_size_ = n; }
-  void feed(std::span<const std::uint8_t> bytes);
+  void feed(std::span<const std::uint8_t> bytes) { buf_.append(bytes); }
 
-  /// Next complete frame, or nullopt. After an oversized frame, error() is
-  /// set and no further frames are produced (FRAME_SIZE_ERROR connection
+  /// Next complete frame, or nullopt. The payload is borrowed from the
+  /// decoder's buffer and stays valid until the next feed(). A length over
+  /// the maximum frame size is refused from the 9-byte header alone: error()
+  /// is set and no further frames are produced (FRAME_SIZE_ERROR connection
   /// error per §4.2).
-  std::optional<Frame> next();
+  std::optional<FrameView> next();
   bool error() const { return error_; }
 
+  /// Bytes of buffer storage in use, the consumed prefix included.
+  std::size_t storage_bytes() const { return buf_.storage_bytes(); }
+
  private:
-  std::deque<std::uint8_t> buf_;
+  sim::ByteQueue buf_;
   std::size_t max_frame_size_ = kDefaultMaxFrameSize;
   bool error_ = false;
 };
@@ -109,10 +130,12 @@ std::vector<std::uint8_t> encode_settings(std::span<const SettingsEntry> entries
 std::optional<std::vector<SettingsEntry>> parse_settings(
     std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_rst_stream(ErrorCode code);
+// Control frames with fixed-size payloads encode into arrays: sending one
+// touches no heap.
+std::array<std::uint8_t, 4> encode_rst_stream(ErrorCode code);
 std::optional<ErrorCode> parse_rst_stream(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_window_update(std::uint32_t increment);
+std::array<std::uint8_t, 4> encode_window_update(std::uint32_t increment);
 std::optional<std::uint32_t> parse_window_update(std::span<const std::uint8_t> payload);
 
 struct GoawayPayload {

@@ -25,13 +25,8 @@ std::uint32_t ServerConnection::push(std::uint32_t parent,
   // PUSH_PROMISE carries a header block through the same HPACK context as
   // HEADERS frames.
   const std::vector<std::uint8_t> block = header_encoder().encode(request_headers);
-  Frame f;
-  f.type = FrameType::kPushPromise;
-  f.stream_id = parent;
-  f.flags = flags::kEndHeaders;
-  f.payload = encode_push_promise(promised, block);
-  ++stats_.push_promises_sent;
-  write_frame(std::move(f));
+  const std::vector<std::uint8_t> payload = encode_push_promise(promised, block);
+  write_frame({FrameType::kPushPromise, flags::kEndHeaders, parent, payload});
   return promised;
 }
 

@@ -1,5 +1,7 @@
 #include "h2/stream.hpp"
 
+#include <algorithm>
+
 namespace h2sim::h2 {
 
 const char* to_string(StreamState s) {
@@ -89,29 +91,18 @@ bool Stream::on_recv_push_promise() {
 }
 
 void Stream::enqueue(std::span<const std::uint8_t> bytes, bool end_stream) {
-  if (head_ == queue_.size()) {
-    queue_.clear();
-    head_ = 0;
-  } else if (head_ >= 4096 && head_ >= queue_.size() - head_) {
-    // Reclaim the consumed prefix once it dominates the buffer.
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  queue_.insert(queue_.end(), bytes.begin(), bytes.end());
+  queue_.append(bytes);
   if (end_stream) end_queued_ = true;
 }
 
-std::vector<std::uint8_t> Stream::dequeue(std::size_t n) {
-  n = std::min(n, queue_.size() - head_);
-  const std::uint8_t* p = queue_.data() + head_;
-  std::vector<std::uint8_t> out(p, p + n);
-  head_ += n;
+std::span<const std::uint8_t> Stream::take(std::size_t n) {
+  const auto out = queue_.bytes().first(std::min(n, queue_.size()));
+  queue_.consume(out.size());
   return out;
 }
 
 void Stream::flush_queue() {
   queue_.clear();
-  head_ = 0;
   end_queued_ = false;
 }
 

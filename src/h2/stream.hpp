@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "h2/flow_control.hpp"
 #include "h2/frame.hpp"
+#include "sim/byte_queue.hpp"
 
 namespace h2sim::h2 {
 
@@ -54,14 +54,14 @@ class Stream {
 
   // --- Send queue ---
   void enqueue(std::span<const std::uint8_t> bytes, bool end_stream);
-  /// Removes up to n bytes from the queue front.
-  std::vector<std::uint8_t> dequeue(std::size_t n);
+  /// Removes up to n bytes from the queue front and returns them, borrowed
+  /// from the queue: the span stays valid until the next enqueue() or
+  /// flush_queue().
+  std::span<const std::uint8_t> take(std::size_t n);
   void flush_queue();  // RST_STREAM: discard everything pending
-  std::size_t queued_bytes() const { return queue_.size() - head_; }
+  std::size_t queued_bytes() const { return queue_.size(); }
   bool end_stream_queued() const { return end_queued_; }
-  bool has_pending_output() const {
-    return queue_.size() > head_ || end_queued_;
-  }
+  bool has_pending_output() const { return !queue_.empty() || end_queued_; }
 
   FlowWindow& send_window() { return send_window_; }
   FlowWindow& recv_window() { return recv_window_; }
@@ -78,10 +78,7 @@ class Stream {
   StreamState state_ = StreamState::kIdle;
   FlowWindow send_window_;
   FlowWindow recv_window_;
-  // Flat send queue with a consumed-prefix offset: dequeue reads from
-  // contiguous storage and the prefix is reclaimed lazily on enqueue.
-  std::vector<std::uint8_t> queue_;
-  std::size_t head_ = 0;
+  sim::ByteQueue queue_;
   bool end_queued_ = false;
   std::size_t consumed_unacked_ = 0;
 };

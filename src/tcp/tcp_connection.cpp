@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
@@ -105,13 +104,12 @@ void TcpConnection::emit(std::uint8_t flags, std::uint32_t seq,
   p.sent_at = loop_.now();
   p.is_retransmission = retransmission;
   if (payload_len > 0) {
-    const std::size_t off = send_head_ + (seq - buf_seq_);
-    assert(off + payload_len <= send_buf_.size());
+    assert(seq - buf_seq_ + payload_len <= send_buf_.size());
+    const auto bytes = send_buf_.bytes().subspan(seq - buf_seq_, payload_len);
     // Recycled buffer: the assign reuses pooled capacity, so steady-state
     // segment emission performs no heap allocation.
     p.payload = loop_.payload_pool().acquire();
-    const std::uint8_t* src = send_buf_.data() + off;
-    p.payload.assign(src, src + payload_len);
+    p.payload.assign(bytes.begin(), bytes.end());
   }
   ++stats_.segments_sent;
   metrics_.segments_sent.inc();
@@ -131,7 +129,7 @@ void TcpConnection::connect() {
 
 void TcpConnection::send(std::span<const std::uint8_t> data) {
   if (state_ == State::kAborted || fin_pending_ || fin_sent_) return;
-  if (send_buf_bytes() + data.size() > cfg_.send_buffer_limit) {
+  if (send_buf_.size() + data.size() > cfg_.send_buffer_limit) {
     auto& tr = obs::tracer();
     if (tr.enabled(obs::Component::kTcp)) {
       tr.instant(obs::Component::kTcp, "send-buffer-overflow", loop_.now(),
@@ -142,16 +140,7 @@ void TcpConnection::send(std::span<const std::uint8_t> data) {
     }
     return;
   }
-  if (send_head_ == send_buf_.size()) {
-    send_buf_.clear();
-    send_head_ = 0;
-  } else if (send_head_ >= 4096 && send_head_ >= send_buf_bytes()) {
-    // Reclaim the acked prefix once it dominates the buffer.
-    send_buf_.erase(send_buf_.begin(),
-                    send_buf_.begin() + static_cast<std::ptrdiff_t>(send_head_));
-    send_head_ = 0;
-  }
-  send_buf_.insert(send_buf_.end(), data.begin(), data.end());
+  send_buf_.append(data);
   if (state_ == State::kEstablished || state_ == State::kCloseWait) try_send();
 }
 
@@ -187,7 +176,7 @@ void TcpConnection::try_send() {
       state_ != State::kFinWait1 && state_ != State::kLastAck) {
     return;
   }
-  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes());
+  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_.size());
   const bool was_idle = snd_una_ == snd_nxt_;
   bool sent_any = false;
   for (;;) {
@@ -199,8 +188,9 @@ void TcpConnection::try_send() {
     const std::size_t unsent = buf_end - snd_nxt_;
     const std::size_t len = std::min({cfg_.mss, unsent, usable});
     if (len == 0) break;
-    tx_records_[tx_key(snd_nxt_)] =
-        TxRecord{snd_nxt_ + static_cast<std::uint32_t>(len), loop_.now(), 1};
+    assert(tracked_segments() == 0 || tx_records_.back().key < tx_key(snd_nxt_));
+    tx_records_.push_back(
+        {tx_key(snd_nxt_), snd_nxt_ + static_cast<std::uint32_t>(len), loop_.now(), 1});
     emit(kAck, snd_nxt_, len, false);
     stats_.bytes_sent += len;
     snd_nxt_ += static_cast<std::uint32_t>(len);
@@ -215,7 +205,7 @@ void TcpConnection::try_send() {
 
 void TcpConnection::maybe_send_fin() {
   if (!fin_pending_ || fin_sent_) return;
-  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes());
+  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_.size());
   if (seq_lt(snd_nxt_, buf_end)) return;  // data still unsent
   fin_seq_ = snd_nxt_;
   fin_sent_ = true;
@@ -226,7 +216,7 @@ void TcpConnection::maybe_send_fin() {
 
 void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
                                     bool rto_driven) {
-  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes());
+  const std::uint32_t buf_end = buf_seq_ + static_cast<std::uint32_t>(send_buf_.size());
   if (fin_sent_ && seq == fin_seq_) {
     emit(kFin | kAck, fin_seq_, 0, true);
   } else if (seq_lt(seq, buf_end)) {
@@ -234,9 +224,13 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
     const std::size_t in_flight_past = snd_nxt_ - seq;
     const std::size_t len = std::min({cfg_.mss, avail, in_flight_past});
     if (len == 0) return;
-    auto [it, inserted] = tx_records_.try_emplace(
-        tx_key(seq), TxRecord{seq + static_cast<std::uint32_t>(len), loop_.now(), 2});
-    if (!inserted) ++it->second.tx_count;  // Karn: no more RTT samples here
+    const auto it = tx_lower_bound(tx_key(seq));
+    if (it != tx_records_.end() && it->key == tx_key(seq)) {
+      ++it->tx_count;  // Karn: no more RTT samples here
+    } else {
+      tx_records_.insert(
+          it, {tx_key(seq), seq + static_cast<std::uint32_t>(len), loop_.now(), 2});
+    }
     emit(kAck, seq, len, true);
   } else {
     return;
@@ -430,20 +424,12 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
   // was transmitted exactly once (Karn). Sampling later segments of a
   // cumulative ACK would count queueing time behind retransmission holes as
   // path RTT and blow up the RTO.
-  const auto edge = tx_records_.find(tx_key(snd_una_));
-  if (edge != tx_records_.end() && seq_le(edge->second.end_seq, ack) &&
-      edge->second.tx_count == 1) {
-    update_rtt(loop_.now() - edge->second.first_tx);
+  const auto edge = tx_lower_bound(tx_key(snd_una_));
+  if (edge != tx_records_.end() && edge->key == tx_key(snd_una_) &&
+      seq_le(edge->end_seq, ack) && edge->tx_count == 1) {
+    update_rtt(loop_.now() - edge->first_tx);
   }
-  // Retire the records the ACK covers. Only those starting below it can be
-  // covered; a partially acked one stays until a later ACK passes its end.
-  for (auto it = tx_records_.begin();
-       it != tx_records_.end() && it->first < tx_key(ack);) {
-    it = seq_le(it->second.end_seq, ack) ? tx_records_.erase(it) : std::next(it);
-  }
-  assert(std::none_of(tx_records_.begin(), tx_records_.end(), [ack](const auto& r) {
-    return seq_le(r.second.end_seq, ack);
-  }));
+  retire_tx(ack);
 
   snd_una_ = ack;
   assert(seq_le(snd_una_, snd_nxt_));
@@ -453,8 +439,8 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
   if (fin_sent_ && seq_gt(ack, fin_seq_)) data_end = fin_seq_;
   if (seq_gt(data_end, buf_seq_)) {
     std::size_t n = data_end - buf_seq_;
-    n = std::min(n, send_buf_bytes());
-    send_head_ += n;
+    n = std::min(n, send_buf_.size());
+    send_buf_.consume(n);
     buf_seq_ += static_cast<std::uint32_t>(n);
   }
 
@@ -499,6 +485,45 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
   }
   try_send();
   if (cbs_.on_writable) cbs_.on_writable();
+}
+
+std::vector<TcpConnection::TxRecord>::iterator TcpConnection::tx_lower_bound(
+    std::uint32_t key) {
+  return std::lower_bound(
+      tx_records_.begin() + static_cast<std::ptrdiff_t>(tx_head_), tx_records_.end(),
+      key, [](const TxRecord& r, std::uint32_t k) { return r.key < k; });
+}
+
+void TcpConnection::retire_tx(std::uint32_t ack) {
+  // Only records starting below the ACK can be covered; a partially acked
+  // one survives until a later ACK passes its end. Survivors keep their order
+  // and close up against the first record the ACK cannot reach.
+  const auto first = tx_records_.begin() + static_cast<std::ptrdiff_t>(tx_head_);
+  auto stop = first;
+  while (stop != tx_records_.end() && stop->key < tx_key(ack)) ++stop;
+  auto kept = stop;
+  for (auto it = stop; it != first;) {
+    --it;
+    if (seq_gt(it->end_seq, ack)) *--kept = *it;
+  }
+  tx_head_ = static_cast<std::size_t>(kept - tx_records_.begin());
+  // Reclaim the retired prefix once it dominates the storage.
+  if (tx_head_ == tx_records_.size()) {
+    tx_records_.clear();
+    tx_head_ = 0;
+  } else if (tx_head_ >= 64 && 2 * tx_head_ >= tx_records_.size()) {
+    tx_records_.erase(tx_records_.begin(), kept);
+    tx_head_ = 0;
+  }
+  // No live record is covered, and live keys strictly increase.
+  [[maybe_unused]] const auto live =
+      tx_records_.begin() + static_cast<std::ptrdiff_t>(tx_head_);
+  assert(std::none_of(live, tx_records_.end(),
+                      [ack](const TxRecord& r) { return seq_le(r.end_seq, ack); }));
+  assert(std::adjacent_find(live, tx_records_.end(),
+                            [](const TxRecord& a, const TxRecord& b) {
+                              return a.key >= b.key;
+                            }) == tx_records_.end());
 }
 
 void TcpConnection::enter_fast_retransmit() {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -11,6 +10,7 @@
 
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
+#include "sim/byte_queue.hpp"
 #include "sim/event_loop.hpp"
 #include "tcp/reassembly.hpp"
 #include "tcp/tcp_types.hpp"
@@ -89,15 +89,18 @@ class TcpConnection {
   net::Port remote_port() const { return remote_port_; }
   std::size_t bytes_in_flight() const { return snd_nxt_ - snd_una_; }
   std::size_t unsent_bytes() const {
-    return (buf_seq_ + static_cast<std::uint32_t>(send_buf_bytes())) - snd_nxt_;
+    return (buf_seq_ + static_cast<std::uint32_t>(send_buf_.size())) - snd_nxt_;
   }
   std::size_t cwnd() const { return cwnd_; }
   sim::Duration current_rto() const { return rto_; }
+  /// Smoothed RTT estimate; zero until the first sample.
+  sim::Duration srtt() const { return srtt_; }
   /// Transmitted segments not yet wholly acknowledged.
-  std::size_t tracked_segments() const { return tx_records_.size(); }
+  std::size_t tracked_segments() const { return tx_records_.size() - tx_head_; }
 
  private:
   struct TxRecord {
+    std::uint32_t key;  // tx_key() of the segment's first byte
     std::uint32_t end_seq;
     sim::TimePoint first_tx;
     int tx_count = 1;
@@ -111,6 +114,10 @@ class TcpConnection {
   void handle_ack(const net::Packet& p);
   void handle_payload(const net::Packet& p);
   void on_new_ack(std::uint32_t ack, std::size_t newly_acked);
+  /// The first live record whose key is not below `key`.
+  std::vector<TxRecord>::iterator tx_lower_bound(std::uint32_t key);
+  /// Drops the records `ack` wholly covers.
+  void retire_tx(std::uint32_t ack);
   void enter_fast_retransmit();
   void arm_rto();
   void cancel_rto();
@@ -135,11 +142,9 @@ class TcpConnection {
   std::uint32_t snd_una_;
   std::uint32_t snd_nxt_;
   std::uint32_t buf_seq_;  // sequence number of the first unacked byte
-  // Unacked + unsent stream bytes: flat buffer with an acked-prefix offset,
-  // so segment emission copies from contiguous storage and acking is O(1).
-  std::vector<std::uint8_t> send_buf_;
-  std::size_t send_head_ = 0;
-  std::size_t send_buf_bytes() const { return send_buf_.size() - send_head_; }
+  // Unacked + unsent stream bytes, contiguous, so segment emission copies
+  // from one span and acking is O(1).
+  sim::ByteQueue send_buf_;
   std::size_t cwnd_;
   std::size_t ssthresh_;
   std::size_t peer_wnd_ = 65535;
@@ -150,10 +155,13 @@ class TcpConnection {
   bool fin_sent_ = false;
   std::uint32_t fin_seq_ = 0;
 
-  // Transmitted, not yet fully acked segments, keyed by their start's offset
-  // from iss_: map order is sequence order (connections stay under 4 GiB), so
-  // an ACK retires records from begin() and stops at its own offset.
-  std::map<std::uint32_t, TxRecord> tx_records_;
+  // Transmitted, not yet fully acked segments from tx_head_ on, sorted by
+  // key, the start's offset from iss_ (sequence order: connections stay under
+  // 4 GiB). A send appends, retransmitting an untracked start inserts in
+  // order (rare), and an ACK retires records from the front, so the list
+  // allocates nothing once its capacity has grown to the flight.
+  std::vector<TxRecord> tx_records_;
+  std::size_t tx_head_ = 0;
   std::uint32_t tx_key(std::uint32_t seq) const { return seq - iss_; }
   sim::Duration rto_;
   sim::Duration srtt_ = sim::Duration::zero();

@@ -1,8 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
+
+#include "sim/byte_queue.hpp"
 
 namespace h2sim::tls {
 
@@ -38,39 +41,33 @@ void write_record_header(ContentType type, std::size_t length, std::uint8_t* out
 std::vector<std::uint8_t> serialize_record(const RecordHeader& h,
                                            std::span<const std::uint8_t> body);
 
+/// One parsed record: its header and its body, borrowed from the parser.
+struct RecordView {
+  RecordHeader header;
+  std::span<const std::uint8_t> body;
+};
+
 /// Incremental record-stream parser. Feed raw TCP bytes in order; records pop
 /// out complete. Used both by the legitimate endpoints and by the adversary's
 /// traffic monitor (which can parse headers because they are never encrypted).
 class RecordParser {
  public:
-  struct Record {
-    RecordHeader header;
-    std::vector<std::uint8_t> body;
-  };
-
-  void feed(std::span<const std::uint8_t> bytes);
+  void feed(std::span<const std::uint8_t> bytes) { buf_.append(bytes); }
 
   /// Decodes the header at the front of the buffer without consuming it;
   /// false until all five header bytes are buffered. Lets a receiver reject
   /// a record by its header before the body arrives.
   bool peek_header(RecordHeader& out) const;
 
-  /// Pops the next complete record into `out`, reusing its body capacity.
-  bool next(Record& out);
-
-  /// Pops the next complete record's header, discarding the body without
-  /// copying it. For observers that only need record framing.
-  bool next_header(RecordHeader& out);
+  /// Pops the next complete record, or nullopt. The body is a span into the
+  /// parser's buffer, valid until the next feed(): nothing is copied.
+  std::optional<RecordView> next();
 
   /// Bytes buffered but not yet forming a complete record.
-  std::size_t pending_bytes() const { return buf_.size() - head_; }
+  std::size_t pending_bytes() const { return buf_.size(); }
 
  private:
-  // Flat buffer with a consumed-prefix offset: records are parsed from
-  // contiguous storage (one memcpy per body) and the prefix is reclaimed
-  // lazily, instead of paying deque segment walks on every record.
-  std::vector<std::uint8_t> buf_;
-  std::size_t head_ = 0;
+  sim::ByteQueue buf_;
 };
 
 }  // namespace h2sim::tls

@@ -279,24 +279,23 @@ void TlsSession::on_tcp_data(std::span<const std::uint8_t> bytes) {
   obs::ProfileScope prof(obs::Component::kTls);
   parser_.feed(bytes);
   RecordHeader header;
-  RecordParser::Record rec;  // body capacity reused across iterations
   while (!failed_ && parser_.peek_header(header)) {
     // An over-long record is refused on its header, before its body is
     // buffered (RFC 8446 §5.2).
     if (header.length > kMaxCiphertextBytes) {
       fail("tls-record-overflow");
-    } else if (parser_.next(rec)) {
-      handle_record(rec);
+    } else if (const auto rec = parser_.next()) {
+      handle_record(*rec);  // the body is borrowed until the next feed()
     } else {
       return;
     }
   }
 }
 
-void TlsSession::handle_record(const RecordParser::Record& rec) {
+void TlsSession::handle_record(const RecordView& rec) {
   switch (rec.header.type) {
     case ContentType::kHandshake:
-      handle_handshake_record(rec);
+      handle_handshake_record();
       return;
     case ContentType::kApplicationData: {
       std::span<const std::uint8_t> plaintext;
@@ -318,7 +317,7 @@ void TlsSession::handle_record(const RecordParser::Record& rec) {
   }
 }
 
-void TlsSession::handle_handshake_record(const RecordParser::Record&) {
+void TlsSession::handle_handshake_record() {
   ++handshake_flights_seen_;
   if (role_ == Role::kServer) {
     if (handshake_flights_seen_ == 1) {

@@ -101,8 +101,8 @@ class TlsSession {
  private:
   void on_tcp_connected();
   void on_tcp_data(std::span<const std::uint8_t> bytes);
-  void handle_record(const RecordParser::Record& rec);
-  void handle_handshake_record(const RecordParser::Record& rec);
+  void handle_record(const RecordView& rec);
+  void handle_handshake_record();
   /// Sizes `wire_scratch_` for one record, writes its header and returns
   /// where the `body_len`-byte body goes.
   std::uint8_t* begin_record(ContentType type, std::size_t body_len);

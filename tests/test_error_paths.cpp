@@ -216,11 +216,8 @@ TEST(ErrorPaths, FrameSizeViolationIsConnectionError) {
   H2Pair pair;
   pair.run(1);
   // Bypass the connection API: write an oversized frame straight to TLS.
-  h2::Frame f;
-  f.type = h2::FrameType::kData;
-  f.stream_id = 1;
-  f.payload.assign(100000, 0x0);  // 100 KB > the server's 16 KB max
-  pair.client_tls->write(h2::serialize_frame(f));
+  const std::vector<std::uint8_t> payload(100000, 0x0);  // > the 16 KB max
+  pair.client_tls->write(h2::serialize_frame({h2::FrameType::kData, 0, 1, payload}));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());
 }
@@ -232,11 +229,8 @@ TEST(ErrorPaths, ConnectionErrorIsTraced) {
   ctx.tracer.enable(obs::Component::kH2);
   H2Pair pair;
   pair.run(1);
-  h2::Frame f;
-  f.type = h2::FrameType::kData;
-  f.stream_id = 1;
-  f.payload.assign(100000, 0x0);  // over the server's 16 KB max frame size
-  pair.client_tls->write(h2::serialize_frame(f));
+  const std::vector<std::uint8_t> payload(100000, 0x0);  // over the 16 KB max
+  pair.client_tls->write(h2::serialize_frame({h2::FrameType::kData, 0, 1, payload}));
   pair.run(2);
   ASSERT_TRUE(pair.server->dead());
   const auto& events = ctx.tracer.events();
@@ -256,6 +250,7 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
     std::uint32_t stream_id;
     std::vector<std::uint8_t> payload;
     const char* code;
+    bool from_server = false;  // else the client sends it to the server
   };
   const h2::SettingsEntry push2[] = {{h2::SettingId::kEnablePush, 2}};
   const std::vector<Case> cases = {
@@ -269,28 +264,40 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
        std::vector<std::uint8_t>(8, 0), "PROTOCOL_ERROR"},
       {"GOAWAY on stream 1 (6.8)", h2::FrameType::kGoaway, 0, 1,
        h2::encode_goaway({0, h2::ErrorCode::kNoError, ""}), "PROTOCOL_ERROR"},
+      {"DATA pad length = payload length (6.1)", h2::FrameType::kData,
+       h2::flags::kPadded, 1, {3, 0, 0}, "PROTOCOL_ERROR"},
+      {"DATA pad length past payload end (6.1)", h2::FrameType::kData,
+       h2::flags::kPadded, 1, {200, 1, 2}, "PROTOCOL_ERROR"},
+      {"PADDED DATA without Pad Length (6.1)", h2::FrameType::kData,
+       h2::flags::kPadded, 1, {}, "PROTOCOL_ERROR"},
+      {"HEADERS pad length past payload end (6.2)", h2::FrameType::kHeaders,
+       h2::flags::kPadded | h2::flags::kEndHeaders, 1, {5, 0x82},
+       "PROTOCOL_ERROR"},
+      {"PUSH_PROMISE pad length past payload end (6.6)",
+       h2::FrameType::kPushPromise, h2::flags::kPadded | h2::flags::kEndHeaders,
+       1, {9, 0, 0, 0, 2, 0x82}, "PROTOCOL_ERROR", /*from_server=*/true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     obs::Context ctx;
     obs::ScopedContext scope(ctx);
     ctx.tracer.enable(obs::Component::kH2);
-    H2Pair pair;
+    h2::ConnectionConfig client_cfg;
+    client_cfg.enable_push = true;  // so a PUSH_PROMISE reaches its padding
+    H2Pair pair({}, client_cfg);
     pair.run(1);
-    h2::Frame f;
-    f.type = c.type;
-    f.flags = c.flags;
-    f.stream_id = c.stream_id;
-    f.payload = c.payload;
-    pair.client_tls->write(h2::serialize_frame(f));
+    (c.from_server ? pair.server_tls : pair.client_tls)
+        ->write(h2::serialize_frame({c.type, c.flags, c.stream_id, c.payload}));
     pair.run(2);
-    EXPECT_TRUE(pair.server->dead());
+    EXPECT_TRUE(c.from_server ? pair.client->dead() : pair.server->dead());
+    const std::uint32_t receiver =
+        c.from_server ? obs::track::kClient : obs::track::kServer;
     const auto& events = ctx.tracer.events();
-    const auto it = std::find_if(events.begin(), events.end(), [](const auto& e) {
-      return e.name == "connection-error" && e.pid == obs::track::kServer;
+    const auto it = std::find_if(events.begin(), events.end(), [&](const auto& e) {
+      return e.name == "connection-error" && e.pid == receiver;
     });
     if (it == events.end()) {
-      ADD_FAILURE() << "no server connection-error event";
+      ADD_FAILURE() << "no connection-error event at the receiver";
       continue;
     }
     EXPECT_NE(it->args.find(std::string("\"code\": \"") + c.code + "\""),
@@ -302,12 +309,10 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
 TEST(ErrorPaths, GarbageHeaderBlockIsCompressionError) {
   H2Pair pair;
   pair.run(1);
-  h2::Frame f;
-  f.type = h2::FrameType::kHeaders;
-  f.flags = h2::flags::kEndHeaders | h2::flags::kEndStream;
-  f.stream_id = 1;
-  f.payload = {0xff, 0xff, 0xff, 0xff, 0xff};  // invalid HPACK index ladder
-  pair.client_tls->write(h2::serialize_frame(f));
+  const std::vector<std::uint8_t> block = {0xff, 0xff, 0xff, 0xff, 0xff};
+  pair.client_tls->write(h2::serialize_frame(  // an invalid HPACK index ladder
+      {h2::FrameType::kHeaders, h2::flags::kEndHeaders | h2::flags::kEndStream, 1,
+       block}));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());  // COMPRESSION_ERROR closes the connection
 }
@@ -315,11 +320,8 @@ TEST(ErrorPaths, GarbageHeaderBlockIsCompressionError) {
 TEST(ErrorPaths, DataOnStreamZeroIsProtocolError) {
   H2Pair pair;
   pair.run(1);
-  h2::Frame f;
-  f.type = h2::FrameType::kData;
-  f.stream_id = 0;
-  f.payload = {1, 2, 3};
-  pair.client_tls->write(h2::serialize_frame(f));
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  pair.client_tls->write(h2::serialize_frame({h2::FrameType::kData, 0, 0, payload}));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());
 }
@@ -327,11 +329,8 @@ TEST(ErrorPaths, DataOnStreamZeroIsProtocolError) {
 TEST(ErrorPaths, ZeroWindowUpdateIsProtocolError) {
   H2Pair pair;
   pair.run(1);
-  h2::Frame f;
-  f.type = h2::FrameType::kWindowUpdate;
-  f.stream_id = 0;
-  f.payload = h2::encode_window_update(0);
-  pair.client_tls->write(h2::serialize_frame(f));
+  pair.client_tls->write(h2::serialize_frame(
+      {h2::FrameType::kWindowUpdate, 0, 0, h2::encode_window_update(0)}));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());
 }
@@ -339,11 +338,9 @@ TEST(ErrorPaths, ZeroWindowUpdateIsProtocolError) {
 TEST(ErrorPaths, UnknownFrameTypesAreIgnored) {
   H2Pair pair;
   pair.run(1);
-  h2::Frame f;
-  f.type = static_cast<h2::FrameType>(0xEE);  // greased/unknown
-  f.stream_id = 0;
-  f.payload = {9, 9, 9};
-  pair.client_tls->write(h2::serialize_frame(f));
+  const std::vector<std::uint8_t> payload = {9, 9, 9};
+  pair.client_tls->write(h2::serialize_frame(
+      {static_cast<h2::FrameType>(0xEE), 0, 0, payload}));  // greased/unknown
   pair.run(2);
   EXPECT_FALSE(pair.server->dead());  // §4.1: ignore and discard
 }
@@ -351,12 +348,9 @@ TEST(ErrorPaths, UnknownFrameTypesAreIgnored) {
 TEST(ErrorPaths, PushPromiseFromClientIsProtocolError) {
   H2Pair pair;
   pair.run(1);
-  h2::Frame f;
-  f.type = h2::FrameType::kPushPromise;
-  f.flags = h2::flags::kEndHeaders;
-  f.stream_id = 1;
-  f.payload = h2::encode_push_promise(2, {});
-  pair.client_tls->write(h2::serialize_frame(f));
+  pair.client_tls->write(h2::serialize_frame({h2::FrameType::kPushPromise,
+                                              h2::flags::kEndHeaders, 1,
+                                              h2::encode_push_promise(2, {})}));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());
 }
@@ -365,16 +359,11 @@ TEST(ErrorPaths, InterleavedHeaderBlockIsProtocolError) {
   H2Pair pair;
   pair.run(1);
   // HEADERS without END_HEADERS, then a DATA frame instead of CONTINUATION.
-  h2::Frame h;
-  h.type = h2::FrameType::kHeaders;
-  h.stream_id = 1;
-  h.payload = {0x82};
-  pair.client_tls->write(h2::serialize_frame(h));
-  h2::Frame d;
-  d.type = h2::FrameType::kData;
-  d.stream_id = 1;
-  d.payload = {1};
-  pair.client_tls->write(h2::serialize_frame(d));
+  const std::vector<std::uint8_t> block = {0x82};
+  const std::vector<std::uint8_t> payload = {1};
+  pair.client_tls->write(
+      h2::serialize_frame({h2::FrameType::kHeaders, 0, 1, block}));
+  pair.client_tls->write(h2::serialize_frame({h2::FrameType::kData, 0, 1, payload}));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());
 }

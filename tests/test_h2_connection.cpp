@@ -6,6 +6,7 @@
 
 #include "h2_fixture.hpp"
 #include "http/message.hpp"
+#include "obs/context.hpp"
 
 namespace h2sim::h2 {
 namespace {
@@ -181,11 +182,14 @@ TEST(H2Connection, RstStreamFlushesServerQueue) {
 }
 
 TEST(H2Connection, PingEchoed) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   H2Pair pair;
   pair.run(1);
+  const std::uint64_t before = ctx.metrics.counter_value("h2.client.frames_received");
   pair.client->send_ping();
   pair.run(1);
-  EXPECT_GE(pair.client->stats().frames_received, 1u);
+  EXPECT_EQ(ctx.metrics.counter_value("h2.client.frames_received"), before + 1);
   EXPECT_FALSE(pair.client->dead());
 }
 
@@ -362,6 +366,8 @@ TEST(H2Connection, WindowUpdateBatchConfigurable) {
   h2::ConnectionConfig scfg;
   h2::ConnectionConfig ccfg;
   ccfg.window_update_batch = 4096;  // chatty client
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   H2Pair chatty(scfg, ccfg);
   chatty.run(1);
   h2::ServerConnection::Handlers sh;
@@ -373,12 +379,60 @@ TEST(H2Connection, WindowUpdateBatchConfigurable) {
   chatty.client->send_request(get("/dl"));
   chatty.run(10);
   // ~100 KB at a 4 KiB credit cadence: >= 20 client frames beyond setup.
-  EXPECT_GE(chatty.client->stats().frames_sent, 20u);
+  EXPECT_GE(ctx.metrics.counter_value("h2.client.frames_sent"), 20u);
+}
+
+// RFC 7540 §6.1: a PADDED DATA frame hands only its body to the application,
+// but its whole payload, Pad Length byte and padding included, is flow
+// controlled and so credited back.
+TEST(H2Connection, PaddedDataDeliversBodyAndCreditsWholePayload) {
+  h2::ConnectionConfig ccfg;
+  ccfg.window_update_batch = 1;  // credit each DATA frame as it arrives
+  H2Pair pair({}, ccfg);
+  pair.run(1);
+  std::uint32_t sid = 0;
+  h2::ServerConnection::Handlers sh;
+  sh.on_request = [&](std::uint32_t id, const hpack::HeaderList&) {
+    sid = id;
+    pair.server->respond_headers(id, 200);
+  };
+  pair.server->set_handlers(std::move(sh));
+  std::vector<std::uint8_t> body;
+  h2::ClientConnection::Handlers ch;
+  ch.on_response_data = [&](std::uint32_t, std::span<const std::uint8_t> b, bool) {
+    body.insert(body.end(), b.begin(), b.end());
+  };
+  pair.client->set_handlers(std::move(ch));
+  std::vector<std::uint32_t> credits;  // connection-level WINDOW_UPDATEs
+  pair.client->set_frame_tap([&](const h2::FrameView& f, sim::TimePoint) {
+    if (f.type == h2::FrameType::kWindowUpdate && f.stream_id == 0) {
+      credits.push_back(*h2::parse_window_update(f.payload));
+    }
+  });
+  pair.client->send_request(get("/padded"));
+  pair.run(1);
+  ASSERT_NE(sid, 0u);
+
+  // Pad Length 10, a 3-byte body, then 10 bytes of padding: 14 bytes.
+  std::vector<std::uint8_t> payload = {10, 'a', 'b', 'c'};
+  payload.resize(14, 0xee);
+  pair.server_tls->write(
+      h2::serialize_frame({h2::FrameType::kData, h2::flags::kPadded, sid, payload}));
+  pair.run(1);
+  EXPECT_EQ(body, (std::vector<std::uint8_t>{'a', 'b', 'c'}));
+  EXPECT_EQ(credits, std::vector<std::uint32_t>{14});
+  EXPECT_FALSE(pair.client->dead());
 }
 
 TEST(H2Connection, StatsCountFrames) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
+  const auto count = [&ctx](const std::string& name) {
+    return ctx.metrics.counter_value(name);
+  };
   H2Pair pair;
   pair.run(1);
+  const std::uint64_t setup_frames = count("h2.server.frames_sent");
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     pair.server->respond_headers(sid, 200);
@@ -387,10 +441,11 @@ TEST(H2Connection, StatsCountFrames) {
   pair.server->set_handlers(std::move(sh));
   pair.client->send_request(get("/stats"));
   pair.run(5);
-  EXPECT_GE(pair.server->stats().data_frames_sent, 1u);
-  EXPECT_EQ(pair.server->stats().data_bytes_sent, 3000u);
-  EXPECT_GE(pair.client->stats().frames_sent, 3u);  // SETTINGS, WU, HEADERS...
-  EXPECT_EQ(pair.server->stats().streams_opened, 1u);
+  // HEADERS, then 3000 bytes in 2048-byte DATA chunks.
+  EXPECT_EQ(count("h2.server.frames_sent") - setup_frames, 3u);
+  EXPECT_EQ(count("h2.server.data_bytes_sent"), 3000u);
+  EXPECT_GE(count("h2.client.frames_sent"), 3u);  // SETTINGS, WU, HEADERS...
+  EXPECT_EQ(count("h2.server.streams_opened"), 1u);
 }
 
 }  // namespace

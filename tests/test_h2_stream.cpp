@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "h2/flow_control.hpp"
 #include "h2/stream.hpp"
 
@@ -77,12 +79,15 @@ TEST(StreamQueue, EnqueueDequeue) {
   EXPECT_TRUE(s.end_stream_queued());
   EXPECT_TRUE(s.has_pending_output());
 
-  auto chunk = s.dequeue(3);
-  EXPECT_EQ(chunk, (std::vector<std::uint8_t>{1, 2, 3}));
+  const auto chunk = s.take(3);
+  EXPECT_TRUE(std::ranges::equal(chunk, std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(s.queued_bytes(), 4u);
-  auto rest = s.dequeue(100);
-  EXPECT_EQ(rest.size(), 4u);
+  const auto rest = s.take(100);
+  EXPECT_TRUE(std::ranges::equal(rest, std::vector<std::uint8_t>{4, 5, 6, 7}));
+  EXPECT_TRUE(std::ranges::equal(chunk, std::vector<std::uint8_t>{1, 2, 3}))
+      << "a taken span stays valid until the next enqueue";
   EXPECT_TRUE(s.end_stream_queued());  // END_STREAM still pending
+  EXPECT_TRUE(s.take(10).empty());
 }
 
 TEST(StreamQueue, FlushDiscardsEverything) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <string>
@@ -293,6 +294,74 @@ TEST_F(TcpPair, DupAcksCountedAtSender) {
   client_->send(bytes(30000));
   run_for(10);
   EXPECT_GE(client_->stats().dup_acks_received, 3u);
+}
+
+// A scripted loss pattern that walks the sender's record list through its
+// rare shapes. Ten 1000-byte writes become ten records; the 2nd, 3rd and 5th
+// first transmissions are lost. The fast retransmit from 1000 sends a full
+// MSS and so covers only part of the 3rd record: the server ACKs 2460, a
+// partial ACK that retires the 2nd record and leaves the 3rd as a partially
+// acked survivor. NewReno then retransmits from 2460, where no record
+// starts, so that record is inserted behind the survivor, mid-list; the
+// next partial ACK (4000) must retire it with the records around it. Each
+// row is the client's state after one ACK, recorded from the map-based list
+// this one replaced: [ack offset, tracked segments, srtt ns, rto ns].
+TEST_F(TcpPair, PartialAckAndMidListRetransmitKeepRecordsAndRtt) {
+  std::vector<std::uint8_t> received;
+  TcpConnection::Callbacks scb;
+  scb.on_data = [&](std::span<const std::uint8_t> b) {
+    received.insert(received.end(), b.begin(), b.end());
+  };
+  server_->set_callbacks(std::move(scb));
+  establish();
+
+  std::vector<std::array<std::int64_t, 4>> rows;
+  int data = 0;
+  filter_ = [&](const net::Packet& p, bool to_server) {
+    if (to_server) {
+      if (p.payload.empty() || p.is_retransmission) return true;
+      ++data;
+      return data != 2 && data != 3 && data != 5;
+    }
+    loop_.schedule_after(delay_, [this, p, &rows] {
+      client_->handle_segment(p);
+      rows.push_back({static_cast<std::int64_t>(p.tcp.ack - client_iss_ - 1),
+                      static_cast<std::int64_t>(client_->tracked_segments()),
+                      client_->srtt().count_nanos(),
+                      client_->current_rto().count_nanos()});
+    });
+    return false;
+  };
+  const auto payload = bytes(10000);
+  for (std::size_t i = 0; i < payload.size(); i += 1000) {
+    client_->send(std::span(payload).subspan(i, 1000));
+  }
+  run_for(5);
+  // Then two clean records over a slower path: fresh RTT samples move srtt.
+  delay_ = sim::Duration::millis(9);
+  client_->send(std::span(payload).first(1000));
+  client_->send(std::span(payload).first(1000));
+  run_for(5);
+  EXPECT_EQ(received.size(), payload.size() + 2000);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), received.begin()));
+  EXPECT_EQ(client_->stats().retransmits_fast, 3u);
+  EXPECT_EQ(client_->stats().retransmits_rto, 0u);
+  constexpr std::int64_t kMs = 1'000'000;
+  const std::vector<std::array<std::int64_t, 4>> expected = {
+      {1000, 9, 10 * kMs, 200 * kMs},  // 6 dup ACKs follow: the 3rd one
+      {1000, 9, 10 * kMs, 200 * kMs},  // fast-retransmits from 1000
+      {1000, 9, 10 * kMs, 200 * kMs},
+      {1000, 9, 10 * kMs, 200 * kMs},
+      {1000, 9, 10 * kMs, 200 * kMs},
+      {1000, 9, 10 * kMs, 200 * kMs},
+      {1000, 9, 10 * kMs, 200 * kMs},
+      {2460, 9, 10 * kMs, 200 * kMs},  // partial ACK: survivor + mid-list insert
+      {4000, 6, 10 * kMs, 200 * kMs},  // retires the inserted record in order
+      {10000, 0, 10 * kMs, 200 * kMs},  // Karn: no sample off a retransmission
+      {11000, 1, 11 * kMs, 200 * kMs},
+      {12000, 0, 11'875'000, 200 * kMs},
+  };
+  EXPECT_EQ(rows, expected);
 }
 
 // --- Stack-level tests ---

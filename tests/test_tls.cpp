@@ -26,12 +26,12 @@ TEST(RecordCodec, SerializeParseRoundTrip) {
 
   RecordParser p;
   p.feed(wire);
-  RecordParser::Record rec;
-  ASSERT_TRUE(p.next(rec));
-  EXPECT_EQ(rec.header.type, ContentType::kApplicationData);
-  EXPECT_EQ(rec.header.length, 5u);
-  EXPECT_EQ(rec.body, body);
-  EXPECT_FALSE(p.next(rec));
+  const auto rec = p.next();
+  ASSERT_TRUE(rec);
+  EXPECT_EQ(rec->header.type, ContentType::kApplicationData);
+  EXPECT_EQ(rec->header.length, 5u);
+  EXPECT_TRUE(std::ranges::equal(rec->body, body));
+  EXPECT_FALSE(p.next());
 }
 
 TEST(RecordCodec, ParserHandlesFragmentedInput) {
@@ -41,16 +41,16 @@ TEST(RecordCodec, ParserHandlesFragmentedInput) {
   const auto wire = serialize_record(h, body);
 
   RecordParser p;
-  RecordParser::Record rec;
   // Feed one byte at a time.
   for (std::size_t i = 0; i < wire.size(); ++i) {
     p.feed(std::span(&wire[i], 1));
     if (i + 1 < wire.size()) {
-      EXPECT_FALSE(p.next(rec));
+      EXPECT_FALSE(p.next());
     }
   }
-  ASSERT_TRUE(p.next(rec));
-  EXPECT_EQ(rec.body.size(), 100u);
+  const auto rec = p.next();
+  ASSERT_TRUE(rec);
+  EXPECT_EQ(rec->body.size(), 100u);
 }
 
 TEST(RecordCodec, ParserHandlesCoalescedRecords) {
@@ -64,11 +64,12 @@ TEST(RecordCodec, ParserHandlesCoalescedRecords) {
 
   RecordParser p;
   p.feed(wire);
-  RecordParser::Record r1, r2;
-  ASSERT_TRUE(p.next(r1));
-  ASSERT_TRUE(p.next(r2));
-  EXPECT_EQ(r1.body.size(), 10u);
-  EXPECT_EQ(r2.body.size(), 20u);
+  const auto r1 = p.next();
+  const auto r2 = p.next();
+  ASSERT_TRUE(r1 && r2);
+  EXPECT_EQ(r1->body.size(), 10u);
+  EXPECT_EQ(r2->body.size(), 20u);
+  EXPECT_TRUE(std::ranges::equal(r2->body, b2));  // both views outlive next()
 }
 
 TEST(RecordCodec, PeekHeaderDoesNotConsume) {
@@ -85,11 +86,12 @@ TEST(RecordCodec, PeekHeaderDoesNotConsume) {
   ASSERT_TRUE(p.peek_header(peeked));
   EXPECT_EQ(peeked.type, ContentType::kHandshake);
   EXPECT_EQ(peeked.length, 40u);
-  EXPECT_FALSE(p.next_header(peeked));  // body not yet buffered
+  EXPECT_FALSE(p.next());  // body not yet buffered
+  EXPECT_EQ(p.pending_bytes(), 5u);
   p.feed(std::span(wire).subspan(5));
-  RecordParser::Record rec;
-  ASSERT_TRUE(p.next(rec));
-  EXPECT_EQ(rec.body, body);
+  const auto rec = p.next();
+  ASSERT_TRUE(rec);
+  EXPECT_TRUE(std::ranges::equal(rec->body, body));
   EXPECT_EQ(p.pending_bytes(), 0u);
 }
 
@@ -100,31 +102,32 @@ TEST(RecordCodec, RandomSplitsReassembleAndGarbageNeverCrashes) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     sim::Rng rng(seed);
     std::vector<std::uint8_t> stream;
-    std::vector<RecordParser::Record> sent;
+    std::vector<std::pair<RecordHeader, std::vector<std::uint8_t>>> sent;
     for (int i = 0; i < 40; ++i) {
-      RecordParser::Record r;
-      r.header.type = static_cast<ContentType>(20 + rng.uniform(4));
-      r.body.resize(rng.uniform(i % 8 == 0 ? kMaxCiphertextBytes + 1 : 300));
-      for (auto& b : r.body) b = static_cast<std::uint8_t>(rng.uniform(256));
-      r.header.length = static_cast<std::uint16_t>(r.body.size());
-      const auto wire = serialize_record(r.header, r.body);
+      RecordHeader h;
+      h.type = static_cast<ContentType>(20 + rng.uniform(4));
+      std::vector<std::uint8_t> body(
+          rng.uniform(i % 8 == 0 ? kMaxCiphertextBytes + 1 : 300));
+      for (auto& b : body) b = static_cast<std::uint8_t>(rng.uniform(256));
+      h.length = static_cast<std::uint16_t>(body.size());
+      const auto wire = serialize_record(h, body);
       stream.insert(stream.end(), wire.begin(), wire.end());
-      sent.push_back(std::move(r));
+      sent.emplace_back(h, std::move(body));
     }
 
     RecordParser p;
-    RecordParser::Record rec;
     std::size_t got = 0;
     for (std::size_t pos = 0; pos < stream.size();) {
       const std::size_t n =
           std::min<std::size_t>(rng.uniform(2000), stream.size() - pos);
       p.feed(std::span(stream).subspan(pos, n));
       pos += n;
-      while (p.next(rec)) {
+      while (const auto rec = p.next()) {
         ASSERT_LT(got, sent.size());
-        EXPECT_EQ(rec.header.type, sent[got].header.type);
-        EXPECT_EQ(rec.header.length, sent[got].header.length);
-        EXPECT_EQ(rec.body, sent[got].body) << "seed " << seed << " record " << got;
+        EXPECT_EQ(rec->header.type, sent[got].first.type);
+        EXPECT_EQ(rec->header.length, sent[got].first.length);
+        EXPECT_TRUE(std::ranges::equal(rec->body, sent[got].second))
+            << "seed " << seed << " record " << got;
         ++got;
       }
     }
@@ -138,7 +141,8 @@ TEST(RecordCodec, RandomSplitsReassembleAndGarbageNeverCrashes) {
       for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
       junk.feed(bytes);
       junk.peek_header(h);
-      while (rng.uniform(2) ? junk.next(rec) : junk.next_header(h)) {
+      while (const auto rec = junk.next()) {
+        ASSERT_EQ(rec->body.size(), rec->header.length);
       }
     }
   }
@@ -283,17 +287,17 @@ TEST_F(TlsElidedPairTest, RecordsKeepTheirSizeAndCarryPlaintext) {
   // +16 tag as in full mode, with the plaintext as the body.
   RecordParser parser;
   parser.feed(wire_bytes);
-  RecordParser::Record rec;
   std::size_t pos = 0;
   for (const std::size_t n : {16384u, 16384u, 7232u}) {
-    ASSERT_TRUE(parser.next(rec));
-    EXPECT_EQ(rec.header.type, ContentType::kApplicationData);
-    ASSERT_EQ(rec.header.length, n + kAeadTagBytes);
+    const auto rec = parser.next();
+    ASSERT_TRUE(rec);
+    EXPECT_EQ(rec->header.type, ContentType::kApplicationData);
+    ASSERT_EQ(rec->header.length, n + kAeadTagBytes);
     EXPECT_TRUE(std::equal(msg.begin() + pos, msg.begin() + pos + n,
-                           rec.body.begin()));
+                           rec->body.begin()));
     pos += n;
   }
-  EXPECT_FALSE(parser.next(rec));
+  EXPECT_FALSE(parser.next());
 }
 
 /// A client/server pair with its protection picked at construction, so one
