@@ -522,8 +522,8 @@ void BM_TcpBulkTransfer(benchmark::State& state) {
   server->set_callbacks(std::move(cbs));
 
   const std::vector<std::uint8_t> chunk(4 << 20, 0xab);
-  const auto segments = [&] {
-    return client->stats().segments_received + server->stats().segments_received;
+  const auto segments = [] {
+    return obs::metrics().counter_value("tcp.segments_received");
   };
   client->connect();
   client->send(chunk);

@@ -8,9 +8,15 @@
 
 namespace h2sim::attack {
 
+namespace {
+/// Client->server payload size at/above which a packet is treated as a
+/// request (GET) subject to spacing: the fallback when no monitor is wired in.
+constexpr std::size_t kRequestPayloadMin = 100;
+}  // namespace
+
 bool NetworkController::is_request_packet(const net::Packet& p) const {
   if (monitor_) return monitor_->packet_is_request(p.id);
-  return p.payload.size() >= request_payload_min;
+  return p.payload.size() >= kRequestPayloadMin;
 }
 
 net::Decision NetworkController::on_packet(const net::Packet& p,
@@ -20,7 +26,6 @@ net::Decision NetworkController::on_packet(const net::Packet& p,
     if (spacing_ > sim::Duration::zero() && monitor_ &&
         drop_held_request_retransmissions &&
         monitor_->packet_is_c2s_retransmission(p.id) && now < last_release_) {
-      ++stats_.retransmissions_suppressed;
       metrics_.retransmissions_suppressed.inc();
       auto& tr = obs::tracer();
       if (tr.enabled(obs::Component::kAttack)) {
@@ -39,10 +44,8 @@ net::Decision NetworkController::on_packet(const net::Packet& p,
       last_release_ = release;
       any_released_ = true;
       if (release > now) {
-        ++stats_.requests_spaced;
         metrics_.requests_spaced.inc();
         const sim::Duration hold = release - now;
-        if (hold > stats_.max_hold) stats_.max_hold = hold;
         auto& tr = obs::tracer();
         if (tr.enabled(obs::Component::kAttack)) {
           tr.complete(obs::Component::kAttack, "space-request", now, release,
@@ -61,7 +64,6 @@ net::Decision NetworkController::on_packet(const net::Packet& p,
   // Server -> client: random policing during the drop window (the paper's
   // "drop 80 % of application packets").
   if (dropping() && !p.payload.empty() && rng_.bernoulli(drop_rate_)) {
-    ++stats_.packets_dropped;
     metrics_.packets_dropped.inc();
     auto& tr = obs::tracer();
     if (tr.enabled(obs::Component::kAttack)) {

@@ -24,13 +24,6 @@ namespace h2sim::attack {
 /// lossy path, not a dead one.
 class NetworkController : public net::PacketPolicy {
  public:
-  struct Stats {
-    std::uint64_t requests_spaced = 0;
-    std::uint64_t packets_dropped = 0;
-    std::uint64_t retransmissions_suppressed = 0;
-    sim::Duration max_hold = sim::Duration::zero();
-  };
-
   NetworkController(sim::EventLoop& loop, sim::Rng rng)
       : loop_(loop), rng_(rng) {
     auto& reg = obs::metrics();
@@ -56,11 +49,6 @@ class NetworkController : public net::PacketPolicy {
     return drop_rate_ > 0.0 && loop_.now() < drop_until_;
   }
 
-  /// Client->server payload size at/above which a packet is treated as a
-  /// request (GET) subject to spacing — the fallback when no monitor is
-  /// wired in.
-  std::size_t request_payload_min = 100;
-
   /// Optional: precise request classification from the traffic monitor
   /// (which parses TLS record headers out of the reassembled stream).
   void set_monitor(const class TrafficMonitor* monitor) { monitor_ = monitor; }
@@ -69,8 +57,6 @@ class NetworkController : public net::PacketPolicy {
   /// originals we are still holding (they would race past the hold and
   /// deliver the bundled requests at once).
   bool drop_held_request_retransmissions = true;
-
-  const Stats& stats() const { return stats_; }
 
  private:
   bool is_request_packet(const net::Packet& p) const;
@@ -83,7 +69,6 @@ class NetworkController : public net::PacketPolicy {
   bool any_released_ = false;
   double drop_rate_ = 0.0;
   sim::TimePoint drop_until_ = sim::TimePoint::origin();
-  Stats stats_;
 
   struct Metrics {
     obs::Counter requests_spaced;

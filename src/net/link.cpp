@@ -21,7 +21,6 @@ Link::Link(sim::EventLoop& loop, Config cfg, std::string name)
 void Link::send(Packet&& p) {
   if (send_tap_) send_tap_(p, loop_.now());
   if (cfg_.loss_rate > 0 && loss_rng_.bernoulli(cfg_.loss_rate)) {
-    ++stats_.random_losses;
     metrics_.random_losses.inc();
     auto& tr = obs::tracer();
     if (tr.enabled(obs::Component::kNet)) {
@@ -41,7 +40,6 @@ void Link::send(Packet&& p) {
     ledger_.pop_front();
   }
   if (queued_bytes_ + p.wire_size() > cfg_.queue_limit_bytes) {
-    ++stats_.dropped_packets;
     metrics_.dropped.inc();
     auto& tr = obs::tracer();
     if (tr.enabled(obs::Component::kNet)) {
@@ -80,8 +78,6 @@ void Link::send(Packet&& p) {
 
 void Link::deliver(Packet&& p) {
   obs::ProfileScope prof(obs::Component::kNet);
-  ++stats_.delivered_packets;
-  stats_.delivered_bytes += p.wire_size();
   metrics_.delivered.inc();
   assert(sink_ && "link sink not attached");
   if (deliver_tap_) deliver_tap_(p, loop_.now());

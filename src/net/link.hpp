@@ -40,13 +40,6 @@ class Link {
     std::uint64_t loss_seed = 0x10552aULL;
   };
 
-  struct Stats {
-    std::uint64_t delivered_packets = 0;
-    std::uint64_t delivered_bytes = 0;
-    std::uint64_t dropped_packets = 0;
-    std::uint64_t random_losses = 0;
-  };
-
   Link(sim::EventLoop& loop, Config cfg, std::string name);
 
   Link(const Link&) = delete;
@@ -71,7 +64,6 @@ class Link {
   void send(Packet&& p);
 
   const Config& config() const { return cfg_; }
-  const Stats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
 
  private:
@@ -95,7 +87,6 @@ class Link {
   std::size_t queued_bytes_ = 0;
   sim::TimePoint busy_until_ = sim::TimePoint::origin();
   sim::Rng loss_rng_;
-  Stats stats_;
 
   struct Metrics {
     obs::Counter delivered;       // net.link_delivered (all links)

@@ -49,7 +49,6 @@ void Middlebox::process(Packet&& p, Direction dir) {
   auto& tr = obs::tracer();
   switch (d.action) {
     case Decision::Action::kDrop:
-      ++stats_.dropped;
       metrics_.dropped.inc();
       if (tr.enabled(obs::Component::kNet)) {
         tr.instant(obs::Component::kNet, "mb-drop", now, obs::track::kNetwork,
@@ -62,7 +61,6 @@ void Middlebox::process(Packet&& p, Direction dir) {
       loop_.payload_pool().release(std::move(p.payload));
       return;
     case Decision::Action::kHold: {
-      ++stats_.held;
       metrics_.held.inc();
       if (tr.enabled(obs::Component::kNet)) {
         tr.complete(obs::Component::kNet, "mb-hold", now, now + d.hold_for,
@@ -89,14 +87,12 @@ void Middlebox::forward(Packet&& p, Direction dir) {
     const double bits = static_cast<double>(p.wire_size()) * 8.0;
     const auto wait = limiter->admit(bits, loop_.now());
     if (!wait) {
-      ++stats_.dropped;  // shaping queue overflow
-      metrics_.dropped.inc();
+      metrics_.dropped.inc();  // shaping queue overflow
       loop_.payload_pool().release(std::move(p.payload));
       return;
     }
     if (*wait > sim::Duration::zero()) {
       loop_.schedule_after(*wait, [this, p = std::move(p), dir]() mutable {
-        ++stats_.forwarded;
         metrics_.forwarded.inc();
         auto& out = dir == Direction::kClientToServer ? to_server_ : to_client_;
         assert(out);
@@ -105,7 +101,6 @@ void Middlebox::forward(Packet&& p, Direction dir) {
       return;
     }
   }
-  ++stats_.forwarded;
   metrics_.forwarded.inc();
   auto& out = dir == Direction::kClientToServer ? to_server_ : to_client_;
   assert(out);

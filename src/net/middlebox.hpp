@@ -71,12 +71,6 @@ class RateLimiter {
 /// the gateway itself.
 class Middlebox {
  public:
-  struct Stats {
-    std::uint64_t forwarded = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t held = 0;
-  };
-
   explicit Middlebox(sim::EventLoop& loop) : loop_(loop) {
     auto& reg = obs::metrics();
     metrics_.forwarded = reg.counter("net.mb_forwarded");
@@ -120,8 +114,6 @@ class Middlebox {
   /// directions independently (the paper limits incoming and outgoing).
   void set_rate_limit(double rate_bps);
 
-  const Stats& stats() const { return stats_; }
-
  private:
   void process(Packet&& p, Direction dir);
   void forward(Packet&& p, Direction dir);
@@ -133,7 +125,6 @@ class Middlebox {
   std::vector<Tap> taps_;
   std::optional<RateLimiter> limiter_c2s_;
   std::optional<RateLimiter> limiter_s2c_;
-  Stats stats_;
 
   struct Metrics {
     obs::Counter forwarded;

@@ -52,12 +52,4 @@ void Topology::route_to_client(Packet&& p) {
   if (idx < m2c_.size()) m2c_[idx]->send(std::move(p));
 }
 
-std::uint64_t Topology::link_drops() const {
-  std::uint64_t drops =
-      m2s_->stats().dropped_packets + s2m_->stats().dropped_packets;
-  for (const auto& link : c2m_) drops += link->stats().dropped_packets;
-  for (const auto& link : m2c_) drops += link->stats().dropped_packets;
-  return drops;
-}
-
 }  // namespace h2sim::net

@@ -67,9 +67,6 @@ class Topology {
   Link& mb_to_server() { return *m2s_; }
   Link& server_to_mb() { return *s2m_; }
 
-  /// Sum of drops across every link (congestion losses, not adversary).
-  std::uint64_t link_drops() const;
-
  private:
   void route_to_client(Packet&& p);
 

@@ -60,6 +60,7 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, const TcpConfig& cfg,
   metrics_.retransmits_rto = reg.counter("tcp.retransmits_rto");
   metrics_.rto_expirations = reg.counter("tcp.rto_expirations");
   metrics_.dup_acks_received = reg.counter("tcp.dup_acks_received");
+  metrics_.out_of_order_segments = reg.counter("tcp.out_of_order_segments");
   metrics_.connections_aborted = reg.counter("tcp.connections_aborted");
   metrics_.cwnd_bytes =
       reg.histogram("tcp.cwnd_bytes", obs::exponential_buckets(1460, 2.0, 14));
@@ -106,12 +107,13 @@ void TcpConnection::emit(std::uint8_t flags, std::uint32_t seq,
   if (payload_len > 0) {
     assert(seq - buf_seq_ + payload_len <= send_buf_.size());
     const auto bytes = send_buf_.bytes().subspan(seq - buf_seq_, payload_len);
-    // Recycled buffer: the assign reuses pooled capacity, so steady-state
-    // segment emission performs no heap allocation.
+    // Recycled buffer, sized to a full segment on first use: the assign
+    // reuses pooled capacity whatever segment the buffer carried before, so
+    // steady-state segment emission performs no heap allocation.
     p.payload = loop_.payload_pool().acquire();
+    p.payload.reserve(cfg_.mss);
     p.payload.assign(bytes.begin(), bytes.end());
   }
-  ++stats_.segments_sent;
   metrics_.segments_sent.inc();
   if (flags & kAck) last_ack_sent_ = rcv_nxt_;
   send_fn_(std::move(p));
@@ -192,7 +194,6 @@ void TcpConnection::try_send() {
     tx_records_.push_back(
         {tx_key(snd_nxt_), snd_nxt_ + static_cast<std::uint32_t>(len), loop_.now(), 1});
     emit(kAck, snd_nxt_, len, false);
-    stats_.bytes_sent += len;
     snd_nxt_ += static_cast<std::uint32_t>(len);
     sent_any = true;
   }
@@ -235,13 +236,7 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
   } else {
     return;
   }
-  if (rto_driven) {
-    ++stats_.retransmits_rto;
-    metrics_.retransmits_rto.inc();
-  } else {
-    ++stats_.retransmits_fast;
-    metrics_.retransmits_fast.inc();
-  }
+  (rto_driven ? metrics_.retransmits_rto : metrics_.retransmits_fast).inc();
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Component::kTcp)) {
     tr.instant(obs::Component::kTcp, "retransmit", loop_.now(),
@@ -266,7 +261,6 @@ void TcpConnection::on_rto() {
       state_ == State::kClosed) {
     return;
   }
-  ++stats_.rto_expirations;
   metrics_.rto_expirations.inc();
   {
     auto& tr = obs::tracer();
@@ -291,10 +285,8 @@ void TcpConnection::on_rto() {
 
   if (state_ == State::kSynSent) {
     emit(kSyn, iss_, 0, true);
-    ++stats_.retransmits_rto;
   } else if (state_ == State::kSynReceived) {
     emit(kSyn | kAck, iss_, 0, true);
-    ++stats_.retransmits_rto;
   } else if (snd_una_ != snd_nxt_) {
     // Loss signalled by timeout: back off to one segment.
     const std::size_t flight = snd_nxt_ - snd_una_;
@@ -328,7 +320,6 @@ void TcpConnection::update_rtt(sim::Duration sample) {
 }
 
 void TcpConnection::handle_segment(const net::Packet& p) {
-  ++stats_.segments_received;
   metrics_.segments_received.inc();
   if (state_ == State::kAborted || state_ == State::kClosed) {
     if (p.tcp.syn() && state_ == State::kClosed) {
@@ -404,7 +395,6 @@ void TcpConnection::handle_ack(const net::Packet& p) {
   // ack == snd_una_ (or older): potential duplicate ACK.
   if (ack == snd_una_ && p.payload.empty() && !p.tcp.fin() &&
       snd_una_ != snd_nxt_) {
-    ++stats_.dup_acks_received;
     metrics_.dup_acks_received.inc();
     ++dupacks_;
     if (in_fast_recovery_) {
@@ -551,20 +541,30 @@ void TcpConnection::handle_payload(const net::Packet& p) {
     // over all of it BEFORE delivering to the application: packets the
     // application emits during delivery must carry the final cumulative
     // acknowledgment, exactly like a real stack that processes the segment
-    // batch before the app runs.
-    std::vector<std::uint8_t> ready;
+    // batch before the app runs. A segment that closes no hole is delivered
+    // straight from the packet; only a run that drains buffered segments is
+    // joined in a pooled buffer.
+    std::span<const std::uint8_t> run;
+    std::vector<std::uint8_t> joined;
     const auto fate = ooo_.accept(
-        rcv_nxt_, seq, p.payload, [this, &ready](std::span<const std::uint8_t> bytes) {
-          if (ready.empty()) ready = loop_.payload_pool().acquire();
-          ready.insert(ready.end(), bytes.begin(), bytes.end());
+        rcv_nxt_, seq, p.payload,
+        [this, &run, &joined](std::span<const std::uint8_t> bytes) {
+          if (run.empty()) {
+            run = bytes;  // the first span lies in p.payload, which outlives it
+            return;
+          }
+          if (joined.empty()) {
+            joined = loop_.payload_pool().acquire();
+            joined.assign(run.begin(), run.end());
+          }
+          joined.insert(joined.end(), bytes.begin(), bytes.end());
         });
     if (fate == ReorderQueue::Fate::kInOrder) {
-      stats_.bytes_received += ready.size();
-      if (cbs_.on_data) cbs_.on_data(std::span(ready));
-      loop_.payload_pool().release(std::move(ready));
-    } else {
-      ++stats_.dup_acks_sent;  // out-of-order or pure duplicate segment
-      if (fate == ReorderQueue::Fate::kBuffered) ++stats_.out_of_order_segments;
+      if (!joined.empty()) run = joined;
+      if (cbs_.on_data) cbs_.on_data(run);
+      loop_.payload_pool().release(std::move(joined));  // no-op when unused
+    } else if (fate == ReorderQueue::Fate::kBuffered) {
+      metrics_.out_of_order_segments.inc();
     }
   }
 

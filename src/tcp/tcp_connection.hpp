@@ -82,7 +82,6 @@ class TcpConnection {
     return state_ == State::kTimeWait || state_ == State::kClosed ||
            state_ == State::kAborted;
   }
-  const TcpStats& stats() const { return stats_; }
   net::NodeId local_node() const { return local_node_; }
   net::NodeId remote_node() const { return remote_node_; }
   net::Port local_port() const { return local_port_; }
@@ -179,10 +178,9 @@ class TcpConnection {
   std::optional<std::uint32_t> remote_fin_seq_;
   std::uint32_t last_ack_sent_ = 0;
 
-  TcpStats stats_;
-
-  // Process-wide observability (obs/): per-connection handles into the shared
-  // registry — increments aggregate across every connection in the trial.
+  // The trial's counts of this connection's protocol events: handles into the
+  // current obs::Context's registry, bound at construction, so increments
+  // aggregate across every connection in the trial.
   struct Metrics {
     obs::Counter segments_sent;
     obs::Counter segments_received;
@@ -190,6 +188,7 @@ class TcpConnection {
     obs::Counter retransmits_rto;
     obs::Counter rto_expirations;
     obs::Counter dup_acks_received;
+    obs::Counter out_of_order_segments;
     obs::Counter connections_aborted;
     obs::Histogram cwnd_bytes;
   };

@@ -55,22 +55,4 @@ void TcpStack::handle(const net::Packet& p) {
   }
 }
 
-TcpStats TcpStack::aggregate_stats() const {
-  TcpStats total;
-  for (const auto& [key, conn] : conns_) {
-    const TcpStats& s = conn->stats();
-    total.segments_sent += s.segments_sent;
-    total.segments_received += s.segments_received;
-    total.bytes_sent += s.bytes_sent;
-    total.bytes_received += s.bytes_received;
-    total.retransmits_fast += s.retransmits_fast;
-    total.retransmits_rto += s.retransmits_rto;
-    total.rto_expirations += s.rto_expirations;
-    total.dup_acks_received += s.dup_acks_received;
-    total.dup_acks_sent += s.dup_acks_sent;
-    total.out_of_order_segments += s.out_of_order_segments;
-  }
-  return total;
-}
-
 }  // namespace h2sim::tcp

@@ -49,10 +49,6 @@ class TcpStack {
   net::NodeId node() const { return node_; }
   const TcpConfig& config() const { return cfg_; }
 
-  /// Aggregate retransmission statistics across every connection this stack
-  /// has ever owned (the paper's wire-level retransmission counts).
-  TcpStats aggregate_stats() const;
-
  private:
   using ConnKey = std::tuple<net::Port, net::NodeId, net::Port>;
 

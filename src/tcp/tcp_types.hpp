@@ -41,21 +41,4 @@ struct TcpConfig {
   std::size_t send_buffer_limit = 16 << 20;
 };
 
-struct TcpStats {
-  std::uint64_t segments_sent = 0;
-  std::uint64_t segments_received = 0;
-  std::uint64_t bytes_sent = 0;        // payload bytes, first transmissions
-  std::uint64_t bytes_received = 0;    // payload bytes delivered in order
-  std::uint64_t retransmits_fast = 0;
-  std::uint64_t retransmits_rto = 0;
-  std::uint64_t rto_expirations = 0;
-  std::uint64_t dup_acks_received = 0;
-  std::uint64_t dup_acks_sent = 0;
-  std::uint64_t out_of_order_segments = 0;
-
-  std::uint64_t total_retransmits() const {
-    return retransmits_fast + retransmits_rto;
-  }
-};
-
 }  // namespace h2sim::tcp

@@ -152,6 +152,8 @@ TEST(TrafficMonitor, DrainsBufferedSegmentsAcrossTheSequenceWrap) {
 // --- Controller ---
 
 TEST(NetworkController, SpacesRequestArrivals) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   NetworkController ctl(loop, sim::Rng(1));
   ctl.set_request_spacing(sim::Duration::millis(50));
@@ -169,7 +171,7 @@ TEST(NetworkController, SpacesRequestArrivals) {
   auto p3 = tcp_packet(600, std::vector<std::uint8_t>(200, 1));
   auto d3 = ctl.on_packet(p3, net::Direction::kClientToServer, loop.now());
   EXPECT_NEAR(d3.hold_for.to_millis(), 100.0, 0.001);
-  EXPECT_EQ(ctl.stats().requests_spaced, 2u);
+  EXPECT_EQ(ctx.metrics.counter_value("attack.requests_spaced"), 2u);
 }
 
 TEST(NetworkController, SmallPacketsPassUnheld) {
@@ -214,6 +216,8 @@ TEST(NetworkController, DropWindowExpires) {
 }
 
 TEST(NetworkController, SuppressesRetransmissionsOfHeldRequests) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   TrafficMonitor mon;
   NetworkController ctl(loop, sim::Rng(1));
@@ -236,7 +240,7 @@ TEST(NetworkController, SuppressesRetransmissionsOfHeldRequests) {
   mon.observe(p1_rtx, net::Direction::kClientToServer, loop.now());
   auto d3 = ctl.on_packet(p1_rtx, net::Direction::kClientToServer, loop.now());
   EXPECT_EQ(d3.action, net::Decision::Action::kDrop);
-  EXPECT_EQ(ctl.stats().retransmissions_suppressed, 1u);
+  EXPECT_EQ(ctx.metrics.counter_value("attack.retransmissions_suppressed"), 1u);
 }
 
 // --- Pipeline phase machine ---

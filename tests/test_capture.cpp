@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -26,6 +27,7 @@
 #include "capture/reader.hpp"
 #include "experiment/runner.hpp"
 #include "obs/context.hpp"
+#include "sim/random.hpp"
 #include "web/website.hpp"
 
 #ifndef H2SIM_GOLDEN_DIR
@@ -484,6 +486,127 @@ TEST(Reassembler, DirectionComesFromTheServerPort) {
   EXPECT_EQ(r.direction_of(p), net::Direction::kClientToServer);
   p.tcp.dst_port = 50000;
   EXPECT_EQ(r.direction_of(p), net::Direction::kServerToClient);
+}
+
+// --- TlsRecordReassembler under malformed input ---
+//
+// The reassembler is a passive observer: it reports every record header it
+// can frame, whatever the type or length, and nothing it cannot. Each case
+// pins the record count that rule gives.
+
+/// Body lengths of the complete records framed from the front of `stream`.
+std::vector<std::size_t> framed_records(const std::vector<std::uint8_t>& stream) {
+  std::vector<std::size_t> lens;
+  std::size_t pos = 0;
+  while (pos + 5 <= stream.size()) {
+    const std::size_t len =
+        static_cast<std::size_t>(stream[pos + 3]) << 8 | stream[pos + 4];
+    if (pos + 5 + len > stream.size()) break;
+    lens.push_back(len);
+    pos += 5 + len;
+  }
+  return lens;
+}
+
+TEST(Reassembler, RandomPayloadsFrameExactlyTheCompleteRecords) {
+  std::size_t framed = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::Rng rng(seed);
+    const std::uint32_t isn = static_cast<std::uint32_t>(rng.next_u64());
+    // Random bytes in random-sized segments: the record headers, and so the
+    // types and lengths, are whatever the bytes say.
+    std::vector<std::uint8_t> stream;
+    std::vector<CapturedPacket> packets;
+    for (int i = 0; i < 120; ++i) {
+      std::vector<std::uint8_t> payload(1 + rng.uniform(1460));
+      for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+      const auto seq = isn + 1 + static_cast<std::uint32_t>(stream.size());
+      stream.insert(stream.end(), payload.begin(), payload.end());
+      packets.push_back(s2c_packet(seq, std::move(payload), i));
+    }
+    // Delivered shuffled, with every 5th segment also sent twice.
+    const std::size_t n = packets.size();
+    for (std::size_t i = 0; i < n; i += 5) packets.push_back(packets[i]);
+    rng.shuffle(packets);
+
+    TlsRecordReassembler r = synced_reassembler(isn);
+    r.feed_all(std::span<const CapturedPacket>(packets));
+    const std::vector<std::size_t> expected = framed_records(stream);
+    framed += expected.size();
+    ASSERT_EQ(r.trace().records().size(), expected.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(r.trace().records()[i].body_len, expected[i]) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(framed, 0u);  // the seeds do frame records, not only fragments
+}
+
+TEST(Reassembler, UnknownContentTypeIsReportedAsSeen) {
+  TlsRecordReassembler r = synced_reassembler(5000);
+  std::vector<std::uint8_t> payload = tls_record(0x99, 40);
+  const auto next = tls_record(23, 60);
+  payload.insert(payload.end(), next.begin(), next.end());
+  r.feed(s2c_packet(5001, payload, 1.0));
+  ASSERT_EQ(r.trace().records().size(), 2u);
+  EXPECT_EQ(static_cast<int>(r.trace().records()[0].type), 0x99);
+  EXPECT_EQ(r.trace().records()[0].body_len, 40u);
+  EXPECT_EQ(r.trace().records()[1].body_len, 60u);
+}
+
+TEST(Reassembler, OverlongRecordIsFramedOnlyOnceWhole) {
+  // TLS 1.3 caps a record's ciphertext at 2^14 + 256 bytes; the observer
+  // frames a longer record by its header all the same.
+  constexpr std::size_t kOverlong = (1u << 14) + 256 + 1;
+  TlsRecordReassembler r = synced_reassembler(6000);
+  const auto rec = tls_record(23, kOverlong);
+  std::uint32_t seq = 6001;
+  for (std::size_t off = 0; off < rec.size(); off += 1460) {
+    const std::size_t len = std::min<std::size_t>(1460, rec.size() - off);
+    EXPECT_TRUE(r.trace().records().empty());
+    r.feed(s2c_packet(seq, std::vector<std::uint8_t>(rec.begin() + off,
+                                                     rec.begin() + off + len),
+                      1.0));
+    seq += static_cast<std::uint32_t>(len);
+  }
+  ASSERT_EQ(r.trace().records().size(), 1u);
+  EXPECT_EQ(r.trace().records()[0].body_len, kOverlong);
+
+  // A maximal 65535-byte header whose body never arrives adds nothing.
+  std::vector<std::uint8_t> header = tls_record(23, 0);
+  header[3] = header[4] = 0xFF;
+  TlsRecordReassembler cut = synced_reassembler(7000);
+  cut.feed(s2c_packet(7001, header, 1.0));
+  cut.feed(s2c_packet(7006, std::vector<std::uint8_t>(1000, 0x5A), 2.0));
+  EXPECT_TRUE(cut.trace().records().empty());
+}
+
+TEST(Reassembler, PayloadBeforeTheSynAddsNoRecord) {
+  TlsRecordReassembler r;
+  const auto rec = tls_record(23, 100);
+  r.feed(s2c_packet(8001, rec, 1.0));
+  EXPECT_TRUE(r.trace().records().empty());
+  // The SYN syncs the flow; only payload after it is framed.
+  r.feed(s2c_packet(8000, {}, 2.0, net::tcpflag::kSyn | net::tcpflag::kAck));
+  EXPECT_TRUE(r.trace().records().empty());
+  r.feed(s2c_packet(8001, rec, 3.0));
+  ASSERT_EQ(r.trace().records().size(), 1u);
+  EXPECT_EQ(r.trace().records()[0].time, sim::TimePoint::from_nanos(3'000'000));
+}
+
+TEST(Reassembler, UnfilledGapStopsFramingAtTheGap) {
+  TlsRecordReassembler r = synced_reassembler(9000);
+  const auto rec = tls_record(23, 200);
+  const auto len = static_cast<std::uint32_t>(rec.size());
+  r.feed(s2c_packet(9001, rec, 1.0));
+  ASSERT_EQ(r.trace().records().size(), 1u);
+  // The second record never arrives; everything past it waits for good.
+  for (std::uint32_t i = 2; i < 40; ++i) {
+    r.feed(s2c_packet(9001 + i * len, rec, i));
+  }
+  EXPECT_EQ(r.trace().records().size(), 1u);
+  // Retransmissions of the framed record change nothing either.
+  r.feed(s2c_packet(9001, rec, 50.0));
+  EXPECT_EQ(r.trace().records().size(), 1u);
 }
 
 // --- Round-trip identity over 32 seeds (the acceptance criterion) ---

@@ -13,6 +13,7 @@
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "net/topology.hpp"
+#include "obs/context.hpp"
 #include "sim/event_loop.hpp"
 
 namespace {
@@ -30,6 +31,8 @@ net::Packet make_packet(net::NodeId src, net::NodeId dst, std::size_t bytes) {
 // --- Topology routing ---------------------------------------------------
 
 TEST(Topology, RoutesEachClientThroughSharedUplink) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   net::Topology topo(loop, net::Topology::Config{}, 3);
   ASSERT_EQ(topo.clients(), 3u);
@@ -45,7 +48,9 @@ TEST(Topology, RoutesEachClientThroughSharedUplink) {
   loop.run();
   // All three clients reach the server through the one shared uplink.
   ASSERT_EQ(at_server.size(), 3u);
-  EXPECT_EQ(topo.mb_to_server().stats().delivered_packets, 3u);
+  // Three access-link deliveries into the gateway, then three over the uplink.
+  EXPECT_EQ(ctx.metrics.counter_value("net.mb_forwarded"), 3u);
+  EXPECT_EQ(ctx.metrics.counter_value("net.link_delivered"), 6u);
 }
 
 TEST(Topology, RoutesServerRepliesToTheAddressedClient) {

@@ -5,6 +5,7 @@
 #include "net/link.hpp"
 #include "net/middlebox.hpp"
 #include "net/topology.hpp"
+#include "obs/context.hpp"
 
 namespace h2sim::net {
 namespace {
@@ -60,6 +61,8 @@ TEST(Link, PreservesFifoOrder) {
 }
 
 TEST(Link, DropsWhenQueueFull) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   Link::Config cfg;
   cfg.bandwidth_bps = 8e6;
@@ -70,11 +73,16 @@ TEST(Link, DropsWhenQueueFull) {
   for (int i = 0; i < 10; ++i) link.send(make_packet(1400));
   loop.run();
   EXPECT_LT(delivered, 10);
-  EXPECT_GT(link.stats().dropped_packets, 0u);
-  EXPECT_EQ(link.stats().delivered_packets + link.stats().dropped_packets, 10u);
+  const std::uint64_t drops = ctx.metrics.counter_value("net.link_drops");
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(ctx.metrics.counter_value("net.link_delivered"),
+            static_cast<std::uint64_t>(delivered));
+  EXPECT_EQ(static_cast<std::uint64_t>(delivered) + drops, 10u);
 }
 
 TEST(Link, RandomLossRoughlyCalibrated) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   Link::Config cfg;
   cfg.loss_rate = 0.2;
@@ -86,7 +94,8 @@ TEST(Link, RandomLossRoughlyCalibrated) {
   for (int i = 0; i < n; ++i) link.send(make_packet(100));
   loop.run();
   EXPECT_NEAR(static_cast<double>(delivered) / n, 0.8, 0.04);
-  EXPECT_EQ(link.stats().random_losses, n - static_cast<std::size_t>(delivered));
+  EXPECT_EQ(ctx.metrics.counter_value("net.link_random_losses"),
+            static_cast<std::uint64_t>(n - delivered));
 }
 
 TEST(Middlebox, ForwardsByDefaultAndTapsEverything) {
@@ -110,6 +119,8 @@ class DropAllPolicy : public PacketPolicy {
 };
 
 TEST(Middlebox, PolicyDropsButTapStillSees) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   Middlebox mb(loop);
   DropAllPolicy policy;
@@ -121,7 +132,7 @@ TEST(Middlebox, PolicyDropsButTapStillSees) {
   loop.run();
   EXPECT_EQ(forwarded, 0);
   EXPECT_EQ(tapped, 1);
-  EXPECT_EQ(mb.stats().dropped, 1u);
+  EXPECT_EQ(ctx.metrics.counter_value("net.mb_dropped"), 1u);
 }
 
 class HoldPolicy : public PacketPolicy {
@@ -132,6 +143,8 @@ class HoldPolicy : public PacketPolicy {
 };
 
 TEST(Middlebox, HoldDelaysForwarding) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   Middlebox mb(loop);
   HoldPolicy policy;
@@ -141,7 +154,7 @@ TEST(Middlebox, HoldDelaysForwarding) {
   mb.on_from_client(make_packet());
   loop.run();
   EXPECT_NEAR(forwarded_at.to_millis(), 25.0, 0.001);
-  EXPECT_EQ(mb.stats().held, 1u);
+  EXPECT_EQ(ctx.metrics.counter_value("net.mb_held"), 1u);
 }
 
 TEST(Middlebox, RateLimitPacesPackets) {

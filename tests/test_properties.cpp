@@ -12,6 +12,7 @@
 #include "hpack/huffman.hpp"
 #include "hpack/integer.hpp"
 #include "net/topology.hpp"
+#include "obs/context.hpp"
 #include "attack/monitor.hpp"
 #include "h2/frame.hpp"
 #include "sim/random.hpp"
@@ -140,6 +141,8 @@ class TcpLossProperty : public ::testing::TestWithParam<TcpLossCase> {};
 
 TEST_P(TcpLossProperty, StreamIntegrityUnderLoss) {
   const auto param = GetParam();
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
   sim::EventLoop loop;
   sim::Rng rng(param.seed);
 
@@ -184,14 +187,11 @@ TEST_P(TcpLossProperty, StreamIntegrityUnderLoss) {
   EXPECT_EQ(received, sent);  // exact in-order delivery despite loss
   // Retransmissions must have happened if the links actually lost several
   // packets (a couple of losses may all hit pure ACKs, which need none).
-  const std::uint64_t losses = topo.client_to_mb().stats().random_losses +
-                               topo.mb_to_server().stats().random_losses +
-                               topo.server_to_mb().stats().random_losses +
-                               topo.mb_to_client().stats().random_losses;
-  if (losses > 4) {
-    EXPECT_GT(conn.stats().total_retransmits() +
-                  server.aggregate_stats().total_retransmits(),
-              0u);
+  const auto count = [&ctx](const char* name) {
+    return ctx.metrics.counter_value(name);
+  };
+  if (count("net.link_random_losses") > 4) {
+    EXPECT_GT(count("tcp.retransmits_fast") + count("tcp.retransmits_rto"), 0u);
   }
 }
 

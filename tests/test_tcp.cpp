@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "obs/context.hpp"
 #include "sim/event_loop.hpp"
 #include "tcp/tcp_connection.hpp"
 #include "tcp/tcp_stack.hpp"
@@ -15,7 +16,8 @@ namespace h2sim::tcp {
 namespace {
 
 /// Two TCP endpoints joined by a controllable wire: fixed one-way delay plus
-/// per-packet drop/hold hooks for loss and reordering experiments.
+/// per-packet drop/hold hooks for loss and reordering experiments. Counts
+/// come from the fixture's own registry, which sums over both endpoints.
 class TcpPair : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -60,6 +62,13 @@ class TcpPair : public ::testing::Test {
     });
   }
 
+  std::uint64_t count(const std::string& name) const {
+    return ctx_.metrics.counter_value(name);
+  }
+
+  // Installed before the endpoints exist: their counters bind at construction.
+  obs::Context ctx_;
+  obs::ScopedContext scope_{ctx_};
   sim::EventLoop loop_;
   TcpConfig cfg_;
   std::uint32_t client_iss_ = 1000;
@@ -105,12 +114,21 @@ TEST_F(TcpPair, DeliversBytesInOrder) {
 }
 
 TEST_F(TcpPair, SegmentsRespectMss) {
+  std::size_t received = 0;
+  TcpConnection::Callbacks scb;
+  scb.on_data = [&](std::span<const std::uint8_t> b) { received += b.size(); };
+  server_->set_callbacks(std::move(scb));
   establish();
+  std::vector<std::size_t> sizes;
+  filter_ = [&](const net::Packet& p, bool to_server) {
+    if (to_server && !p.payload.empty()) sizes.push_back(p.payload.size());
+    return true;
+  };
   client_->send(bytes(5000));
-  // 5000 bytes -> 4 segments (3x1460 + 620); check via stats.
+  // 5000 bytes -> 4 segments (3x1460 + 620).
   run_for(5);
-  EXPECT_EQ(client_->stats().bytes_sent, 5000u);
-  EXPECT_GE(client_->stats().segments_sent, 4u);
+  EXPECT_EQ(received, 5000u);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1460, 1460, 1460, 620}));
 }
 
 TEST_F(TcpPair, LostDataSegmentRecoversViaFastRetransmit) {
@@ -134,9 +152,11 @@ TEST_F(TcpPair, LostDataSegmentRecoversViaFastRetransmit) {
   client_->send(payload);
   run_for(10);
   EXPECT_EQ(received, payload);
-  EXPECT_GE(client_->stats().retransmits_fast, 1u);
-  EXPECT_EQ(client_->stats().retransmits_rto, 0u);  // no timeout needed
-  EXPECT_GE(server_->stats().out_of_order_segments, 1u);
+  // Only the client sends data, so every retransmission is the client's and
+  // every out-of-order segment the server's.
+  EXPECT_GE(count("tcp.retransmits_fast"), 1u);
+  EXPECT_EQ(count("tcp.retransmits_rto"), 0u);  // no timeout needed
+  EXPECT_GE(count("tcp.out_of_order_segments"), 1u);
 }
 
 TEST_F(TcpPair, LoneLossRecoversViaRto) {
@@ -159,7 +179,7 @@ TEST_F(TcpPair, LoneLossRecoversViaRto) {
   client_->send(bytes(500));
   run_for(10);
   EXPECT_EQ(received.size(), 500u);
-  EXPECT_GE(client_->stats().retransmits_rto, 1u);
+  EXPECT_GE(count("tcp.retransmits_rto"), 1u);  // the client is the only sender
 }
 
 TEST_F(TcpPair, CwndGrowsInSlowStart) {
@@ -293,7 +313,8 @@ TEST_F(TcpPair, DupAcksCountedAtSender) {
   };
   client_->send(bytes(30000));
   run_for(10);
-  EXPECT_GE(client_->stats().dup_acks_received, 3u);
+  // The server has nothing in flight, so every duplicate ACK is the client's.
+  EXPECT_GE(count("tcp.dup_acks_received"), 3u);
 }
 
 // A scripted loss pattern that walks the sender's record list through its
@@ -344,8 +365,9 @@ TEST_F(TcpPair, PartialAckAndMidListRetransmitKeepRecordsAndRtt) {
   run_for(5);
   EXPECT_EQ(received.size(), payload.size() + 2000);
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(), received.begin()));
-  EXPECT_EQ(client_->stats().retransmits_fast, 3u);
-  EXPECT_EQ(client_->stats().retransmits_rto, 0u);
+  // The server sends no data: all three retransmissions are the client's.
+  EXPECT_EQ(count("tcp.retransmits_fast"), 3u);
+  EXPECT_EQ(count("tcp.retransmits_rto"), 0u);
   constexpr std::int64_t kMs = 1'000'000;
   const std::vector<std::array<std::int64_t, 4>> expected = {
       {1000, 9, 10 * kMs, 200 * kMs},  // 6 dup ACKs follow: the 3rd one
@@ -455,8 +477,8 @@ TEST_F(TcpPairAtWrap, BulkTransferThroughLossAndReorderingIsExact) {
   run_for(120);
   EXPECT_EQ(received.size(), payload.size());
   EXPECT_TRUE(received == payload);
-  EXPECT_GE(client_->stats().retransmits_fast, 1u);
-  EXPECT_GE(server_->stats().out_of_order_segments, 1u);
+  EXPECT_GE(count("tcp.retransmits_fast"), 1u);
+  EXPECT_GE(count("tcp.out_of_order_segments"), 1u);
   EXPECT_EQ(client_->tracked_segments(), 0u);
   EXPECT_EQ(client_->bytes_in_flight(), 0u);
 }
@@ -481,8 +503,8 @@ TEST_F(TcpPairAtWrap, HoleBeforeTheWrapDrainsInOnePass) {
   client_->send(payload);
   run_for(10);
   EXPECT_EQ(received, payload);
-  EXPECT_GE(server_->stats().out_of_order_segments, 2u);
-  EXPECT_EQ(client_->stats().total_retransmits(), 1u);
+  EXPECT_GE(count("tcp.out_of_order_segments"), 2u);
+  EXPECT_EQ(count("tcp.retransmits_fast") + count("tcp.retransmits_rto"), 1u);
   EXPECT_EQ(client_->tracked_segments(), 0u);
 }
 

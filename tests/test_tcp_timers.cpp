@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "sim/event_loop.hpp"
 #include "tcp/tcp_connection.hpp"
 
@@ -43,6 +44,13 @@ class TcpTimerTest : public ::testing::Test {
     ASSERT_TRUE(client_->established());
   }
 
+  std::uint64_t count(const std::string& name) const {
+    return ctx_.metrics.counter_value(name);
+  }
+
+  // Installed before the endpoints exist: their counters bind at construction.
+  obs::Context ctx_;
+  obs::ScopedContext scope_{ctx_};
   sim::EventLoop loop_;
   TcpConfig cfg_;
   sim::Duration delay_ = sim::Duration::millis(5);
@@ -151,10 +159,15 @@ TEST_F(TcpTimerTest, StatsSeparateFastAndRtoRetransmits) {
   };
   client_->send(std::vector<std::uint8_t>(100, 1));
   run_for(10);
-  EXPECT_GE(client_->stats().retransmits_rto, 1u);
-  EXPECT_EQ(client_->stats().retransmits_fast, 0u);
-  EXPECT_EQ(client_->stats().total_retransmits(),
-            client_->stats().retransmits_fast + client_->stats().retransmits_rto);
+  // The server sends no data, so the counts are the client's, and each
+  // counted retransmission is one flagged data segment on the wire.
+  EXPECT_GE(count("tcp.retransmits_rto"), 1u);
+  EXPECT_EQ(count("tcp.retransmits_fast"), 0u);
+  std::uint64_t flagged = 0;
+  for (const auto& p : sent_to_server_) {
+    if (!p.payload.empty() && p.is_retransmission) ++flagged;
+  }
+  EXPECT_EQ(count("tcp.retransmits_rto"), flagged);
 }
 
 }  // namespace
