@@ -11,11 +11,13 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "h2/client.hpp"
 #include "h2/frame.hpp"
 #include "h2/server.hpp"
+#include "h2/stream.hpp"
 #include "hpack/decoder.hpp"
 #include "hpack/encoder.hpp"
 #include "hpack/huffman.hpp"
@@ -411,9 +413,10 @@ BENCHMARK(BM_PacketForwardSteadyState);
 
 // Steady-state allocation proof for the H2 data path: a server streams a bulk
 // response to a client over TLS, TCP and the simulated topology, each DATA
-// frame a 2 KiB borrowed span from the stream queue to the client's handler.
-// The first 4 MiB warm every queue, pool and scratch buffer; after that,
-// each iteration queues 4 MiB more on the same stream and runs until the
+// frame a 2 KiB borrowed span from the server's body to the client's handler.
+// The stream queue borrows the body, so `body` is named and outlives every
+// transfer. The first 4 MiB warm every pool and scratch buffer; after that,
+// each iteration queues the body again on the same stream and runs until the
 // client has it. `allocs_per_frame` (heap allocations per server DATA frame,
 // WINDOW_UPDATEs and ACKs included) must be exactly 0.
 void BM_H2DataFrameSteadyState(benchmark::State& state) {
@@ -471,7 +474,7 @@ void BM_H2DataFrameSteadyState(benchmark::State& state) {
     server->send_body_chunk(stream, body, false);
     loop.run();
   };
-  transfer();  // warm-up: queues, pools, scratch buffers and the event slab
+  transfer();  // warm-up: pools, scratch buffers and the event slab
 
   const std::string frames_sent = "h2.server.frames_sent";
   std::uint64_t allocs = 0;
@@ -489,6 +492,34 @@ void BM_H2DataFrameSteadyState(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(frames));
 }
 BENCHMARK(BM_H2DataFrameSteadyState)->Unit(benchmark::kMillisecond);
+
+// The paper's server queue filling against a stalled peer (Figure 3, and
+// Tripathi's slow read): each iteration opens a fresh stream whose send
+// window is exhausted, queues a 256 KiB response body in the server app's
+// 1 KiB chunks, and empties it with the RST_STREAM flush (Figure 6). The
+// queue is a window over the body, so it must not allocate however far it
+// grows: `allocs_per_chunk` must be exactly 0.
+void BM_H2StalledQueueSteadyState(benchmark::State& state) {
+  constexpr std::size_t kChunk = 1024;
+  const std::vector<std::uint8_t> body(256 * 1024, 0x5a);
+  const std::span<const std::uint8_t> all(body);
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    h2::Stream s(1, /*send_window=*/0, h2::kDefaultInitialWindow);
+    for (std::size_t pos = 0; pos < body.size(); pos += kChunk) {
+      s.enqueue(all.subspan(pos, kChunk), pos + kChunk == body.size());
+    }
+    benchmark::DoNotOptimize(s.queued_bytes());
+    s.flush_queue();
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+  }
+  const auto chunks = state.iterations() * static_cast<std::int64_t>(body.size() / kChunk);
+  state.SetItemsProcessed(chunks);
+  state.counters["allocs_per_chunk"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(chunks));
+}
+BENCHMARK(BM_H2StalledQueueSteadyState);
 
 // Lossless bulk transfer between two TCP endpoints over a 5 ms one-way wire,
 // with the receive window (and so the flight the sender keeps) set by the

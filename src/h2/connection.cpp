@@ -349,8 +349,8 @@ void Connection::pump() {
                           std::min(s.send_window().available(),
                                    conn_send_window_.available())));
     }
-    // The payload is borrowed from the stream's queue: write_frame copies it
-    // before anything can enqueue to or flush that queue.
+    // The payload is borrowed from the caller's body through the stream's
+    // queue window: write_frame copies it into the record before returning.
     FrameView f{FrameType::kData, 0, id, s.take(n)};
     const bool end = s.queued_bytes() == 0 && s.end_stream_queued();
     if (end) f.flags = flags::kEndStream;
@@ -620,7 +620,12 @@ void Connection::handle_settings(const FrameView& f) {
         const std::int64_t delta =
             static_cast<std::int64_t>(e.value) - peer_initial_window_;
         peer_initial_window_ = e.value;
-        for (auto& [id, s] : streams_) s->send_window().adjust(delta);
+        for (auto& [id, s] : streams_) {
+          if (!s->send_window().adjust(delta)) {  // RFC 7540 §6.9.2
+            connection_error(ErrorCode::kFlowControlError, "stream window overflow");
+            return;
+          }
+        }
         break;
       }
       case SettingId::kMaxFrameSize:

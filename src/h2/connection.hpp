@@ -74,7 +74,10 @@ class Connection {
   Connection& operator=(const Connection&) = delete;
 
   /// Queues response/request body bytes on a stream; the scheduler decides
-  /// when they reach the wire.
+  /// when they reach the wire. The bytes are borrowed, not copied: they must
+  /// stay valid until they have been sent or the stream is reset. While the
+  /// stream still has bytes queued, the next bytes must continue the same
+  /// buffer (see Stream::enqueue).
   void enqueue_data(std::uint32_t stream_id, std::span<const std::uint8_t> bytes,
                     bool end_stream);
 

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "h2/connection.hpp"
 
@@ -34,10 +35,14 @@ class ServerConnection : public Connection {
                        bool end_stream = false);
 
   /// Queues one body chunk; the multiplexing scheduler owns wire timing.
+  /// The chunk is borrowed under enqueue_data's contract: it stays valid
+  /// until it has been sent or the stream is reset.
   void send_body_chunk(std::uint32_t stream_id,
                        std::span<const std::uint8_t> bytes, bool end_stream) {
     enqueue_data(stream_id, bytes, end_stream);
   }
+  /// A temporary body would be gone before the scheduler sends it.
+  void send_body_chunk(std::uint32_t, std::vector<std::uint8_t>&&, bool) = delete;
 
   /// Server push: announces `request_headers` on `parent` and returns the
   /// promised stream id (0 if the peer disabled push).

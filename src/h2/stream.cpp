@@ -1,8 +1,33 @@
 #include "h2/stream.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace h2sim::h2 {
+
+namespace {
+
+/// The edges of RFC 7540 §5.1's state diagram. A HEADERS frame carrying
+/// END_STREAM takes two edges at once (idle to half-closed, or reserved to
+/// closed), and RST_STREAM closes any stream that has left idle.
+[[maybe_unused]] bool legal_transition(StreamState from, StreamState to) {
+  using S = StreamState;
+  if (from == to) return true;
+  switch (from) {
+    case S::kIdle: return to != S::kClosed;
+    case S::kReservedLocal: return to == S::kHalfClosedRemote || to == S::kClosed;
+    case S::kReservedRemote: return to == S::kHalfClosedLocal || to == S::kClosed;
+    case S::kOpen:
+      return to == S::kHalfClosedLocal || to == S::kHalfClosedRemote ||
+             to == S::kClosed;
+    case S::kHalfClosedLocal:
+    case S::kHalfClosedRemote: return to == S::kClosed;
+    case S::kClosed: return false;
+  }
+  return false;
+}
+
+}  // namespace
 
 const char* to_string(StreamState s) {
   switch (s) {
@@ -20,17 +45,17 @@ const char* to_string(StreamState s) {
 bool Stream::on_send_headers(bool end_stream) {
   switch (state_) {
     case StreamState::kIdle:
-      state_ = end_stream ? StreamState::kHalfClosedLocal : StreamState::kOpen;
+      set_state(end_stream ? StreamState::kHalfClosedLocal : StreamState::kOpen);
       return true;
     case StreamState::kReservedLocal:
-      state_ = end_stream ? StreamState::kClosed : StreamState::kHalfClosedRemote;
+      set_state(end_stream ? StreamState::kClosed : StreamState::kHalfClosedRemote);
       return true;
     case StreamState::kOpen:
       // Trailers.
-      if (end_stream) state_ = StreamState::kHalfClosedLocal;
+      if (end_stream) set_state(StreamState::kHalfClosedLocal);
       return true;
     case StreamState::kHalfClosedRemote:
-      if (end_stream) state_ = StreamState::kClosed;
+      if (end_stream) set_state(StreamState::kClosed);
       return true;
     default:
       return false;
@@ -40,16 +65,16 @@ bool Stream::on_send_headers(bool end_stream) {
 bool Stream::on_recv_headers(bool end_stream) {
   switch (state_) {
     case StreamState::kIdle:
-      state_ = end_stream ? StreamState::kHalfClosedRemote : StreamState::kOpen;
+      set_state(end_stream ? StreamState::kHalfClosedRemote : StreamState::kOpen);
       return true;
     case StreamState::kReservedRemote:
-      state_ = end_stream ? StreamState::kClosed : StreamState::kHalfClosedLocal;
+      set_state(end_stream ? StreamState::kClosed : StreamState::kHalfClosedLocal);
       return true;
     case StreamState::kOpen:
-      if (end_stream) state_ = StreamState::kHalfClosedRemote;
+      if (end_stream) set_state(StreamState::kHalfClosedRemote);
       return true;
     case StreamState::kHalfClosedLocal:
-      if (end_stream) state_ = StreamState::kClosed;
+      if (end_stream) set_state(StreamState::kClosed);
       return true;
     default:
       return false;
@@ -59,10 +84,10 @@ bool Stream::on_recv_headers(bool end_stream) {
 bool Stream::on_send_data_end() {
   switch (state_) {
     case StreamState::kOpen:
-      state_ = StreamState::kHalfClosedLocal;
+      set_state(StreamState::kHalfClosedLocal);
       return true;
     case StreamState::kHalfClosedRemote:
-      state_ = StreamState::kClosed;
+      set_state(StreamState::kClosed);
       return true;
     default:
       return false;
@@ -72,37 +97,50 @@ bool Stream::on_send_data_end() {
 bool Stream::on_recv_data(bool end_stream) {
   if (!can_recv_data()) return false;
   if (end_stream) {
-    state_ = state_ == StreamState::kOpen ? StreamState::kHalfClosedRemote
-                                          : StreamState::kClosed;
+    set_state(state_ == StreamState::kOpen ? StreamState::kHalfClosedRemote
+                                            : StreamState::kClosed);
   }
   return true;
 }
 
 bool Stream::on_send_push_promise() {
   if (state_ != StreamState::kIdle) return false;
-  state_ = StreamState::kReservedLocal;
+  set_state(StreamState::kReservedLocal);
   return true;
 }
 
 bool Stream::on_recv_push_promise() {
   if (state_ != StreamState::kIdle) return false;
-  state_ = StreamState::kReservedRemote;
+  set_state(StreamState::kReservedRemote);
   return true;
 }
 
+void Stream::set_state(StreamState next) {
+  assert(legal_transition(state_, next));
+  state_ = next;
+}
+
 void Stream::enqueue(std::span<const std::uint8_t> bytes, bool end_stream) {
-  queue_.append(bytes);
+  if (!bytes.empty()) {
+    if (taken_ == queued_) {
+      taken_ = bytes.data();  // an empty queue starts a new window
+    } else {
+      assert(bytes.data() == queued_);  // a queued window only grows at its end
+    }
+    queued_ = bytes.data() + bytes.size();
+  }
   if (end_stream) end_queued_ = true;
 }
 
 std::span<const std::uint8_t> Stream::take(std::size_t n) {
-  const auto out = queue_.bytes().first(std::min(n, queue_.size()));
-  queue_.consume(out.size());
+  const std::span<const std::uint8_t> out(taken_, std::min(n, queued_bytes()));
+  taken_ += out.size();
+  assert(taken_ <= queued_);
   return out;
 }
 
 void Stream::flush_queue() {
-  queue_.clear();
+  taken_ = queued_ = nullptr;
   end_queued_ = false;
 }
 

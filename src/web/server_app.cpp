@@ -27,6 +27,7 @@ ServerApp::ServerApp(sim::EventLoop& loop, const Website& site,
       workers_.erase(it);
       start_next_queued();
     }
+    built_bodies_.erase(sid);  // the reset flushed the stream's queue
     std::erase_if(pending_, [sid](const auto& p) { return p.stream_id == sid; });
   };
   handlers.on_connection_dead = [this](std::string_view reason) {
@@ -80,7 +81,7 @@ void ServerApp::start_worker(std::uint32_t stream_id, const WebObject* obj,
                              std::size_t wire_size) {
   Worker w;
   w.obj = obj;
-  w.wire_size = wire_size;
+  w.body = served_body(stream_id, *obj, wire_size);
   const sim::Duration first = jittered(obj->dynamic ? cfg_.dynamic_first_byte_delay
                                                     : cfg_.static_first_byte_delay);
   w.timer = loop_.schedule_after(first, [this, stream_id] { produce_chunk(stream_id); });
@@ -94,38 +95,44 @@ void ServerApp::start_next_queued() {
   start_worker(next.stream_id, next.obj, next.wire_size);
 }
 
+std::span<const std::uint8_t> ServerApp::served_body(std::uint32_t stream_id,
+                                                     const WebObject& obj,
+                                                     std::size_t wire_size) {
+  if (obj.content.size() >= wire_size) {
+    return std::span<const std::uint8_t>(obj.content).first(wire_size);
+  }
+  release_sent_bodies();
+  // Deterministic filler; the bytes are opaque on the wire anyway. Whatever
+  // content the object has comes first, then the materialize() formula up
+  // to the object's size, then padding keyed on the served size.
+  std::vector<std::uint8_t>& body = built_bodies_[stream_id];
+  body.resize(wire_size);
+  std::copy(obj.content.begin(), obj.content.end(), body.begin());
+  for (std::size_t pos = obj.content.size(); pos < wire_size; ++pos) {
+    body[pos] = static_cast<std::uint8_t>(pos * 131 +
+                                          (pos < obj.size ? obj.size : wire_size));
+  }
+  return body;
+}
+
+void ServerApp::release_sent_bodies() {
+  std::erase_if(built_bodies_, [this](const auto& entry) {
+    const std::uint32_t sid = entry.first;
+    if (workers_.contains(sid)) return false;
+    const h2::Stream* s = conn_.find_stream(sid);
+    return s == nullptr || s->queued_bytes() == 0;
+  });
+}
+
 void ServerApp::produce_chunk(std::uint32_t stream_id) {
   auto it = workers_.find(stream_id);
   if (it == workers_.end()) return;
   Worker& w = it->second;
 
-  const std::size_t remaining = w.wire_size - w.produced;
-  const std::size_t n = std::min(cfg_.chunk_bytes, remaining);
-  // Deterministic filler content; the bytes are opaque on the wire anyway.
-  // Normally a read-only window into the materialized object body; the
-  // generate-into-scratch path covers hand-built WebObjects that never went
-  // through Website::add_object, plus any chunk that reaches into the
-  // policy's padding region past the plaintext object.
-  std::span<const std::uint8_t> chunk;
-  if (w.obj->content.size() >= w.produced + n && w.produced + n <= w.obj->size) {
-    chunk = std::span<const std::uint8_t>(w.obj->content).subspan(w.produced, n);
-  } else {
-    scratch_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t pos = w.produced + i;
-      if (pos < w.obj->content.size()) {
-        scratch_[i] = w.obj->content[pos];
-      } else if (pos < w.obj->size) {
-        scratch_[i] = static_cast<std::uint8_t>(pos * 131 + w.obj->size);
-      } else {
-        // Padding bytes past the plaintext object.
-        scratch_[i] = static_cast<std::uint8_t>(pos * 131 + w.wire_size);
-      }
-    }
-    chunk = scratch_;
-  }
+  const std::size_t n = std::min(cfg_.chunk_bytes, w.body.size() - w.produced);
+  const auto chunk = w.body.subspan(w.produced, n);
   w.produced += n;
-  const bool last = w.produced >= w.wire_size;
+  const bool last = w.produced >= w.body.size();
   conn_.send_body_chunk(stream_id, chunk, last);
 
   if (last) {

@@ -4,8 +4,10 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "h2/server.hpp"
 #include "sim/random.hpp"
@@ -51,6 +53,14 @@ struct ServerAppConfig {
 /// worker that paces response chunks into the stream queue. RST_STREAM
 /// cancels the worker (and the connection has already flushed the queue) —
 /// the paper's Figure 6 server behaviour.
+///
+/// The stream queue borrows the chunks (ServerConnection::send_body_chunk),
+/// so every served body outlives its stream's references to it. An object
+/// whose materialized content covers the served size is served straight
+/// from `content` (the Website outlives the trial). Any other serving, a
+/// padded one or an object whose content was never materialized, gets its
+/// whole body built once into a buffer the app owns until the stream is
+/// reset or has sent it.
 class ServerApp {
  public:
   ServerApp(sim::EventLoop& loop, const Website& site, h2::ServerConnection& conn,
@@ -68,7 +78,9 @@ class ServerApp {
  private:
   struct Worker {
     const WebObject* obj = nullptr;
-    std::size_t wire_size = 0;  // obj->size plus policy padding
+    /// The served bytes, obj->size plus policy padding: a prefix of
+    /// obj->content or a body in built_bodies_.
+    std::span<const std::uint8_t> body;
     std::size_t produced = 0;
     sim::TimerHandle timer;
   };
@@ -91,6 +103,12 @@ class ServerApp {
   void start_worker(std::uint32_t stream_id, const WebObject* obj,
                     std::size_t wire_size);
   void start_next_queued();
+  /// The `wire_size` bytes served for `obj` on `stream_id`.
+  std::span<const std::uint8_t> served_body(std::uint32_t stream_id,
+                                            const WebObject& obj,
+                                            std::size_t wire_size);
+  /// Frees the built bodies no stream can reference any more.
+  void release_sent_bodies();
 
   double speed_factor_ = 1.0;
   /// Dedicated stream for padding draws, split off rng_ only when a
@@ -98,8 +116,9 @@ class ServerApp {
   /// deterministically-defended trials keep the historical rng_ sequence
   /// bit-for-bit.
   sim::Rng pad_rng_{0};
-  std::vector<std::uint8_t> scratch_;  // chunk buffer for unmaterialized objects
   std::map<std::uint32_t, Worker> workers_;
+  /// Bodies built by served_body(), by stream id.
+  std::map<std::uint32_t, std::vector<std::uint8_t>> built_bodies_;
   std::deque<PendingRequest> pending_;  // serial mode
   std::map<std::uint32_t, std::string> stream_objects_;
 };

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "h2_fixture.hpp"
+#include "hpack/encoder.hpp"
 #include "http/message.hpp"
 #include "obs/context.hpp"
 #include "tls/record.hpp"
@@ -306,6 +308,43 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
   }
 }
 
+// RFC 7540 §6.9.2: a SETTINGS_INITIAL_WINDOW_SIZE change that pushes any
+// stream's window past 2^31-1 is a connection FLOW_CONTROL_ERROR; the window
+// is never left overflowed.
+TEST(ErrorPaths, InitialWindowChangeThatOverflowsAStreamIsFlowControlError) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
+  ctx.tracer.enable(obs::Component::kH2);
+  H2Pair pair;
+  pair.run(1);
+  http::Request get;
+  get.authority = "example.com";
+  get.path = "/";
+  const std::uint32_t sid = pair.client->send_request(get.to_h2_headers());
+  pair.run(1);
+  h2::Stream* s = pair.server->find_stream(sid);
+  ASSERT_NE(s, nullptr);
+  const std::int64_t window = s->send_window().available();
+  pair.client_tls->write(h2::serialize_frame(
+      {h2::FrameType::kWindowUpdate, 0, sid,
+       h2::encode_window_update(static_cast<std::uint32_t>(h2::kMaxWindow - window))}));
+  pair.run(1);
+  ASSERT_FALSE(pair.server->dead());
+  ASSERT_EQ(pair.server->find_stream(sid)->send_window().available(), h2::kMaxWindow);
+  const h2::SettingsEntry grow[] = {
+      {h2::SettingId::kInitialWindowSize, h2::ConnectionConfig{}.initial_window_size + 1}};
+  pair.client_tls->write(
+      h2::serialize_frame({h2::FrameType::kSettings, 0, 0, h2::encode_settings(grow)}));
+  pair.run(1);
+  EXPECT_TRUE(pair.server->dead());
+  const auto& events = ctx.tracer.events();
+  const auto it = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return e.name == "connection-error" && e.pid == obs::track::kServer;
+  });
+  ASSERT_NE(it, events.end());
+  EXPECT_NE(it->args.find("FLOW_CONTROL_ERROR"), std::string::npos) << it->args;
+}
+
 TEST(ErrorPaths, GarbageHeaderBlockIsCompressionError) {
   H2Pair pair;
   pair.run(1);
@@ -401,6 +440,87 @@ TEST(ErrorPaths, RequestWithoutPseudoHeadersGets404Path) {
   pair.run(2);
   EXPECT_TRUE(got_reset);
   EXPECT_FALSE(pair.client->dead());
+}
+
+// Tripathi's slow read (PAPERS.md): the peer advertises a 4 KiB stream
+// window and never credits it back, while the app keeps producing chunks.
+// The server must send no DATA past the window, its stream queue must hold
+// exactly what was produced and not sent, and the RST_STREAM flush (the
+// paper's Figure 6) must report all of it.
+TEST(ErrorPaths, SlowReadPeerNeverGetsDataPastTheStreamWindow) {
+  obs::Context ctx;
+  obs::ScopedContext scope(ctx);
+  ctx.tracer.enable(obs::Component::kH2);
+  constexpr std::uint32_t kWindow = 4096;
+  constexpr std::size_t kChunk = 1024;
+  H2Pair pair;
+  // A scripted peer replaces the client connection on the same TLS session:
+  // preface and SETTINGS now, one GET later, and never a WINDOW_UPDATE.
+  pair.client.reset();
+  tls::TlsSession::Callbacks cbs;
+  cbs.on_established = [&pair] {
+    pair.client_tls->write(h2::client_preface());
+    const h2::SettingsEntry small[] = {{h2::SettingId::kInitialWindowSize, kWindow}};
+    pair.client_tls->write(
+        h2::serialize_frame({h2::FrameType::kSettings, 0, 0, h2::encode_settings(small)}));
+  };
+  cbs.on_plaintext = [](std::span<const std::uint8_t>) {};  // reads nothing
+  pair.client_tls->set_callbacks(std::move(cbs));
+  pair.run(1);
+  ASSERT_TRUE(pair.server);
+
+  const std::vector<std::uint8_t> body(64 * kChunk, 0x33);
+  std::size_t produced = 0;
+  std::size_t sent = 0;
+  std::function<void()> produce = [&] {
+    const bool last = produced + kChunk == body.size();
+    pair.server->send_body_chunk(1, std::span(body).subspan(produced, kChunk), last);
+    produced += kChunk;
+    if (!last) pair.loop.schedule_after(sim::Duration::millis(1), [&] { produce(); });
+  };
+  h2::ServerConnection::Handlers sh;
+  sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
+    pair.server->respond_headers(sid, 200);
+    produce();
+  };
+  pair.server->set_handlers(std::move(sh));
+  pair.server->set_frame_tap([&](const h2::FrameView& f, sim::TimePoint) {
+    if (f.type != h2::FrameType::kData) return;
+    sent += f.payload.size();
+    EXPECT_LE(sent, kWindow) << "DATA past the peer's stream window";
+  });
+
+  http::Request get;
+  get.authority = "example.com";
+  get.path = "/slow";
+  hpack::Encoder encoder;
+  pair.client_tls->write(h2::serialize_frame(
+      {h2::FrameType::kHeaders,
+       static_cast<std::uint8_t>(h2::flags::kEndHeaders | h2::flags::kEndStream), 1,
+       encoder.encode(get.to_h2_headers())}));
+  pair.run(1);
+
+  EXPECT_EQ(produced, body.size());
+  EXPECT_EQ(sent, kWindow);
+  const h2::Stream* s = pair.server->find_stream(1);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->queued_bytes(), produced - sent);
+  EXPECT_EQ(pair.server->pending_data_bytes(), produced - sent);
+  EXPECT_GT(ctx.metrics.counter_value("h2.server.flow_stalls"), 0u);
+
+  pair.client_tls->write(h2::serialize_frame(
+      {h2::FrameType::kRstStream, 0, 1, h2::encode_rst_stream(h2::ErrorCode::kCancel)}));
+  pair.run(1);
+  EXPECT_EQ(pair.server->find_stream(1), nullptr);
+  EXPECT_EQ(pair.server->pending_data_bytes(), 0u);
+  const auto& events = ctx.tracer.events();
+  const auto flush = std::find_if(events.begin(), events.end(), [](const auto& e) {
+    return e.name == "rst-flush";
+  });
+  ASSERT_NE(flush, events.end());
+  EXPECT_EQ(flush->args,
+            "\"flushed_bytes\": " + std::to_string(body.size() - kWindow));
+  EXPECT_FALSE(pair.server->dead());
 }
 
 }  // namespace

@@ -43,13 +43,14 @@ TEST(H2Connection, RequestResponseRoundTrip) {
   };
   pair.client->set_handlers(std::move(ch));
 
+  // The stream queue borrows a body: it must outlive the transfer.
+  const std::vector<std::uint8_t> data(5000, 0x5a);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList& headers) {
     auto req = http::Request::from_h2_headers(headers);
     ASSERT_TRUE(req.has_value());
     EXPECT_EQ(req->path, "/hello");
     pair.server->respond_headers(sid, 200);
-    std::vector<std::uint8_t> data(5000, 0x5a);
     pair.server->send_body_chunk(sid, data, true);
   };
   pair.server->set_handlers(std::move(sh));
@@ -83,11 +84,12 @@ TEST(H2Connection, RoundRobinInterleavesStreams) {
   };
   pair.client->set_handlers(std::move(ch));
 
+  const std::vector<std::uint8_t> body(8000, 1);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     pair.server->respond_headers(sid, 200);
     // Enqueue everything at once so the scheduler decides interleaving.
-    pair.server->send_body_chunk(sid, std::vector<std::uint8_t>(8000, 1), true);
+    pair.server->send_body_chunk(sid, body, true);
   };
   pair.server->set_handlers(std::move(sh));
 
@@ -118,6 +120,8 @@ TEST(H2Connection, SequentialSchedulerFinishesFirstStreamFirst) {
   pair.client->set_handlers(std::move(ch));
 
   int pending = 0;
+  const std::vector<std::uint8_t> body1(8000, 1);
+  const std::vector<std::uint8_t> body3(8000, 2);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     pair.server->respond_headers(sid, 200);
@@ -125,8 +129,8 @@ TEST(H2Connection, SequentialSchedulerFinishesFirstStreamFirst) {
     if (pending == 2) {
       // Enqueue both bodies only once both requests are in, so the
       // scheduler genuinely chooses.
-      pair.server->send_body_chunk(1, std::vector<std::uint8_t>(8000, 1), true);
-      pair.server->send_body_chunk(3, std::vector<std::uint8_t>(8000, 2), true);
+      pair.server->send_body_chunk(1, body1, true);
+      pair.server->send_body_chunk(3, body3, true);
     }
   };
   pair.server->set_handlers(std::move(sh));
@@ -163,10 +167,11 @@ TEST(H2Connection, RstStreamFlushesServerQueue) {
   pair.client->set_handlers(std::move(ch));
 
   bool server_saw_reset = false;
+  const std::vector<std::uint8_t> body(500000, 1);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     pair.server->respond_headers(sid, 200);
-    pair.server->send_body_chunk(sid, std::vector<std::uint8_t>(500000, 1), true);
+    pair.server->send_body_chunk(sid, body, true);
   };
   sh.on_stream_reset = [&](std::uint32_t, h2::ErrorCode) { server_saw_reset = true; };
   pair.server->set_handlers(std::move(sh));
@@ -240,12 +245,13 @@ TEST(H2Connection, ServerPushDeliversPromise) {
   };
   pair.client->set_handlers(std::move(ch));
 
+  const std::vector<std::uint8_t> pushed(1234, 7);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     const std::uint32_t p = pair.server->push(sid, get("/pushed.css"));
     EXPECT_NE(p, 0u);
     pair.server->respond_headers(p, 200);
-    pair.server->send_body_chunk(p, std::vector<std::uint8_t>(1234, 7), true);
+    pair.server->send_body_chunk(p, pushed, true);
     pair.server->respond_headers(sid, 200, {}, true);
   };
   pair.server->set_handlers(std::move(sh));
@@ -306,10 +312,11 @@ TEST(H2Connection, FlowControlWindowLimitsBurst) {
   };
   pair.client->set_handlers(std::move(ch));
 
+  const std::vector<std::uint8_t> body(100000, 3);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     pair.server->respond_headers(sid, 200);
-    pair.server->send_body_chunk(sid, std::vector<std::uint8_t>(100000, 3), true);
+    pair.server->send_body_chunk(sid, body, true);
   };
   pair.server->set_handlers(std::move(sh));
   pair.client->send_request(get("/windowed"));
@@ -338,6 +345,8 @@ TEST(H2Connection, WeightedSchedulerFavoursHeavyStream) {
   pair.client->set_handlers(std::move(ch));
 
   int pending = 0;
+  const std::vector<std::uint8_t> heavy(60000, 1);
+  const std::vector<std::uint8_t> light(60000, 2);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     pair.server->respond_headers(sid, 200);
@@ -345,8 +354,8 @@ TEST(H2Connection, WeightedSchedulerFavoursHeavyStream) {
     pair.server->find_stream(sid)->weight = sid == 1 ? 255 : 1;
     ++pending;
     if (pending == 2) {
-      pair.server->send_body_chunk(1, std::vector<std::uint8_t>(60000, 1), true);
-      pair.server->send_body_chunk(3, std::vector<std::uint8_t>(60000, 2), true);
+      pair.server->send_body_chunk(1, heavy, true);
+      pair.server->send_body_chunk(3, light, true);
     }
   };
   pair.server->set_handlers(std::move(sh));
@@ -370,10 +379,11 @@ TEST(H2Connection, WindowUpdateBatchConfigurable) {
   obs::ScopedContext scope(ctx);
   H2Pair chatty(scfg, ccfg);
   chatty.run(1);
+  const std::vector<std::uint8_t> body(100000, 1);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     chatty.server->respond_headers(sid, 200);
-    chatty.server->send_body_chunk(sid, std::vector<std::uint8_t>(100000, 1), true);
+    chatty.server->send_body_chunk(sid, body, true);
   };
   chatty.server->set_handlers(std::move(sh));
   chatty.client->send_request(get("/dl"));
@@ -433,10 +443,11 @@ TEST(H2Connection, StatsCountFrames) {
   H2Pair pair;
   pair.run(1);
   const std::uint64_t setup_frames = count("h2.server.frames_sent");
+  const std::vector<std::uint8_t> body(3000, 1);
   h2::ServerConnection::Handlers sh;
   sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
     pair.server->respond_headers(sid, 200);
-    pair.server->send_body_chunk(sid, std::vector<std::uint8_t>(3000, 1), true);
+    pair.server->send_body_chunk(sid, body, true);
   };
   pair.server->set_handlers(std::move(sh));
   pair.client->send_request(get("/stats"));

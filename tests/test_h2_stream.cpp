@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "h2/flow_control.hpp"
 #include "h2/stream.hpp"
@@ -38,9 +40,30 @@ TEST(StreamState, RstClosesFromAnyState) {
   s.on_recv_rst();
   EXPECT_TRUE(s.closed());
 
-  Stream t(7, 65535, 65535);
-  t.on_send_rst();
-  EXPECT_TRUE(t.closed());
+  // Every state a stream leaves idle for (RFC 7540 §5.1: RST_STREAM is never
+  // sent on an idle stream) closes on a sent or received reset.
+  const std::vector<void (*)(Stream&)> openers = {
+      [](Stream& st) { st.on_send_push_promise(); },
+      [](Stream& st) { st.on_recv_push_promise(); },
+      [](Stream& st) { st.on_send_headers(false); },
+      [](Stream& st) { st.on_send_headers(true); },
+      [](Stream& st) { st.on_recv_headers(true); },
+  };
+  for (const auto open : openers) {
+    Stream t(7, 65535, 65535);
+    open(t);
+    t.on_send_rst();
+    EXPECT_TRUE(t.closed());
+    Stream u(9, 65535, 65535);
+    open(u);
+    u.on_recv_rst();
+    EXPECT_TRUE(u.closed());
+  }
+}
+
+TEST(StreamStateDeathTest, IllegalTransitionAssertsInDebug) {
+  Stream s(7, 65535, 65535);
+  EXPECT_DEBUG_DEATH(s.on_send_rst(), "legal_transition");
 }
 
 TEST(StreamState, DataInIdleRejected) {
@@ -71,32 +94,48 @@ TEST(StreamState, PushPromiseOnlyFromIdle) {
 
 TEST(StreamQueue, EnqueueDequeue) {
   Stream s(1, 65535, 65535);
-  const std::vector<std::uint8_t> first{1, 2, 3, 4, 5};
-  const std::vector<std::uint8_t> second{6, 7};
-  s.enqueue(first, false);
-  s.enqueue(second, true);
+  const std::vector<std::uint8_t> body{1, 2, 3, 4, 5, 6, 7};
+  const std::span<const std::uint8_t> all(body);
+  s.enqueue(all.first(5), false);
+  s.enqueue(all.subspan(5), true);  // continues the queued window
   EXPECT_EQ(s.queued_bytes(), 7u);
   EXPECT_TRUE(s.end_stream_queued());
   EXPECT_TRUE(s.has_pending_output());
 
   const auto chunk = s.take(3);
   EXPECT_TRUE(std::ranges::equal(chunk, std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(chunk.data(), body.data()) << "the queue borrows, it does not copy";
   EXPECT_EQ(s.queued_bytes(), 4u);
   const auto rest = s.take(100);
   EXPECT_TRUE(std::ranges::equal(rest, std::vector<std::uint8_t>{4, 5, 6, 7}));
-  EXPECT_TRUE(std::ranges::equal(chunk, std::vector<std::uint8_t>{1, 2, 3}))
-      << "a taken span stays valid until the next enqueue";
+  EXPECT_EQ(rest.data(), body.data() + 3);
   EXPECT_TRUE(s.end_stream_queued());  // END_STREAM still pending
   EXPECT_TRUE(s.take(10).empty());
 }
 
+TEST(StreamQueue, DrainedQueueStartsANewWindow) {
+  Stream s(1, 65535, 65535);
+  const std::vector<std::uint8_t> a(10, 1);
+  const std::vector<std::uint8_t> b(6, 2);
+  s.enqueue(a, false);
+  EXPECT_EQ(s.take(10).size(), 10u);
+  EXPECT_FALSE(s.has_pending_output());
+  s.enqueue(b, true);  // an empty queue may borrow from any buffer
+  const auto out = s.take(4);
+  EXPECT_EQ(out.data(), b.data());
+  EXPECT_EQ(s.queued_bytes(), 2u);
+}
+
 TEST(StreamQueue, FlushDiscardsEverything) {
   Stream s(1, 65535, 65535);
-  s.enqueue(std::vector<std::uint8_t>(5000, 9), true);
+  const std::vector<std::uint8_t> body(5000, 9);
+  s.enqueue(body, true);
+  s.take(1000);
   s.flush_queue();  // the paper's RST_STREAM server-side flush
   EXPECT_EQ(s.queued_bytes(), 0u);
   EXPECT_FALSE(s.end_stream_queued());
   EXPECT_FALSE(s.has_pending_output());
+  EXPECT_TRUE(s.take(10).empty());
 }
 
 TEST(FlowWindow, ConsumeAndReplenish) {
@@ -112,6 +151,10 @@ TEST(FlowWindow, ConsumeAndReplenish) {
 TEST(FlowWindow, OverflowDetected) {
   FlowWindow w(kMaxWindow - 10);
   EXPECT_FALSE(w.replenish(100));
+  EXPECT_EQ(w.available(), kMaxWindow - 10) << "a refused increase changes nothing";
+  EXPECT_FALSE(w.adjust(11));
+  EXPECT_TRUE(w.replenish(10));
+  EXPECT_EQ(w.available(), kMaxWindow);
 }
 
 TEST(FlowWindow, CanGoNegativeViaAdjust) {

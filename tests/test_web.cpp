@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "defense/policy.hpp"
 #include "experiment/harness.hpp"
+#include "h2_fixture.hpp"
+#include "http/message.hpp"
+#include "web/server_app.hpp"
 #include "web/website.hpp"
 
 namespace h2sim::web {
@@ -109,6 +117,170 @@ TEST(Website, EmblemGetIndices) {
   // GETs: 5 pre, html (6), 12 head fillers (7..18), emblems (19..26).
   EXPECT_EQ(experiment::emblem_get_index(cfg, 0), 19);
   EXPECT_EQ(experiment::emblem_get_index(cfg, 7), 26);
+}
+
+// A ServerApp serving `site` to an H2 client that records every response
+// body byte by stream. The client's small stream window keeps response bytes
+// queued in the server's streams long after the app has produced them, so a
+// served body that dies before its stream has sent it shows.
+class ServedBytes {
+ public:
+  struct Response {
+    std::size_t content_length = 0;
+    std::vector<std::uint8_t> body;
+    bool ended = false;
+  };
+
+  ServedBytes(const Website& site, const defense::PaddingPolicy* padding)
+      : pair_(h2::ConnectionConfig{}, small_window()) {
+    pair_.run(1);
+    ServerAppConfig cfg;
+    cfg.padding = padding;
+    app_ = std::make_unique<ServerApp>(pair_.loop, site, *pair_.server, sim::Rng(5),
+                                       cfg);
+    h2::ClientConnection::Handlers ch;
+    ch.on_response_headers = [this](std::uint32_t sid, const hpack::HeaderList& h) {
+      for (const auto& f : h) {
+        if (f.name == "content-length") responses[sid].content_length = std::stoul(f.value);
+      }
+    };
+    ch.on_response_data = [this](std::uint32_t sid, std::span<const std::uint8_t> b,
+                                 bool end) {
+      Response& r = responses[sid];
+      r.body.insert(r.body.end(), b.begin(), b.end());
+      r.ended |= end;
+    };
+    pair_.client->set_handlers(std::move(ch));
+  }
+
+  std::uint32_t get(const std::string& path) {
+    http::Request r;
+    r.authority = "example.com";
+    r.path = path;
+    return pair_.client->send_request(r.to_h2_headers());
+  }
+  void cancel(std::uint32_t sid) { pair_.client->cancel(sid); }
+  void run(double seconds) { pair_.run(seconds); }
+
+  std::map<std::uint32_t, Response> responses;
+
+ private:
+  static h2::ConnectionConfig small_window() {
+    h2::ConnectionConfig c;
+    c.initial_window_size = 4096;
+    return c;
+  }
+
+  testing::H2Pair pair_;
+  std::unique_ptr<ServerApp> app_;
+};
+
+// The byte at offset j of an object of size s is (j*131 + s) mod 256
+// (WebObject::materialize); a padding byte at offset j of a w-byte serving
+// is (j*131 + w) mod 256.
+std::uint8_t filler(std::size_t pos, std::size_t size) {
+  return static_cast<std::uint8_t>(pos * 131 + size);
+}
+
+// Checks `r` against an object of `size` bytes whose first bytes are
+// `content` and that was served with `r.content_length` bytes; returns the
+// number of bytes checked.
+std::size_t expect_served(const ServedBytes::Response& r, std::size_t size,
+                          const std::vector<std::uint8_t>& content = {}) {
+  for (std::size_t j = 0; j < r.body.size(); ++j) {
+    const std::uint8_t want = j < content.size() ? content[j]
+                              : j < size         ? filler(j, size)
+                                                 : filler(j, r.content_length);
+    if (r.body[j] != want) {
+      ADD_FAILURE() << "byte " << j << " of " << r.content_length << ": got "
+                    << int{r.body[j]} << ", want " << int{want};
+      return j;
+    }
+  }
+  return r.body.size();
+}
+
+TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
+  constexpr std::size_t kSize = 20000;
+  Website site;
+  WebObject obj;
+  obj.path = "/obj";
+  obj.size = kSize;
+  site.add_object(obj);
+  obj.path = "/hand";
+  obj.size = 5000;
+  site.add_object(obj);
+  // An object whose body was never materialized: a hand-built WebObject
+  // carries whatever content it was given (here 100 marker bytes), and the
+  // rest of its body is generated.
+  const std::vector<std::uint8_t> hand_content(100, 0xee);
+  const_cast<WebObject*>(site.find("/hand"))->content = hand_content;
+
+  {  // Unpadded: consecutive windows of the materialized content.
+    ServedBytes s(site, nullptr);
+    const std::uint32_t sid = s.get("/obj");
+    s.run(10);
+    const auto& r = s.responses[sid];
+    EXPECT_TRUE(r.ended);
+    EXPECT_EQ(r.content_length, kSize);
+    EXPECT_EQ(r.body.size(), kSize);
+    EXPECT_EQ(expect_served(r, kSize), kSize);
+  }
+  {  // Randomized padding: each serving's body, padded tail included, is
+     // built once. Requests are staggered so a serving starts while earlier
+     // ones still have bytes queued.
+    const defense::RandomPolicy policy(0.5);
+    ServedBytes s(site, &policy);
+    std::vector<std::uint32_t> sids;
+    for (int i = 0; i < 3; ++i) {
+      sids.push_back(s.get("/obj"));
+      s.run(0.03);
+    }
+    s.run(10);
+    for (const std::uint32_t sid : sids) {
+      const auto& r = s.responses[sid];
+      EXPECT_TRUE(r.ended);
+      EXPECT_GT(r.content_length, kSize) << "this seed pads every serving";
+      EXPECT_EQ(r.body.size(), r.content_length);
+      EXPECT_EQ(expect_served(r, kSize), r.content_length);
+    }
+  }
+  {  // The hand-built object, unpadded and padded.
+    const defense::RandomPolicy policy(0.5);
+    for (const defense::PaddingPolicy* padding :
+         {static_cast<const defense::PaddingPolicy*>(nullptr),
+          static_cast<const defense::PaddingPolicy*>(&policy)}) {
+      ServedBytes s(site, padding);
+      const std::uint32_t sid = s.get("/hand");
+      s.run(10);
+      const auto& r = s.responses[sid];
+      EXPECT_TRUE(r.ended);
+      EXPECT_EQ(r.body.size(), r.content_length);
+      EXPECT_EQ(expect_served(r, 5000, hand_content), r.content_length);
+    }
+  }
+  {  // A reset mid-body, then a fresh request for the same object.
+    const defense::RandomPolicy policy(0.5);
+    for (const defense::PaddingPolicy* padding :
+         {static_cast<const defense::PaddingPolicy*>(nullptr),
+          static_cast<const defense::PaddingPolicy*>(&policy)}) {
+      ServedBytes s(site, padding);
+      const std::uint32_t reset = s.get("/obj");
+      for (int i = 0; i < 1000 && s.responses[reset].body.empty(); ++i) s.run(0.001);
+      s.cancel(reset);
+      const std::uint32_t fresh = s.get("/obj");
+      s.run(10);
+      const auto& cut = s.responses[reset];
+      EXPECT_FALSE(cut.ended);
+      EXPECT_GT(cut.body.size(), 0u);
+      EXPECT_LT(cut.body.size(), cut.content_length);
+      EXPECT_EQ(expect_served(cut, kSize), cut.body.size());
+      const auto& r = s.responses[fresh];
+      EXPECT_TRUE(r.ended);
+      EXPECT_EQ(r.body.size(), r.content_length);
+      EXPECT_EQ(expect_served(r, kSize), r.content_length);
+    }
+  }
 }
 
 }  // namespace
