@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "capture/session.hpp"
 #include "h2/client.hpp"
 #include "h2/frame.hpp"
 #include "h2/server.hpp"
@@ -520,6 +521,60 @@ void BM_H2StalledQueueSteadyState(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(chunks));
 }
 BENCHMARK(BM_H2StalledQueueSteadyState);
+
+// Steady-state allocation proof for the capture write path: packets cross
+// the client access link and the middlebox, whose gateway tap frames each
+// one into the pcapng writer's buffer (flushed to /dev/null, so the bench
+// writes no file). The warm-up passes the first flush, which opens the file;
+// after that, capturing a 1200-byte packet must be allocation-free
+// (`allocs_per_packet` == 0).
+void BM_CaptureRecordSteadyState(benchmark::State& state) {
+  sim::EventLoop loop;
+  net::Topology topo(loop, net::Topology::Config{}, 1);
+  topo.set_server_sink(
+      [&loop](net::Packet&& p) { loop.payload_pool().release(std::move(p.payload)); });
+  capture::CaptureConfig cfg;
+  cfg.path = "/dev/null";
+  capture::CaptureSession cap(loop, topo, cfg);
+
+  constexpr int kPackets = 64;
+  constexpr std::size_t kPayloadBytes = 1200;
+  const auto push_burst = [&] {
+    for (int i = 0; i < kPackets; ++i) {
+      net::Packet p;
+      p.id = static_cast<std::uint64_t>(i);
+      p.src = net::Topology::client_node(0);
+      p.dst = net::Topology::kServerNode;
+      p.tcp.flags = net::tcpflag::kAck;
+      p.payload = loop.payload_pool().acquire();
+      p.payload.assign(kPayloadBytes, static_cast<std::uint8_t>(i));
+      topo.send_from_client(0, std::move(p));
+    }
+    loop.run();
+  };
+  // The registry outlives this run, so count from where it stands now.
+  const auto counter = [](const char* name) { return obs::metrics().counter_value(name); };
+  const std::uint64_t bytes_start = counter("capture.bytes_written");
+  // Past the first flush: the file is open and every buffer is warm.
+  while (counter("capture.bytes_written") - bytes_start < 2 * capture::PcapngWriter::kFlushBytes) {
+    push_burst();
+  }
+
+  std::uint64_t allocs = 0;
+  std::uint64_t packets = 0;
+  for (auto _ : state) {
+    const std::uint64_t packets_before = counter("capture.packets");
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    push_burst();
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    packets += counter("capture.packets") - packets_before;
+  }
+  if (!cap.close()) state.SkipWithError("capture write failed");
+  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
+  state.counters["allocs_per_packet"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(packets));
+}
+BENCHMARK(BM_CaptureRecordSteadyState);
 
 // Lossless bulk transfer between two TCP endpoints over a 5 ms one-way wire,
 // with the receive window (and so the flight the sender keeps) set by the

@@ -1,5 +1,8 @@
 #include "capture/frame.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace h2sim::capture {
 
 namespace {
@@ -14,16 +17,15 @@ constexpr std::uint8_t kWireAck = 0x10;
 
 constexpr std::uint16_t kEtherTypeIpv4 = 0x0800;
 
-void put_u16be(std::vector<std::uint8_t>& b, std::uint16_t v) {
-  b.push_back(static_cast<std::uint8_t>(v >> 8));
-  b.push_back(static_cast<std::uint8_t>(v));
+std::uint8_t* put_u16be(std::uint8_t* o, std::uint16_t v) {
+  o[0] = static_cast<std::uint8_t>(v >> 8);
+  o[1] = static_cast<std::uint8_t>(v);
+  return o + 2;
 }
 
-void put_u32be(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  b.push_back(static_cast<std::uint8_t>(v >> 24));
-  b.push_back(static_cast<std::uint8_t>(v >> 16));
-  b.push_back(static_cast<std::uint8_t>(v >> 8));
-  b.push_back(static_cast<std::uint8_t>(v));
+std::uint8_t* put_u32be(std::uint8_t* o, std::uint32_t v) {
+  o = put_u16be(o, static_cast<std::uint16_t>(v >> 16));
+  return put_u16be(o, static_cast<std::uint16_t>(v));
 }
 
 std::uint16_t get_u16be(const std::uint8_t* p) {
@@ -36,18 +38,44 @@ std::uint32_t get_u32be(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 8 | static_cast<std::uint32_t>(p[3]);
 }
 
-void put_mac(std::vector<std::uint8_t>& b, net::NodeId node) {
-  b.push_back(0x02);  // locally administered, unicast
-  b.push_back(0x00);
-  b.push_back(0x00);
-  b.push_back(0x00);
-  b.push_back(0x00);
-  b.push_back(static_cast<std::uint8_t>(node));
+std::uint8_t* put_mac(std::uint8_t* o, net::NodeId node) {
+  const std::uint8_t mac[6] = {0x02, 0, 0, 0, 0,  // locally administered
+                               static_cast<std::uint8_t>(node)};
+  std::memcpy(o, mac, sizeof(mac));
+  return o + sizeof(mac);
 }
 
-void patch_u16be(std::vector<std::uint8_t>& b, std::size_t off, std::uint16_t v) {
-  b[off] = static_cast<std::uint8_t>(v >> 8);
-  b[off + 1] = static_cast<std::uint8_t>(v);
+/// Folds a ones-complement sum to 16 bits.
+std::uint16_t fold(std::uint64_t sum) {
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(sum);
+}
+
+/// Copies `n` bytes from `src` to `dst` and returns their RFC 1071 sum
+/// (folded, not complemented), in one pass of 8-byte words. The sum of
+/// native-order words is the byte-swapped sum of big-endian ones (RFC 1071
+/// §2(B)), and 32-bit lanes fold to the same 16-bit sum (§2(C)).
+std::uint16_t copy_and_sum(std::uint8_t* dst, const std::uint8_t* src,
+                           std::size_t n) {
+  std::uint64_t sum = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, src + i, 8);
+    std::memcpy(dst + i, &w, 8);
+    sum += (w & 0xFFFFFFFF) + (w >> 32);
+  }
+  if (i < n) {
+    std::uint64_t w = 0;  // the tail, zero-filled past the last byte
+    std::memcpy(&w, src + i, n - i);
+    std::memcpy(dst + i, &w, n - i);
+    sum += (w & 0xFFFFFFFF) + (w >> 32);
+  }
+  const std::uint16_t s = fold(sum);
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<std::uint16_t>(s << 8 | s >> 8);
+  }
+  return s;
 }
 
 std::uint8_t wire_flags(const net::TcpHeader& h) {
@@ -73,71 +101,60 @@ std::uint16_t inet_checksum(std::span<const std::uint8_t> data,
     sum += static_cast<std::uint32_t>(data[i] << 8 | data[i + 1]);
   }
   if (i < data.size()) sum += static_cast<std::uint32_t>(data[i] << 8);
-  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum);
+  return static_cast<std::uint16_t>(~fold(sum));
 }
 
-void encode_frame(const net::Packet& p, std::vector<std::uint8_t>& out) {
-  const std::size_t eth_off = out.size();
+void encode_frame(const net::Packet& p, std::span<std::uint8_t> out) {
+  std::uint8_t* o = out.data();
 
   // Ethernet II.
-  put_mac(out, p.dst);
-  put_mac(out, p.src);
-  put_u16be(out, kEtherTypeIpv4);
+  o = put_mac(o, p.dst);
+  o = put_mac(o, p.src);
+  o = put_u16be(o, kEtherTypeIpv4);
 
   // IPv4.
-  const std::size_t ip_off = out.size();
-  const std::uint16_t total_len = static_cast<std::uint16_t>(
-      kIpv4HeaderBytes + kTcpHeaderBytes + p.payload.size());
-  out.push_back(0x45);  // version 4, IHL 5
-  out.push_back(0x00);  // DSCP/ECN
-  put_u16be(out, total_len);
-  put_u16be(out, static_cast<std::uint16_t>(p.id));  // identification
-  put_u16be(out, 0x4000);                            // DF, no fragmentation
-  out.push_back(64);                                 // TTL
-  out.push_back(6);                                  // protocol: TCP
-  put_u16be(out, 0);                                 // checksum placeholder
-  put_u32be(out, 0x0A000000u | p.src);               // 10.0.0.<src>
-  put_u32be(out, 0x0A000000u | p.dst);               // 10.0.0.<dst>
-  const std::uint16_t ip_csum =
-      inet_checksum(std::span(out.data() + ip_off, kIpv4HeaderBytes));
-  patch_u16be(out, ip_off + 10, ip_csum);
+  std::uint8_t* const ip = o;
+  const std::uint32_t src_ip = 0x0A000000u | p.src;  // 10.0.0.<src>
+  const std::uint32_t dst_ip = 0x0A000000u | p.dst;  // 10.0.0.<dst>
+  const std::uint16_t seg_len =
+      static_cast<std::uint16_t>(kTcpHeaderBytes + p.payload.size());
+  *o++ = 0x45;  // version 4, IHL 5
+  *o++ = 0x00;  // DSCP/ECN
+  o = put_u16be(o, static_cast<std::uint16_t>(kIpv4HeaderBytes + seg_len));
+  o = put_u16be(o, static_cast<std::uint16_t>(p.id));  // identification
+  o = put_u16be(o, 0x4000);                            // DF, no fragmentation
+  *o++ = 64;                                           // TTL
+  *o++ = 6;                                            // protocol: TCP
+  o = put_u16be(o, 0);                                 // checksum placeholder
+  o = put_u32be(o, src_ip);
+  o = put_u32be(o, dst_ip);
+  put_u16be(ip + 10, inet_checksum(std::span(ip, kIpv4HeaderBytes)));
 
   // TCP.
-  const std::size_t tcp_off = out.size();
-  put_u16be(out, p.tcp.src_port);
-  put_u16be(out, p.tcp.dst_port);
-  put_u32be(out, p.tcp.seq);
-  put_u32be(out, p.tcp.ack);
-  out.push_back(0x50);  // data offset 5, no options
+  std::uint8_t* const tcp = o;
+  o = put_u16be(o, p.tcp.src_port);
+  o = put_u16be(o, p.tcp.dst_port);
+  o = put_u32be(o, p.tcp.seq);
+  o = put_u32be(o, p.tcp.ack);
+  *o++ = 0x50;  // data offset 5, no options
   std::uint8_t f = wire_flags(p.tcp);
   if (!p.payload.empty() && !p.tcp.syn()) f |= kWirePsh;
-  out.push_back(f);
+  *o++ = f;
   // The simulated window is not constrained to 16 bits; clamp (we write no
   // window-scale option, and no consumer of the capture reads the window).
-  put_u16be(out, static_cast<std::uint16_t>(
-                     p.tcp.wnd > 0xFFFF ? 0xFFFF : p.tcp.wnd));
-  put_u16be(out, 0);  // checksum placeholder
-  put_u16be(out, 0);  // urgent pointer
+  o = put_u16be(o, static_cast<std::uint16_t>(
+                       p.tcp.wnd > 0xFFFF ? 0xFFFF : p.tcp.wnd));
+  o = put_u16be(o, 0);  // checksum placeholder
+  o = put_u16be(o, 0);  // urgent pointer
 
-  out.insert(out.end(), p.payload.begin(), p.payload.end());
-
-  // TCP checksum over pseudo-header + segment.
-  const std::uint32_t src_ip = 0x0A000000u | p.src;
-  const std::uint32_t dst_ip = 0x0A000000u | p.dst;
-  std::uint32_t pseudo = 0;
-  pseudo += src_ip >> 16;
-  pseudo += src_ip & 0xFFFF;
-  pseudo += dst_ip >> 16;
-  pseudo += dst_ip & 0xFFFF;
-  pseudo += 6;  // zero byte + protocol
-  const std::size_t seg_len = out.size() - tcp_off;
-  pseudo += static_cast<std::uint32_t>(seg_len);
-  const std::uint16_t tcp_csum =
-      inet_checksum(std::span(out.data() + tcp_off, seg_len), pseudo);
-  patch_u16be(out, tcp_off + 16, tcp_csum);
-
-  (void)eth_off;
+  // TCP checksum over pseudo-header + header + payload, the payload summed
+  // as it is copied.
+  std::uint32_t sum = (src_ip >> 16) + (src_ip & 0xFFFF) + (dst_ip >> 16) +
+                      (dst_ip & 0xFFFF) + 6 /* zero byte + protocol */ +
+                      seg_len;
+  sum += copy_and_sum(o, p.payload.data(), p.payload.size());
+  put_u16be(tcp + 16,
+            inet_checksum(std::span(tcp, kTcpHeaderBytes), sum));
 }
 
 bool decode_frame(std::span<const std::uint8_t> frame, net::Packet* p,

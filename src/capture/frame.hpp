@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "net/packet.hpp"
 
@@ -24,9 +23,11 @@ inline std::size_t frame_size(const net::Packet& p) {
   return kFrameOverheadBytes + p.payload.size();
 }
 
-/// Appends the framed packet to `out`. IPv4 and TCP checksums are computed
-/// properly so validating dissectors raise no warnings.
-void encode_frame(const net::Packet& p, std::vector<std::uint8_t>& out);
+/// Writes the framed packet over `out`, exactly frame_size(p) bytes: the
+/// headers in place, then the payload, summed for the TCP checksum as it is
+/// copied. IPv4 and TCP checksums are computed properly so validating
+/// dissectors raise no warnings.
+void encode_frame(const net::Packet& p, std::span<std::uint8_t> out);
 
 /// Parses an Ethernet/IPv4/TCP frame back into a simulated packet: node ids
 /// from the IP addresses' last octet, TCP header fields, payload bytes.

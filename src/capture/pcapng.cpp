@@ -20,108 +20,123 @@ constexpr std::uint16_t kOptIfName = 2;
 constexpr std::uint16_t kOptIfDescription = 3;
 constexpr std::uint16_t kOptIfTsresol = 9;
 
-void put_u16(std::vector<std::uint8_t>& b, std::uint16_t v) {
-  b.push_back(static_cast<std::uint8_t>(v));
-  b.push_back(static_cast<std::uint8_t>(v >> 8));
+std::uint8_t* put_u16(std::uint8_t* o, std::uint16_t v) {
+  o[0] = static_cast<std::uint8_t>(v);
+  o[1] = static_cast<std::uint8_t>(v >> 8);
+  return o + 2;
 }
 
-void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  b.push_back(static_cast<std::uint8_t>(v));
-  b.push_back(static_cast<std::uint8_t>(v >> 8));
-  b.push_back(static_cast<std::uint8_t>(v >> 16));
-  b.push_back(static_cast<std::uint8_t>(v >> 24));
+std::uint8_t* put_u32(std::uint8_t* o, std::uint32_t v) {
+  o = put_u16(o, static_cast<std::uint16_t>(v));
+  return put_u16(o, static_cast<std::uint16_t>(v >> 16));
 }
 
-void pad_to4(std::vector<std::uint8_t>& b) {
-  while (b.size() % 4 != 0) b.push_back(0);
+std::size_t pad4(std::size_t n) { return (n + 3) & ~std::size_t{3}; }
+
+/// Bytes one option takes in a block body: header plus value padded to 4.
+std::size_t option_size(const std::string& value) {
+  return 4 + pad4(value.size());
 }
 
-/// Appends one option (value padded to 4 bytes) to a block body.
-void put_option(std::vector<std::uint8_t>& b, std::uint16_t code,
-                std::span<const std::uint8_t> value) {
-  put_u16(b, code);
-  put_u16(b, static_cast<std::uint16_t>(value.size()));
-  b.insert(b.end(), value.begin(), value.end());
-  pad_to4(b);
-}
-
-/// Wraps a block body in type + length framing (length repeated at the end,
-/// as the spec requires for backward seeking).
-void put_block(std::vector<std::uint8_t>& out, std::uint32_t type,
-               std::span<const std::uint8_t> body) {
-  const std::uint32_t total = static_cast<std::uint32_t>(12 + body.size());
-  put_u32(out, type);
-  put_u32(out, total);
-  out.insert(out.end(), body.begin(), body.end());
-  put_u32(out, total);
+/// Writes one option (value zero-padded to 4 bytes) into a block body.
+std::uint8_t* put_option(std::uint8_t* o, std::uint16_t code,
+                         const std::string& value) {
+  o = put_u16(o, code);
+  o = put_u16(o, static_cast<std::uint16_t>(value.size()));
+  std::memcpy(o, value.data(), value.size());
+  std::memset(o + value.size(), 0, pad4(value.size()) - value.size());
+  return o + pad4(value.size());
 }
 
 }  // namespace
 
-PcapngWriter::PcapngWriter(std::string path) : path_(std::move(path)) {
+PcapngWriter::PcapngWriter(std::string path)
+    : path_(std::move(path)), buf_(kFlushBytes) {
   // Section Header Block: byte-order magic, version 1.0, unknown section
   // length. No options — anything like shb_os or shb_userappl would embed
   // machine state and break golden-file determinism.
-  std::vector<std::uint8_t> body;
-  put_u32(body, kByteOrderMagic);
-  put_u16(body, 1);  // major
-  put_u16(body, 0);  // minor
-  put_u32(body, 0xFFFFFFFF);  // section length: unspecified
-  put_u32(body, 0xFFFFFFFF);
-  put_block(buf_, kBlockSection, body);
+  std::uint8_t* o = begin_block(kBlockSection, 16);
+  o = put_u32(o, kByteOrderMagic);
+  o = put_u16(o, 1);  // major
+  o = put_u16(o, 0);  // minor
+  o = put_u32(o, 0xFFFFFFFF);  // section length: unspecified
+  put_u32(o, 0xFFFFFFFF);
 }
 
 std::uint32_t PcapngWriter::add_interface(const std::string& name,
                                           const std::string& description) {
-  std::vector<std::uint8_t> body;
-  put_u16(body, kLinktypeEthernet);
-  put_u16(body, 0);  // reserved
-  put_u32(body, 0);  // snaplen: unlimited
-  put_option(body, kOptIfName,
-             std::span(reinterpret_cast<const std::uint8_t*>(name.data()),
-                       name.size()));
-  if (!description.empty()) {
-    put_option(
-        body, kOptIfDescription,
-        std::span(reinterpret_cast<const std::uint8_t*>(description.data()),
-                  description.size()));
-  }
-  const std::uint8_t tsresol = 9;  // nanoseconds
-  put_option(body, kOptIfTsresol, std::span(&tsresol, 1));
-  put_option(body, kOptEnd, {});
-  put_block(buf_, kBlockInterface, body);
+  const std::string tsresol(1, 9);  // nanoseconds
+  const std::size_t body_len =
+      8 + option_size(name) +
+      (description.empty() ? 0 : option_size(description)) +
+      option_size(tsresol) + 4;
+  std::uint8_t* o = begin_block(kBlockInterface, body_len);
+  o = put_u16(o, kLinktypeEthernet);
+  o = put_u16(o, 0);  // reserved
+  o = put_u32(o, 0);  // snaplen: unlimited
+  o = put_option(o, kOptIfName, name);
+  if (!description.empty()) o = put_option(o, kOptIfDescription, description);
+  o = put_option(o, kOptIfTsresol, tsresol);
+  put_option(o, kOptEnd, {});
   return interfaces_++;
 }
 
-void PcapngWriter::write_packet(std::uint32_t iface, std::int64_t ts_nanos,
-                                std::span<const std::uint8_t> frame) {
-  std::vector<std::uint8_t> body;
-  body.reserve(20 + frame.size() + 3);
-  put_u32(body, iface);
+std::span<std::uint8_t> PcapngWriter::begin_packet(std::uint32_t iface,
+                                                   std::int64_t ts_nanos,
+                                                   std::size_t len) {
+  std::uint8_t* o = begin_block(kBlockEnhancedPacket, 20 + len);
+  o = put_u32(o, iface);
   const std::uint64_t ts = static_cast<std::uint64_t>(ts_nanos);
-  put_u32(body, static_cast<std::uint32_t>(ts >> 32));
-  put_u32(body, static_cast<std::uint32_t>(ts));
-  put_u32(body, static_cast<std::uint32_t>(frame.size()));  // captured
-  put_u32(body, static_cast<std::uint32_t>(frame.size()));  // original
-  body.insert(body.end(), frame.begin(), frame.end());
-  pad_to4(body);
-  put_block(buf_, kBlockEnhancedPacket, body);
-  ++packets_written_;
+  o = put_u32(o, static_cast<std::uint32_t>(ts >> 32));
+  o = put_u32(o, static_cast<std::uint32_t>(ts));
+  o = put_u32(o, static_cast<std::uint32_t>(len));  // captured
+  o = put_u32(o, static_cast<std::uint32_t>(len));  // original
+  return {o, len};
+}
+
+std::uint8_t* PcapngWriter::begin_block(std::uint32_t type,
+                                        std::size_t body_len) {
+  // Type + length framing, the length repeated at the end as the spec
+  // requires for backward seeking.
+  const std::size_t total = 12 + pad4(body_len);
+  if (len_ + total > buf_.size()) {
+    flush();
+    if (total > buf_.size()) buf_.resize(total);
+  }
+  std::uint8_t* block = buf_.data() + len_;
+  len_ += total;
+  put_u32(block, type);
+  put_u32(block + 4, static_cast<std::uint32_t>(total));
+  std::memset(block + 8 + body_len, 0, total - 12 - body_len);
+  put_u32(block + total - 4, static_cast<std::uint32_t>(total));
+  return block + 8;
+}
+
+void PcapngWriter::flush() {
+  if (!file_ && !failed_) {
+    file_ = std::fopen(path_.c_str(), "wb");
+    failed_ = !file_;
+    // Writes are already kFlushBytes blocks; stdio's buffer would only copy.
+    if (file_) std::setvbuf(file_, nullptr, _IONBF, 0);
+  }
+  if (!failed_ && std::fwrite(buf_.data(), 1, len_, file_) != len_) {
+    failed_ = true;
+  }
+  flushed_ += len_;
+  len_ = 0;
 }
 
 bool PcapngWriter::close() {
-  if (closed_) return true;
-  closed_ = true;
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (!f) return false;
-  const bool ok =
-      buf_.empty() || std::fwrite(buf_.data(), 1, buf_.size(), f) == buf_.size();
-  return std::fclose(f) == 0 && ok;
+  if (!closed_) {
+    closed_ = true;
+    flush();
+    if (file_ && std::fclose(file_) != 0) failed_ = true;
+    file_ = nullptr;
+  }
+  return !failed_;
 }
 
-PcapngWriter::~PcapngWriter() {
-  if (!closed_) close();
-}
+PcapngWriter::~PcapngWriter() { close(); }
 
 namespace {
 

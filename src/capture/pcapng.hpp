@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,40 +38,55 @@ struct PcapngPacket {
 /// byte-identical simulation produces a byte-identical file (the golden-trace
 /// corpus depends on this).
 ///
-/// Blocks accumulate in memory and hit the filesystem in one write at
-/// close(); a simulated trial's capture is at most a few megabytes.
+/// Blocks are built in place in a fixed kFlushBytes buffer and stream to the
+/// file whenever the next block would not fit; the file is created at the
+/// first flush. The buffer keeps its capacity, so a steady stream of packets
+/// makes no heap allocation. An open or write failure drops the rest of the
+/// output and makes close() return false.
 class PcapngWriter {
  public:
+  static constexpr std::size_t kFlushBytes = 256 * 1024;
+
   explicit PcapngWriter(std::string path);
 
   PcapngWriter(const PcapngWriter&) = delete;
   PcapngWriter& operator=(const PcapngWriter&) = delete;
 
   /// Registers a vantage-point interface; returns its interface id.
-  /// Must be called before the first write_packet for that id.
+  /// Must be called before the first packet for that id.
   std::uint32_t add_interface(const std::string& name,
                               const std::string& description);
 
-  void write_packet(std::uint32_t iface, std::int64_t ts_nanos,
-                    std::span<const std::uint8_t> frame);
+  /// Appends an Enhanced Packet Block for a `len`-byte frame and returns the
+  /// block's frame bytes, which the caller fills before its next call on
+  /// this writer.
+  std::span<std::uint8_t> begin_packet(std::uint32_t iface,
+                                       std::int64_t ts_nanos, std::size_t len);
 
-  /// Flushes the buffered section to `path`. False (errno intact) on IO
-  /// failure. Idempotent; the destructor calls it if the caller did not.
+  /// Flushes what is buffered and closes the file. False (errno intact) if
+  /// the file could not be opened or any flush or the close failed.
+  /// Idempotent; the destructor calls it if the caller did not.
   bool close();
 
-  std::uint64_t packets_written() const { return packets_written_; }
-  /// Total pcapng bytes buffered so far (section + interface + packet
-  /// blocks) — the value capture_bytes_written reports.
-  std::uint64_t bytes_buffered() const { return buf_.size(); }
-  const std::string& path() const { return path_; }
+  /// Total pcapng bytes written so far, flushed or still buffered (section +
+  /// interface + packet blocks): the final file size once close() succeeds.
+  std::uint64_t bytes_written() const { return flushed_ + len_; }
 
   ~PcapngWriter();
 
  private:
+  /// Frames a block of `body_len` body bytes (zero-padded to 4) and returns
+  /// its body for the caller to write.
+  std::uint8_t* begin_block(std::uint32_t type, std::size_t body_len);
+  void flush();
+
   std::string path_;
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  // capacity; the first len_ bytes are used
+  std::size_t len_ = 0;
+  std::uint64_t flushed_ = 0;
+  std::FILE* file_ = nullptr;
   std::uint32_t interfaces_ = 0;
-  std::uint64_t packets_written_ = 0;
+  bool failed_ = false;
   bool closed_ = false;
 };
 

@@ -31,10 +31,11 @@ struct CaptureConfig {
 /// timestamps. The client vantage records the victim stack (client 0); in a
 /// multi-client topology the gateway vantage additionally sees every
 /// background flow, exactly like tshark on the shared middlebox.
-/// Construction installs the taps; close() (or destruction)
-/// writes the file. Purely observational: attaching a session changes no
-/// packet timing, ordering, or content, so a captured trial's TrialResult is
-/// identical to an uncaptured one except for the capture counters.
+/// Construction installs the taps; the file streams out as the writer's
+/// buffer fills, and close() (or destruction) writes the rest. Purely
+/// observational: attaching a session changes no packet timing, ordering, or
+/// content, so a captured trial's TrialResult is identical to an uncaptured
+/// one except for the capture counters.
 class CaptureSession {
  public:
   CaptureSession(sim::EventLoop& loop, net::Topology& topo, CaptureConfig cfg);
@@ -42,20 +43,15 @@ class CaptureSession {
   CaptureSession(const CaptureSession&) = delete;
   CaptureSession& operator=(const CaptureSession&) = delete;
 
-  /// Flushes the pcapng file. False on IO failure. Idempotent.
+  /// Flushes and closes the pcapng file. False if it could not be opened or
+  /// written. Idempotent.
   bool close();
-
-  std::uint64_t packets() const { return writer_.packets_written(); }
-  std::uint64_t bytes_buffered() const { return writer_.bytes_buffered(); }
-  const CaptureConfig& config() const { return cfg_; }
 
  private:
   void record(std::uint32_t iface, const net::Packet& p, sim::TimePoint t);
 
-  CaptureConfig cfg_;
   PcapngWriter writer_;
-  std::vector<std::uint8_t> frame_buf_;  // reused per packet
-  std::uint64_t counted_bytes_ = 0;      // pcapng bytes already metered
+  std::uint64_t counted_bytes_ = 0;  // pcapng bytes already metered
 
   struct Metrics {
     obs::Counter packets;        // capture.packets

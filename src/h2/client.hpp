@@ -56,7 +56,7 @@ class ClientConnection : public Connection {
       handlers_.on_response_data(stream_id, bytes, end_stream);
     }
   }
-  void on_remote_rst(std::uint32_t stream_id, ErrorCode code) override {
+  void on_stream_reset(std::uint32_t stream_id, ErrorCode code) override {
     if (handlers_.on_reset) handlers_.on_reset(stream_id, code);
   }
   void on_remote_push_promise(std::uint32_t parent, std::uint32_t promised,

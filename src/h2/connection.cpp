@@ -230,6 +230,11 @@ void Connection::send_rst_stream(std::uint32_t stream_id, ErrorCode code) {
   destroy_stream_if_closed(stream_id);
 }
 
+void Connection::reset_stream_on_error(std::uint32_t stream_id, ErrorCode code) {
+  send_rst_stream(stream_id, code);
+  on_stream_reset(stream_id, code);
+}
+
 void Connection::enqueue_data(std::uint32_t stream_id,
                               std::span<const std::uint8_t> bytes, bool end_stream) {
   Stream* s = find_stream(stream_id);
@@ -452,7 +457,13 @@ void Connection::handle_data(const FrameView& f) {
 
   Stream* s = find_stream(f.stream_id);
   const bool end = f.has_flag(flags::kEndStream);
-  if (s && s->can_recv_data()) {
+  if (s && s->can_recv_data() && !s->recv_window().can_send(len)) {
+    // Past the stream's advertised window: a stream FLOW_CONTROL_ERROR
+    // (RFC 7540 §6.9.1). The frame still counts against the connection
+    // window, so credit it back like data for a reset stream.
+    reset_stream_on_error(f.stream_id, ErrorCode::kFlowControlError);
+    replenish_recv_windows(0, f.payload.size());
+  } else if (s && s->can_recv_data()) {
     const StreamState before = s->state();
     s->recv_window().consume(len);
     s->on_recv_data(end);
@@ -672,7 +683,7 @@ void Connection::handle_rst(const FrameView& f) {
                  obs::TraceArgs().add("flushed_bytes", flushed).take());
     }
   }
-  on_remote_rst(f.stream_id, *code);
+  on_stream_reset(f.stream_id, *code);
   destroy_stream_if_closed(f.stream_id);
   pump();  // capacity freed: other streams may proceed
 }
@@ -694,7 +705,7 @@ void Connection::handle_window_update(const FrameView& f) {
     }
   } else if (Stream* s = find_stream(f.stream_id)) {
     if (!s->send_window().replenish(*inc)) {
-      send_rst_stream(f.stream_id, ErrorCode::kFlowControlError);
+      reset_stream_on_error(f.stream_id, ErrorCode::kFlowControlError);
       return;
     }
   }

@@ -116,7 +116,9 @@ class Connection {
   virtual void on_remote_data(std::uint32_t stream_id,
                               std::span<const std::uint8_t> bytes,
                               bool end_stream) = 0;
-  virtual void on_remote_rst(std::uint32_t stream_id, ErrorCode code) = 0;
+  /// The stream was reset, by the peer's RST_STREAM or by this connection
+  /// on a stream error (reset_stream_on_error); its queue is already flushed.
+  virtual void on_stream_reset(std::uint32_t stream_id, ErrorCode code) = 0;
   virtual void on_remote_goaway(const GoawayPayload&) {}
   virtual void on_remote_push_promise(std::uint32_t /*parent*/,
                                       std::uint32_t /*promised*/,
@@ -180,6 +182,9 @@ class Connection {
   void send_initial_settings();
   std::uint32_t pick_ready_stream();
   void replenish_recv_windows(std::uint32_t stream_id, std::size_t consumed);
+  /// A stream error (RFC 7540 §5.4.2): sends RST_STREAM and tells the
+  /// semantic layer, as a peer reset would.
+  void reset_stream_on_error(std::uint32_t stream_id, ErrorCode code);
 
   FrameDecoder decoder_;
   std::vector<std::uint8_t> frame_scratch_;  // reused by every write_frame

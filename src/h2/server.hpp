@@ -17,8 +17,9 @@ class ServerConnection : public Connection {
     /// no body, so this is the whole request).
     std::function<void(std::uint32_t stream_id, const hpack::HeaderList&)>
         on_request;
-    /// The peer reset a stream: the application must stop producing body
-    /// chunks for it (its queue has already been flushed).
+    /// The peer reset a stream, or the connection did on a stream error:
+    /// the application must stop producing body chunks for it (its queue
+    /// has already been flushed).
     std::function<void(std::uint32_t stream_id, ErrorCode)> on_stream_reset;
     std::function<void(std::string_view reason)> on_connection_dead;
   };
@@ -53,7 +54,7 @@ class ServerConnection : public Connection {
                          bool end_stream) override;
   void on_remote_data(std::uint32_t, std::span<const std::uint8_t>,
                       bool) override {}
-  void on_remote_rst(std::uint32_t stream_id, ErrorCode code) override {
+  void on_stream_reset(std::uint32_t stream_id, ErrorCode code) override {
     if (handlers_.on_stream_reset) handlers_.on_stream_reset(stream_id, code);
   }
   void on_dead(std::string_view reason) override {

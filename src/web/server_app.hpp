@@ -72,6 +72,11 @@ class ServerApp {
     return stream_objects_;
   }
 
+  /// Whether a worker is still producing `stream_id`'s body.
+  bool producing(std::uint32_t stream_id) const {
+    return workers_.contains(stream_id);
+  }
+
   /// Optional notification when the connection dies.
   std::function<void(std::string_view)> on_connection_dead;
 

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "capture/reader.hpp"
 #include "experiment/runner.hpp"
 #include "obs/context.hpp"
+#include "obs/sha256.hpp"
 #include "sim/random.hpp"
 #include "web/website.hpp"
 
@@ -71,10 +74,9 @@ TEST(Pcapng, WriterReaderRoundTrip) {
   const std::vector<std::uint8_t> a = {0xde, 0xad, 0xbe, 0xef};
   const std::vector<std::uint8_t> b = {0x01};  // exercises padding to 4 bytes
   // > 2^32 ns exercises the EPB high/low timestamp split.
-  writer.write_packet(gw, 5'000'000'000LL, a);
-  writer.write_packet(cl, 5'000'000'123LL, b);
-  EXPECT_EQ(writer.packets_written(), 2u);
-  EXPECT_GT(writer.bytes_buffered(), 0u);
+  std::ranges::copy(a, writer.begin_packet(gw, 5'000'000'000LL, a.size()).begin());
+  std::ranges::copy(b, writer.begin_packet(cl, 5'000'000'123LL, b.size()).begin());
+  EXPECT_GT(writer.bytes_written(), 0u);
   ASSERT_TRUE(writer.close());
 
   PcapngReader reader;
@@ -92,6 +94,54 @@ TEST(Pcapng, WriterReaderRoundTrip) {
   EXPECT_EQ(reader.packets()[1].iface, cl);
   EXPECT_EQ(reader.packets()[1].ts_nanos, 5'000'000'123LL);
   EXPECT_EQ(reader.packets()[1].frame, b);
+}
+
+// Blocks stream to the file as the writer's buffer fills: several flushes
+// worth of frames of every size class, one of them larger than the buffer,
+// read back intact, and the byte count is the file size.
+TEST(Pcapng, WriterStreamsPastTheFlushThreshold) {
+  ScratchDir dir("pcapng_stream");
+  const std::string path = (dir / "big.pcapng").string();
+  sim::Rng rng(2024);
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::size_t total = 0;
+  while (total < 3 * PcapngWriter::kFlushBytes) {
+    std::vector<std::uint8_t> f(static_cast<std::size_t>(rng.uniform_int(0, 1600)));
+    for (auto& b : f) b = static_cast<std::uint8_t>(rng.next_u64());
+    total += f.size();
+    frames.push_back(std::move(f));
+  }
+  frames.insert(frames.begin() + static_cast<std::ptrdiff_t>(frames.size() / 2),
+                std::vector<std::uint8_t>(PcapngWriter::kFlushBytes + 3, 0x7e));
+
+  PcapngWriter writer(path);
+  writer.add_interface("gateway", "");
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& f = frames[i];
+    std::ranges::copy(f, writer.begin_packet(0, static_cast<std::int64_t>(i) * 1000,
+                                             f.size()).begin());
+  }
+  EXPECT_TRUE(fs::exists(path)) << "nothing flushed before close()";
+  ASSERT_TRUE(writer.close());
+  EXPECT_EQ(fs::file_size(path), writer.bytes_written());
+
+  PcapngReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.open(path, &error)) << error;
+  ASSERT_EQ(reader.packets().size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(reader.packets()[i].ts_nanos, static_cast<std::int64_t>(i) * 1000);
+    EXPECT_EQ(reader.packets()[i].frame, frames[i]) << "frame " << i;
+  }
+
+  // A path that cannot be opened fails close(), however much was written.
+  PcapngWriter bad((dir / "no-such-dir" / "x.pcapng").string());
+  bad.add_interface("gateway", "");
+  for (const auto& f : frames) {
+    std::ranges::copy(f, bad.begin_packet(0, 0, f.size()).begin());
+  }
+  EXPECT_FALSE(bad.close());
+  EXPECT_FALSE(bad.close()) << "close() is idempotent";
 }
 
 TEST(Pcapng, ReaderRejectsMissingAndMalformedFiles) {
@@ -269,7 +319,7 @@ net::Packet sample_packet() {
 
 TEST(Frame, EncodeDecodeRoundTrip) {
   const net::Packet p = sample_packet();
-  std::vector<std::uint8_t> frame;
+  std::vector<std::uint8_t> frame(frame_size(p));
   encode_frame(p, frame);
   ASSERT_EQ(frame.size(), kFrameOverheadBytes + p.payload.size());
 
@@ -296,7 +346,7 @@ TEST(Frame, AllTcpFlagsSurviveTheWireTranslation) {
     net::Packet p = sample_packet();
     p.tcp.flags = flags;
     p.payload.clear();
-    std::vector<std::uint8_t> frame;
+    std::vector<std::uint8_t> frame(frame_size(p));
     encode_frame(p, frame);
     net::Packet out;
     ASSERT_TRUE(decode_frame(frame, &out, nullptr));
@@ -306,7 +356,7 @@ TEST(Frame, AllTcpFlagsSurviveTheWireTranslation) {
 
 TEST(Frame, ChecksumsValidateLikeADissectorWould) {
   const net::Packet p = sample_packet();
-  std::vector<std::uint8_t> frame;
+  std::vector<std::uint8_t> frame(frame_size(p));
   encode_frame(p, frame);
 
   // RFC 1071: the checksum of a header that includes its own (correct)
@@ -338,7 +388,7 @@ TEST(Frame, DecodeRejectsNonIpv4TcpFrames) {
   EXPECT_FALSE(decode_frame(std::vector<std::uint8_t>(5), &out, &error));
 
   // Valid frame, ethertype rewritten to ARP.
-  std::vector<std::uint8_t> frame;
+  std::vector<std::uint8_t> frame(frame_size(sample_packet()));
   encode_frame(sample_packet(), frame);
   frame[12] = 0x08;
   frame[13] = 0x06;
@@ -346,7 +396,6 @@ TEST(Frame, DecodeRejectsNonIpv4TcpFrames) {
   EXPECT_FALSE(error.empty());
 
   // Valid frame, IP protocol rewritten to UDP.
-  frame.clear();
   encode_frame(sample_packet(), frame);
   frame[kEthernetHeaderBytes + 9] = 17;
   EXPECT_FALSE(decode_frame(frame, &out, nullptr));
@@ -357,12 +406,64 @@ TEST(Frame, DecodeToleratesEthernetPadding) {
   // IP total-length field, not the frame length, must delimit the payload.
   net::Packet p = sample_packet();
   p.payload = {0xAA, 0xBB};
-  std::vector<std::uint8_t> frame;
+  std::vector<std::uint8_t> frame(frame_size(p));
   encode_frame(p, frame);
   frame.resize(60, 0);
   net::Packet out;
   ASSERT_TRUE(decode_frame(frame, &out, nullptr));
   EXPECT_EQ(out.payload, p.payload);
+}
+
+// The in-place encoder writes every byte of its span: random packets with
+// 0-3000 byte payloads (odd lengths included), encoded at every alignment
+// over a buffer of garbage, decode back to themselves, and both checksums
+// verify (the ones-complement sum over the covered bytes is 0xFFFF).
+TEST(Frame, InPlaceEncoderRoundTripsAndChecksumsVerify) {
+  sim::Rng rng(7);
+  std::vector<std::uint8_t> buf;
+  for (int i = 0; i < 500; ++i) {
+    net::Packet p;
+    p.id = rng.next_u64();
+    p.src = static_cast<net::NodeId>(rng.uniform_int(0, 255));
+    p.dst = static_cast<net::NodeId>(rng.uniform_int(0, 255));
+    p.tcp.src_port = static_cast<std::uint16_t>(rng.next_u64());
+    p.tcp.dst_port = static_cast<std::uint16_t>(rng.next_u64());
+    p.tcp.seq = static_cast<std::uint32_t>(rng.next_u64());
+    p.tcp.ack = static_cast<std::uint32_t>(rng.next_u64());
+    p.tcp.flags = net::tcpflag::kAck;
+    p.tcp.wnd = static_cast<std::uint16_t>(rng.next_u64());
+    p.payload.resize(static_cast<std::size_t>(i < 8 ? i : rng.uniform_int(0, 3000)));
+    for (auto& b : p.payload) b = static_cast<std::uint8_t>(rng.next_u64());
+
+    const std::size_t align = static_cast<std::size_t>(i % 8);
+    buf.assign(align + frame_size(p), 0xA5);
+    const std::span<std::uint8_t> frame =
+        std::span(buf).subspan(align, frame_size(p));
+    encode_frame(p, frame);
+
+    net::Packet out;
+    std::string error;
+    ASSERT_TRUE(decode_frame(frame, &out, &error)) << error;
+    EXPECT_EQ(out.src, p.src);
+    EXPECT_EQ(out.dst, p.dst);
+    EXPECT_EQ(out.tcp.src_port, p.tcp.src_port);
+    EXPECT_EQ(out.tcp.dst_port, p.tcp.dst_port);
+    EXPECT_EQ(out.tcp.seq, p.tcp.seq);
+    EXPECT_EQ(out.tcp.ack, p.tcp.ack);
+    EXPECT_EQ(out.tcp.wnd, p.tcp.wnd);
+    EXPECT_EQ(out.payload, p.payload) << "packet " << i;
+
+    const std::span<const std::uint8_t> ip =
+        frame.subspan(kEthernetHeaderBytes, kIpv4HeaderBytes);
+    EXPECT_EQ(inet_checksum(ip), 0) << "packet " << i;
+    const std::span<const std::uint8_t> segment =
+        frame.subspan(kEthernetHeaderBytes + kIpv4HeaderBytes);
+    std::uint32_t pseudo = 6 + static_cast<std::uint32_t>(segment.size());
+    for (std::size_t k = 12; k < 20; k += 2) {
+      pseudo += static_cast<std::uint32_t>(ip[k] << 8 | ip[k + 1]);
+    }
+    EXPECT_EQ(inet_checksum(segment, pseudo), 0) << "packet " << i;
+  }
 }
 
 // --- TlsRecordReassembler edge cases ---
@@ -866,6 +967,41 @@ TEST(Golden, DefendedCaptureDiffersByExactlyThePaddingPolicy) {
   }
   EXPECT_LT(identified, 8u)
       << "quantum-3000 padding should merge emblem size classes";
+}
+
+// The committed corpus regenerates byte for byte: each file's trial, run
+// with h2sim-capture's settings, hashes to its line of SHA256SUMS.
+TEST(Golden, RegeneratedCapturesMatchSha256Sums) {
+  std::map<std::string, std::string> sums;  // file name -> sha256 hex
+  std::ifstream in(std::string(H2SIM_GOLDEN_DIR) + "/SHA256SUMS");
+  std::string hex, file;
+  while (in >> hex >> file) sums[file] = hex;
+  ASSERT_EQ(sums.size(), 3u);
+
+  experiment::TrialConfig table2;  // h2sim-capture --seed 7 --attack full
+  table2.seed = 7;
+  table2.attack = experiment::full_attack_config();
+  experiment::TrialConfig defended = table2;  // ... --wire-pad quantum:3000
+  defended.defense.padding = defense::PaddingSpec::quantum_pad(3000);
+  experiment::TrialConfig baseline;  // --seed 1 --attack off --site small
+  baseline.seed = 1;
+  baseline.attack = experiment::TrialConfig::default_attack_off();
+  baseline = small_site(std::move(baseline));
+
+  for (auto [name, cfg] : {std::pair{"table2_seed7.pcapng", table2},
+                           std::pair{"table2_defended_q3000_seed7.pcapng", defended},
+                           std::pair{"baseline_small_seed1.pcapng", baseline}}) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(sums.count(name));
+    cfg.capture.path = ::testing::TempDir() + "regen_" + name;
+    const experiment::TrialResult r = experiment::run_trial(cfg);
+    std::ifstream f(cfg.capture.path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), r.capture_bytes_written);
+    EXPECT_EQ(obs::sha256_hex(bytes), sums[name]);
+    fs::remove(cfg.capture.path);
+  }
 }
 
 TEST(Golden, BaselineCaptureIngestsButDefeatsTheBoundaryDetector) {

@@ -523,5 +523,70 @@ TEST(ErrorPaths, SlowReadPeerNeverGetsDataPastTheStreamWindow) {
   EXPECT_FALSE(pair.server->dead());
 }
 
+// RFC 7540 §6.9.1: DATA past a stream's advertised window is a stream
+// FLOW_CONTROL_ERROR. A scripted peer overruns the server's 4 KiB stream
+// window: the server resets that stream alone and tells the app, as a peer
+// reset would, and still credits the connection window for every byte, the
+// overrunning frame included.
+TEST(ErrorPaths, DataPastTheStreamWindowResetsTheStream) {
+  constexpr std::uint32_t kWindow = 4096;
+  constexpr std::size_t kFrame = 8192;
+  h2::ConnectionConfig server_cfg;
+  server_cfg.initial_window_size = kWindow;
+  H2Pair pair(server_cfg);
+  // A scripted peer replaces the client connection on the same TLS session.
+  pair.client.reset();
+  tls::TlsSession::Callbacks cbs;
+  cbs.on_established = [&pair] {
+    pair.client_tls->write(h2::client_preface());
+    pair.client_tls->write(h2::serialize_frame({h2::FrameType::kSettings, 0, 0, {}}));
+  };
+  cbs.on_plaintext = [](std::span<const std::uint8_t>) {};
+  pair.client_tls->set_callbacks(std::move(cbs));
+  pair.run(1);
+  ASSERT_TRUE(pair.server);
+
+  std::vector<h2::ErrorCode> app_resets;
+  h2::ServerConnection::Handlers sh;
+  sh.on_stream_reset = [&](std::uint32_t sid, h2::ErrorCode code) {
+    EXPECT_EQ(sid, 1u);
+    app_resets.push_back(code);
+  };
+  pair.server->set_handlers(std::move(sh));
+  std::vector<h2::ErrorCode> rst_sent;
+  std::vector<std::uint32_t> conn_credit;
+  pair.server->set_frame_tap([&](const h2::FrameView& f, sim::TimePoint) {
+    if (f.type == h2::FrameType::kRstStream) {
+      EXPECT_EQ(f.stream_id, 1u);
+      rst_sent.push_back(*h2::parse_rst_stream(f.payload));
+    }
+    if (f.type == h2::FrameType::kWindowUpdate && f.stream_id == 0) {
+      conn_credit.push_back(*h2::parse_window_update(f.payload));
+    }
+  });
+
+  // A request that stays open for a body, then one DATA frame twice the
+  // window and three more on the stream the server has reset by then: 32 KiB
+  // in all, the server's connection WINDOW_UPDATE batch.
+  http::Request post;
+  post.authority = "example.com";
+  post.path = "/upload";
+  hpack::Encoder encoder;
+  pair.client_tls->write(h2::serialize_frame(
+      {h2::FrameType::kHeaders, h2::flags::kEndHeaders, 1,
+       encoder.encode(post.to_h2_headers())}));
+  const std::vector<std::uint8_t> data(kFrame, 0x44);
+  for (int i = 0; i < 4; ++i) {
+    pair.client_tls->write(h2::serialize_frame({h2::FrameType::kData, 0, 1, data}));
+  }
+  pair.run(1);
+
+  EXPECT_FALSE(pair.server->dead());
+  EXPECT_EQ(pair.server->find_stream(1), nullptr);
+  EXPECT_EQ(rst_sent, std::vector<h2::ErrorCode>{h2::ErrorCode::kFlowControlError});
+  EXPECT_EQ(app_resets, std::vector<h2::ErrorCode>{h2::ErrorCode::kFlowControlError});
+  EXPECT_EQ(conn_credit, std::vector<std::uint32_t>{4 * kFrame});
+}
+
 }  // namespace
 }  // namespace h2sim

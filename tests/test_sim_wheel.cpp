@@ -29,11 +29,26 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+/// A fuzz horizon drawn from `hh`, across six decades: now, sub-granule,
+/// granule edge, milliseconds, an RTO, an idle gap.
+std::int64_t fuzz_delta(std::uint64_t hh) {
+  switch (hh % 6) {
+    case 0: return 0;
+    case 1: return static_cast<std::int64_t>(hh % 700);
+    case 2: return static_cast<std::int64_t>(hh % 3000);
+    case 3: return static_cast<std::int64_t>(hh % 2000000);
+    case 4: return static_cast<std::int64_t>(hh % 400000000LL);
+    default: return static_cast<std::int64_t>(hh % 30000000000LL);
+  }
+}
+
 // Shared callback logic for the dual-execution fuzz below: every fired event
 // appends its id, then deterministically (from the salt) schedules up to
-// three children across six decades of horizon and sometimes cancels an
-// arbitrary earlier event. Both worlds run the identical program, so any
-// divergence in the fired-id sequence is a wheel ordering or loss bug.
+// three children across six decades of horizon, sometimes cancels an
+// arbitrary earlier event, and sometimes moves one (reschedule_at, the TCP
+// RTO re-arm path) to a fresh horizon, earlier or later than it was. Both
+// worlds run the identical program, so any divergence in the fired-id
+// sequence is a wheel ordering or loss bug.
 template <class World>
 void fuzz_act(World& w, int id) {
   w.order.push_back(id);
@@ -41,20 +56,16 @@ void fuzz_act(World& w, int id) {
   const int children = static_cast<int>(h % 4);
   for (int c = 0; c < children && w.next_id <= w.budget; ++c) {
     const std::uint64_t hh = mix(h + static_cast<std::uint64_t>(c) + 1);
-    std::int64_t delta = 0;
-    switch (hh % 6) {
-      case 0: delta = 0; break;                                        // now
-      case 1: delta = static_cast<std::int64_t>(hh % 700); break;      // sub-granule
-      case 2: delta = static_cast<std::int64_t>(hh % 3000); break;     // granule edge
-      case 3: delta = static_cast<std::int64_t>(hh % 2000000); break;  // ms
-      case 4: delta = static_cast<std::int64_t>(hh % 400000000LL); break;    // RTO
-      default: delta = static_cast<std::int64_t>(hh % 30000000000LL); break; // idle
-    }
     const int cid = w.next_id++;
-    w.schedule(cid, w.now_ns() + delta);
+    w.schedule(cid, w.now_ns() + fuzz_delta(hh));
   }
   if ((h >> 8) % 3 == 0) {
     w.cancel_id(static_cast<int>((h >> 16) % static_cast<std::uint64_t>(w.next_id)));
+  }
+  if ((h >> 24) % 3 == 0) {
+    const std::uint64_t hh = mix(h ^ 0x5bd1e995);
+    w.reschedule_id(static_cast<int>((h >> 32) % static_cast<std::uint64_t>(w.next_id)),
+                    w.now_ns() + fuzz_delta(hh));
   }
 }
 
@@ -73,6 +84,10 @@ struct WheelWorld {
   void cancel_id(int id) {
     auto it = handles.find(id);
     if (it != handles.end()) it->second.cancel();
+  }
+  void reschedule_id(int id, std::int64_t at) {
+    auto it = handles.find(id);
+    if (it != handles.end()) loop.reschedule_at(it->second, TimePoint::from_nanos(at));
   }
   std::int64_t now_ns() { return loop.now().count_nanos(); }
 };
@@ -98,6 +113,17 @@ struct RefWorld {
     auto it = keys.find(id);
     if (it != keys.end()) q.erase(it->second);
   }
+  // A pending event is re-keyed with a fresh seq, as cancel() plus
+  // schedule_at() would; a fired or cancelled one stays spent.
+  void reschedule_id(int id, std::int64_t at) {
+    auto it = keys.find(id);
+    if (it == keys.end()) return;
+    auto node = q.extract(it->second);
+    if (node.empty()) return;
+    node.key() = std::make_pair(std::max(at, now), seq++);
+    it->second = node.key();
+    q.insert(std::move(node));
+  }
   std::int64_t now_ns() { return now; }
   void run(std::int64_t until) {
     while (!q.empty()) {
@@ -111,9 +137,9 @@ struct RefWorld {
   }
 };
 
-// Dual execution: the same self-rescheduling, self-cancelling program runs
-// on the wheel and on the reference model; the fired-id sequences must be
-// identical for every salt. This is the harness that originally caught the
+// Dual execution: the same self-scheduling, self-cancelling, self-moving
+// program runs on the wheel and on the reference model; the fired-id
+// sequences must be identical for every salt. This is the harness that originally caught the
 // boundary-carry bug, kept as a standing fuzz.
 TEST(SimWheel, MatchesReferenceModelAcrossSalts) {
   for (std::uint64_t salt = 0; salt < 200; ++salt) {

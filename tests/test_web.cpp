@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -129,13 +130,16 @@ class ServedBytes {
     std::size_t content_length = 0;
     std::vector<std::uint8_t> body;
     bool ended = false;
+    std::optional<h2::ErrorCode> reset;
   };
 
-  ServedBytes(const Website& site, const defense::PaddingPolicy* padding)
+  ServedBytes(const Website& site, const defense::PaddingPolicy* padding,
+              bool serial_workers = false)
       : pair_(h2::ConnectionConfig{}, small_window()) {
     pair_.run(1);
     ServerAppConfig cfg;
     cfg.padding = padding;
+    cfg.serial_workers = serial_workers;
     app_ = std::make_unique<ServerApp>(pair_.loop, site, *pair_.server, sim::Rng(5),
                                        cfg);
     h2::ClientConnection::Handlers ch;
@@ -150,6 +154,9 @@ class ServedBytes {
       r.body.insert(r.body.end(), b.begin(), b.end());
       r.ended |= end;
     };
+    ch.on_reset = [this](std::uint32_t sid, h2::ErrorCode code) {
+      responses[sid].reset = code;
+    };
     pair_.client->set_handlers(std::move(ch));
   }
 
@@ -160,6 +167,12 @@ class ServedBytes {
     return pair_.client->send_request(r.to_h2_headers());
   }
   void cancel(std::uint32_t sid) { pair_.client->cancel(sid); }
+  /// Sends a raw WINDOW_UPDATE, bypassing the client's own accounting.
+  void window_update(std::uint32_t sid, std::uint32_t increment) {
+    pair_.client_tls->write(h2::serialize_frame(
+        {h2::FrameType::kWindowUpdate, 0, sid, h2::encode_window_update(increment)}));
+  }
+  const ServerApp& app() const { return *app_; }
   void run(double seconds) { pair_.run(seconds); }
 
   std::map<std::uint32_t, Response> responses;
@@ -281,6 +294,48 @@ TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
       EXPECT_EQ(expect_served(r, kSize), r.content_length);
     }
   }
+}
+
+// A reset the server's connection sends itself, here for a WINDOW_UPDATE
+// that overflows a stream's send window past 2^31-1 mid-body (RFC 7540
+// §6.9.1), reaches the app exactly like a peer RST: the worker stops and, in
+// serial mode, the queued request starts at once.
+TEST(ServerApp, ConnectionResetOfAStreamCancelsItsWorker) {
+  Website site;
+  WebObject obj;
+  obj.path = "/big";
+  obj.size = 2'000'000;
+  site.add_object(obj);
+  obj.path = "/next";
+  obj.size = 20000;
+  site.add_object(obj);
+
+  ServedBytes s(site, nullptr, /*serial_workers=*/true);
+  const std::uint32_t big = s.get("/big");
+  const std::uint32_t next = s.get("/next");
+  for (int i = 0; i < 1000 && s.responses[big].body.empty(); ++i) s.run(0.001);
+  ASSERT_FALSE(s.responses[big].body.empty());
+  ASSERT_TRUE(s.app().producing(big));
+  ASSERT_FALSE(s.app().producing(next));
+
+  // Two increments of 2^31-1: whatever the window is, the second overflows.
+  s.window_update(big, 0x7FFFFFFF);
+  s.window_update(big, 0x7FFFFFFF);
+  // The big body takes 0.8 s to produce; the reset must stop it well before.
+  for (int i = 0; i < 200 && s.app().producing(big); ++i) s.run(0.001);
+  EXPECT_FALSE(s.app().producing(big));
+  EXPECT_TRUE(s.app().producing(next));
+
+  s.run(10);
+  const auto& cut = s.responses[big];
+  EXPECT_EQ(cut.reset, h2::ErrorCode::kFlowControlError);
+  EXPECT_FALSE(cut.ended);
+  EXPECT_LT(cut.body.size(), cut.content_length);
+  EXPECT_EQ(expect_served(cut, 2'000'000), cut.body.size());
+  const auto& r = s.responses[next];
+  EXPECT_TRUE(r.ended);
+  EXPECT_EQ(r.body.size(), 20000u);
+  EXPECT_EQ(expect_served(r, 20000), r.content_length);
 }
 
 }  // namespace
