@@ -1,17 +1,17 @@
 // Defense matrix: attack stage x defense.
 //
 // Each cell runs one attack stage (no attack / jitter-only / the full
-// staged Section-V attack) against one defense: a wire-level padding policy
+// staged Section-V attack) against one defense: a wire-level padding scheme
 // (none / quantum / randomized / Reed-Reiter constrained plan) or, in full
 // mode, one of three non-padding defenses — 8 dummy objects of cover
 // traffic, the paper's §VII client-side randomized request order, and a
 // random server frame scheduler. Because padding rides genuine DATA frames
-// (web::ServerApp + defense::PaddingPolicy) and dummies are real responses,
+// (web::ServerApp + defense::PaddingSpec) and dummies are real responses,
 // every cell measures the real trade the paper calls "unreasonable CPU and
 // bandwidth overheads":
 //
 //   * attack accuracy  — the paper's per-stage success criterion, with the
-//     adversary's size databases compiled from policy->candidates()
+//     adversary's size databases compiled from PaddingSpec::candidates()
 //     (Kerckhoffs: the scheme is known, only the sizes are ambiguous);
 //   * recovered-size error — Morla's defender metric: quantiles of the
 //     attacker's best size-estimate error against the true object sizes;
@@ -198,7 +198,6 @@ int main(int argc, char** argv) {
       };
 
       // Recovered-size error across all trials of the cell (Morla's metric).
-      const analysis::SizeEstimator estimator(def.spec);
       std::vector<double> rel_errors;
       std::size_t misses = 0;
       double cell_bytes = 0.0;
@@ -211,7 +210,7 @@ int main(int argc, char** argv) {
         }
         std::size_t trial_misses = 0;
         const auto samples = analysis::score_recovered_sizes(
-            probe.detections, truths, estimator, &trial_misses);
+            probe.detections, truths, def.spec, &trial_misses);
         for (const auto& s : samples) rel_errors.push_back(s.rel_error);
         misses += trial_misses;
         cell_bytes += static_cast<double>(probe.observed_s2c_bytes);

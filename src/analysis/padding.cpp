@@ -19,47 +19,22 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-std::size_t SizeEstimator::estimate(std::size_t observed) const {
-  using Kind = defense::PaddingSpec::Kind;
-  switch (spec_.kind) {
-    case Kind::kNone:
-      return observed;
-    case Kind::kQuantum: {
-      const std::size_t q = spec_.quantum;
-      if (q <= 1 || observed == 0) return observed;
-      // The original lies in (observed - q, observed]; midpoint guess.
-      const std::size_t low = observed > q ? observed - q + 1 : 1;
-      return (low + observed) / 2;
-    }
-    case Kind::kRandom: {
-      const double f = spec_.random_fraction;
-      if (f <= 0.0) return observed;
-      return static_cast<std::size_t>(
-          std::llround(static_cast<double>(observed) / (1.0 + f / 2.0)));
-    }
-    case Kind::kConstrained: {
-      if (!spec_.plan) return observed;
-      // Posterior mean over plan entries that could emit a wire size near
-      // the observation (uniform prior over entries; each entry's
-      // contribution weighted by its probability of hitting the target).
-      double weight_sum = 0.0, size_sum = 0.0;
-      for (const defense::PadPlanEntry& e : spec_.plan->entries) {
-        for (const defense::PadTarget& t : e.targets) {
-          const double rel =
-              std::abs(static_cast<double>(t.to) -
-                       static_cast<double>(observed)) /
-              std::max<double>(1.0, static_cast<double>(observed));
-          if (rel <= 0.02) {
-            weight_sum += t.p;
-            size_sum += t.p * static_cast<double>(e.size);
-          }
-        }
-      }
-      if (weight_sum <= 0.0) return observed;
-      return static_cast<std::size_t>(std::llround(size_sum / weight_sum));
-    }
+SizeDatabases build_size_databases(const web::Website& site,
+                                   const defense::PaddingSpec& spec,
+                                   double tolerance) {
+  SizeDatabases dbs;
+  dbs.emblems.set_tolerance(tolerance);
+  dbs.html.set_tolerance(tolerance);
+  auto add = [&](SizeIdentityDb& db, std::string label, const std::string& path) {
+    const std::size_t size = site.find(path)->size;
+    for (std::size_t c : spec.candidates(size)) db.add(label, c);
+    dbs.originals.emplace_back(std::move(label), size);
+  };
+  for (std::size_t k = 0; k < 8; ++k) {
+    add(dbs.emblems, "party" + std::to_string(k), site.emblem_paths[k]);
   }
-  return observed;
+  add(dbs.html, "html", site.html_path);
+  return dbs;
 }
 
 SizeErrorStats summarize_errors(std::vector<double> rel_errors,
@@ -79,7 +54,7 @@ SizeErrorStats summarize_errors(std::vector<double> rel_errors,
 
 std::vector<SizeErrorSample> score_recovered_sizes(
     const std::vector<DetectedObject>& detections,
-    const std::vector<PaddedTruth>& truths, const SizeEstimator& estimator,
+    const std::vector<PaddedTruth>& truths, const defense::PaddingSpec& spec,
     std::size_t* misses_out, double match_tolerance) {
   std::vector<SizeErrorSample> out;
   std::vector<bool> used(detections.size(), false);
@@ -108,7 +83,7 @@ std::vector<SizeErrorSample> score_recovered_sizes(
     s.label = t.label;
     s.truth = t.original;
     s.wire = t.wire;
-    s.estimate = estimator.estimate(detections[best].size_estimate);
+    s.estimate = spec.estimate(detections[best].size_estimate);
     s.rel_error = t.original == 0
                       ? 0.0
                       : std::abs(static_cast<double>(s.estimate) -

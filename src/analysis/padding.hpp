@@ -2,42 +2,38 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/boundary.hpp"
 #include "analysis/predictor.hpp"
 #include "defense/policy.hpp"
+#include "web/website.hpp"
 
 namespace h2sim::analysis {
 
-/// Size estimation under padding — the defender's metric, after Morla
-/// ("Effect of Pipelining and Multiplexing in Estimating HTTP/2.0 Web
-/// Object Sizes"): how far off is the attacker's recovered plaintext size
-/// once a padding policy stands between the object and the wire?
-///
-/// The attacker here knows the deployed scheme (Kerckhoffs) and inverts it
-/// as well as it can be inverted:
-///   * none        -> estimate = observed
-///   * quantum q   -> observed pins the original to (observed-q, observed];
-///                    estimate = the interval midpoint
-///   * random f    -> observed = original * U[1, 1+f]; estimate =
-///                    observed / (1 + f/2) (the mean inverse)
-///   * constrained -> posterior over the plan's entries whose target set
-///                    contains a size near the observation (uniform prior
-///                    over objects); estimate = the posterior mean of the
-///                    original sizes
-class SizeEstimator {
- public:
-  explicit SizeEstimator(defense::PaddingSpec spec) : spec_(std::move(spec)) {}
+// Size estimation under padding — the defender's metric, after Morla
+// ("Effect of Pipelining and Multiplexing in Estimating HTTP/2.0 Web
+// Object Sizes"): how far off is the attacker's recovered plaintext size
+// once a padding scheme stands between the object and the wire? The
+// attacker knows the deployed scheme (Kerckhoffs) and inverts it with
+// defense::PaddingSpec::estimate.
 
-  /// Best recoverable plaintext size for one observed wire size.
-  std::size_t estimate(std::size_t observed_wire_size) const;
-
-  const defense::PaddingSpec& spec() const { return spec_; }
-
- private:
-  defense::PaddingSpec spec_;
+/// The adversary's pre-compiled size databases for the isidewith site
+/// structure (8 emblems and the HTML), built from the public site. Under
+/// padding the adversary compiles one entry per wire size an object can be
+/// served at (PaddingSpec::candidates).
+struct SizeDatabases {
+  SizeIdentityDb emblems;  // "party0" .. "party7"
+  SizeIdentityDb html;     // "html"
+  /// Each label's plaintext size on the site: the recovered-size truth.
+  std::vector<std::pair<std::string, std::size_t>> originals;
 };
+
+/// Requires `site` to have 8 emblem paths and its HTML path.
+SizeDatabases build_size_databases(const web::Website& site,
+                                   const defense::PaddingSpec& spec,
+                                   double tolerance);
 
 /// One scored recovery: the attacker's estimate against the ground truth.
 struct SizeErrorSample {
@@ -71,14 +67,14 @@ struct PaddedTruth {
 };
 
 /// Matches boundary detections against the per-object ground truth (by
-/// wire size, the only quantity both sides share), runs the estimator on
-/// each matched detection, and scores the recovery error against the
+/// wire size, the only quantity both sides share), inverts each matched
+/// detection with `spec.estimate`, and scores the recovery error against the
 /// original size. Objects with no detection within `match_tolerance`
 /// (relative, on the wire size) count as misses. Each detection explains at
 /// most one object (greedy best-match, deterministic).
 std::vector<SizeErrorSample> score_recovered_sizes(
     const std::vector<DetectedObject>& detections,
-    const std::vector<PaddedTruth>& truths, const SizeEstimator& estimator,
+    const std::vector<PaddedTruth>& truths, const defense::PaddingSpec& spec,
     std::size_t* misses_out = nullptr, double match_tolerance = 0.25);
 
 /// Defense-suspicion heuristics for the offline analyzer: evidence that a

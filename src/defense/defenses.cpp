@@ -5,14 +5,20 @@
 
 namespace h2sim::defense {
 
-void inject_dummies(web::Website& site, sim::Rng& rng, const DummyConfig& cfg) {
+namespace {
+constexpr std::size_t kDummyMinSize = 4000;
+constexpr std::size_t kDummyMaxSize = 18000;
+constexpr double kDummyGapMs = 6.0;
+}  // namespace
+
+void inject_dummies(web::Website& site, sim::Rng& rng, int count) {
   // Dummy objects go live on the server...
   std::vector<std::string> paths;
-  for (int i = 0; i < cfg.count; ++i) {
+  for (int i = 0; i < count; ++i) {
     web::WebObject o;
     o.path = "/pad/cover" + std::to_string(i) + ".bin";
     o.content_type = "application/octet-stream";
-    o.size = cfg.min_size + rng.uniform(cfg.max_size - cfg.min_size + 1);
+    o.size = kDummyMinSize + rng.uniform(kDummyMaxSize - kDummyMinSize + 1);
     o.label = "dummy" + std::to_string(i);
     site.add_object(o);
     paths.push_back(o.path);
@@ -27,7 +33,7 @@ void inject_dummies(web::Website& site, sim::Rng& rng, const DummyConfig& cfg) {
         rng.bernoulli(0.5)) {
       web::RequestStep dummy;
       dummy.path = paths[injected++];
-      dummy.gap_from_prev = sim::Duration::millis_f(cfg.gap_ms);
+      dummy.gap_from_prev = sim::Duration::millis_f(kDummyGapMs);
       dummy.gate = web::Gate::kHtmlComplete;
       steps.push_back(dummy);
     }
@@ -36,7 +42,7 @@ void inject_dummies(web::Website& site, sim::Rng& rng, const DummyConfig& cfg) {
   for (; injected < paths.size(); ++injected) {
     web::RequestStep dummy;
     dummy.path = paths[injected];
-    dummy.gap_from_prev = sim::Duration::millis_f(cfg.gap_ms);
+    dummy.gap_from_prev = sim::Duration::millis_f(kDummyGapMs);
     dummy.gate = web::Gate::kHtmlComplete;
     steps.push_back(dummy);
   }

@@ -1,9 +1,6 @@
 #pragma once
 
-#include <cstddef>
-
 #include "defense/padplan.hpp"
-#include "defense/policy.hpp"
 #include "sim/random.hpp"
 #include "web/website.hpp"
 
@@ -13,21 +10,15 @@ namespace h2sim::defense {
 /// (cover traffic, constrained padding plans), beside the paper's own §VII
 /// suggestion (client-side order randomization, which lives in
 /// web::BrowserConfig::randomize_embedded_order). Padding itself is applied
-/// on the wire by a PaddingPolicy (defense/policy.hpp): the live server pads
+/// on the wire by a PaddingSpec (defense/policy.hpp): the live server pads
 /// each response, so padding bytes ride genuine DATA frames and show up in
 /// captures and TrafficMonitor observations.
 
 /// Injects `count` dummy objects (cover traffic) with sizes drawn uniformly
-/// from [min_size, max_size] and schedule steps interleaved into the
-/// embedded-request phase. The extra transmissions feed the attacker's
+/// from [4000, 18000] bytes and schedule steps, 6 ms apart, interleaved into
+/// the embedded-request phase. The extra transmissions feed the attacker's
 /// detector junk that is indistinguishable from real objects.
-struct DummyConfig {
-  int count = 8;
-  std::size_t min_size = 4000;
-  std::size_t max_size = 18000;
-  double gap_ms = 6.0;
-};
-void inject_dummies(web::Website& site, sim::Rng& rng, const DummyConfig& cfg = {});
+void inject_dummies(web::Website& site, sim::Rng& rng, int count);
 
 /// Runs the constrained-padding optimizer over the site's object sizes:
 /// the input corpus is every object the site serves (the defense pads the

@@ -1,6 +1,7 @@
 #include "defense/policy.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -10,61 +11,25 @@
 
 namespace h2sim::defense {
 
-std::string RandomPolicy::name() const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "random%.0f", max_fraction_ * 100.0);
-  return buf;
+namespace {
+
+using Kind = PaddingSpec::Kind;
+
+/// The kind that takes effect: a spec that does not pad serves as none.
+Kind effective_kind(const PaddingSpec& s) {
+  return s.enabled() ? s.kind : Kind::kNone;
 }
 
-std::size_t RandomPolicy::padded_size(std::size_t size, sim::Rng& rng) const {
-  if (max_fraction_ <= 0.0 || size == 0) return size;
-  const std::size_t span =
-      static_cast<std::size_t>(max_fraction_ * static_cast<double>(size));
-  return size + rng.uniform(span + 1);
+std::size_t round_up(std::size_t size, std::size_t quantum) {
+  return (size + quantum - 1) / quantum * quantum;
 }
 
-std::vector<std::size_t> RandomPolicy::candidates(std::size_t size) const {
-  // Continuum support: the attacker's best single guess is the mean wire
-  // size, size * (1 + f/2).
-  const std::size_t span =
-      static_cast<std::size_t>(max_fraction_ * static_cast<double>(size));
-  return {size + span / 2};
+/// Width of the random scheme's padding range for an object of `size`.
+std::size_t random_span(double fraction, std::size_t size) {
+  return static_cast<std::size_t>(fraction * static_cast<double>(size));
 }
 
-ConstrainedPolicy::ConstrainedPolicy(std::shared_ptr<const PadPlan> plan)
-    : plan_(std::move(plan)) {
-  for (const PadPlanEntry& e : plan_->entries) {
-    if (e.targets.size() > 1) {
-      deterministic_ = false;
-      break;
-    }
-  }
-}
-
-std::size_t ConstrainedPolicy::padded_size(std::size_t size,
-                                           sim::Rng& rng) const {
-  const PadPlanEntry* e = plan_->find(size);
-  if (!e) return plan_->fallback_target(size);
-  if (e->targets.size() == 1) return e->targets[0].to;
-  double roll = rng.uniform_real(0.0, 1.0);
-  for (const PadTarget& t : e->targets) {
-    roll -= t.p;
-    if (roll <= 0.0) return t.to;
-  }
-  return e->targets.back().to;
-}
-
-std::vector<std::size_t> ConstrainedPolicy::candidates(
-    std::size_t size) const {
-  const PadPlanEntry* e = plan_->find(size);
-  if (!e) return {plan_->fallback_target(size)};
-  std::vector<std::size_t> out;
-  out.reserve(e->targets.size());
-  for (const PadTarget& t : e->targets) out.push_back(t.to);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
+}  // namespace
 
 PaddingSpec PaddingSpec::quantum_pad(std::size_t quantum) {
   PaddingSpec s;
@@ -87,21 +52,122 @@ PaddingSpec PaddingSpec::constrained(std::shared_ptr<const PadPlan> plan) {
   return s;
 }
 
-std::unique_ptr<const PaddingPolicy> make_policy(const PaddingSpec& spec) {
-  switch (spec.kind) {
-    case PaddingSpec::Kind::kNone:
-      return nullptr;
-    case PaddingSpec::Kind::kQuantum:
-      if (spec.quantum <= 1) return nullptr;
-      return std::make_unique<QuantumPolicy>(spec.quantum);
-    case PaddingSpec::Kind::kRandom:
-      if (spec.random_fraction <= 0.0) return nullptr;
-      return std::make_unique<RandomPolicy>(spec.random_fraction);
-    case PaddingSpec::Kind::kConstrained:
-      if (!spec.plan) return nullptr;
-      return std::make_unique<ConstrainedPolicy>(spec.plan);
+bool PaddingSpec::enabled() const {
+  switch (kind) {
+    case Kind::kNone: return false;
+    case Kind::kQuantum: return quantum > 1;
+    case Kind::kRandom: return random_fraction > 0.0;
+    case Kind::kConstrained: return plan != nullptr;
   }
-  return nullptr;
+  return false;
+}
+
+std::string PaddingSpec::name() const {
+  switch (effective_kind(*this)) {
+    case Kind::kNone: return "none";
+    case Kind::kQuantum: return "quantum" + std::to_string(quantum);
+    case Kind::kRandom: {
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "random%.0f", random_fraction * 100.0);
+      return buf;
+    }
+    case Kind::kConstrained: return "constrained";
+  }
+  return "none";
+}
+
+std::size_t PaddingSpec::padded_size(std::size_t size, sim::Rng& rng) const {
+  switch (effective_kind(*this)) {
+    case Kind::kNone: return size;
+    case Kind::kQuantum: return round_up(size, quantum);
+    case Kind::kRandom:
+      if (size == 0) return size;
+      return size + rng.uniform(random_span(random_fraction, size) + 1);
+    case Kind::kConstrained: {
+      const PadPlanEntry* e = plan->find(size);
+      if (!e) return plan->fallback_target(size);
+      if (e->targets.size() == 1) return e->targets[0].to;
+      double roll = rng.uniform_real(0.0, 1.0);
+      for (const PadTarget& t : e->targets) {
+        roll -= t.p;
+        if (roll <= 0.0) return t.to;
+      }
+      return e->targets.back().to;
+    }
+  }
+  return size;
+}
+
+bool PaddingSpec::deterministic() const {
+  switch (effective_kind(*this)) {
+    case Kind::kNone:
+    case Kind::kQuantum: return true;
+    case Kind::kRandom: return false;
+    case Kind::kConstrained:
+      // Degenerate distributions (one target per entry) need no RNG.
+      return std::none_of(
+          plan->entries.begin(), plan->entries.end(),
+          [](const PadPlanEntry& e) { return e.targets.size() > 1; });
+  }
+  return true;
+}
+
+std::vector<std::size_t> PaddingSpec::candidates(std::size_t size) const {
+  switch (effective_kind(*this)) {
+    case Kind::kNone: return {size};
+    case Kind::kQuantum: return {round_up(size, quantum)};
+    case Kind::kRandom:
+      // Continuum support: the attacker's best single guess is the mean
+      // wire size, size * (1 + f/2).
+      return {size + random_span(random_fraction, size) / 2};
+    case Kind::kConstrained: {
+      const PadPlanEntry* e = plan->find(size);
+      if (!e) return {plan->fallback_target(size)};
+      std::vector<std::size_t> out;
+      out.reserve(e->targets.size());
+      for (const PadTarget& t : e->targets) out.push_back(t.to);
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+      return out;
+    }
+  }
+  return {size};
+}
+
+std::size_t PaddingSpec::estimate(std::size_t observed) const {
+  switch (effective_kind(*this)) {
+    case Kind::kNone: return observed;
+    case Kind::kQuantum: {
+      if (observed == 0) return observed;
+      // The original lies in (observed - q, observed]; midpoint guess.
+      const std::size_t low = observed > quantum ? observed - quantum + 1 : 1;
+      return (low + observed) / 2;
+    }
+    case Kind::kRandom:
+      return static_cast<std::size_t>(std::llround(
+          static_cast<double>(observed) / (1.0 + random_fraction / 2.0)));
+    case Kind::kConstrained: {
+      // Posterior mean over plan entries that could emit a wire size near
+      // the observation (uniform prior over entries; each entry's
+      // contribution weighted by its probability of hitting the target).
+      double weight_sum = 0.0, size_sum = 0.0;
+      for (const PadPlanEntry& e : plan->entries) {
+        for (const PadTarget& t : e.targets) {
+          const double rel =
+              std::abs(static_cast<double>(t.to) -
+                       static_cast<double>(observed)) /
+              std::max<double>(1.0, static_cast<double>(observed));
+          if (rel <= 0.02) {
+            weight_sum += t.p;
+            size_sum += t.p * static_cast<double>(e.size);
+          }
+        }
+      }
+      if (weight_sum <= 0.0) return observed;
+      return static_cast<std::size_t>(std::llround(size_sum / weight_sum));
+    }
+  }
+  return observed;
 }
 
 std::optional<PaddingSpec> parse_padding_spec(const std::string& text) {
@@ -132,11 +198,6 @@ std::optional<PaddingSpec> parse_padding_spec(const std::string& text) {
         std::make_shared<const PadPlan>(std::move(*plan)));
   }
   return std::nullopt;
-}
-
-std::string spec_name(const PaddingSpec& spec) {
-  const auto policy = make_policy(spec);
-  return policy ? policy->name() : "none";
 }
 
 }  // namespace h2sim::defense

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "analysis/boundary.hpp"
+#include "analysis/padding.hpp"
 #include "defense/defenses.hpp"
 #include "experiment/scenario.hpp"
 #include "obs/context.hpp"
@@ -62,20 +63,16 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
                                     : web::make_isidewith_site(cfg_.site);
     if (cfg_.defense.dummy_count > 0) {
       sim::Rng rng_defense = root.split();
-      defense::DummyConfig dc;
-      dc.count = cfg_.defense.dummy_count;
-      defense::inject_dummies(local_site_, rng_defense, dc);
+      defense::inject_dummies(local_site_, rng_defense,
+                              cfg_.defense.dummy_count);
     }
   }
   site_ = share_site ? cfg_.prebuilt_site.get() : &local_site_;
 
-  // Wire-level padding policy: one instance serves every connection of the
-  // trial (the defense is a server deployment, not per-client). kNone
-  // resolves to nullptr, leaving the app config bit-identical to an
-  // undefended trial.
-  wire_policy_ = defense::make_policy(cfg_.defense.padding);
+  // Wire-level padding: one scheme serves every connection of the trial
+  // (the defense is a server deployment, not per-client).
   app_cfg_ = cfg_.server_app;
-  app_cfg_.padding = wire_policy_.get();
+  app_cfg_.padding = cfg_.defense.padding;
 
   server_stack_->listen(443, [this](tcp::TcpConnection& c) {
     // Victim connections draw the historical rng_server_h2/rng_app splits;
@@ -267,35 +264,21 @@ TrialResult TrialWorld::finish() {
   // inspectors only.
   if (site.emblem_paths.size() < 8 || !site.find(site.html_path)) return r;
 
-  // Size databases: the adversary's pre-compiled maps, built from the
-  // public (possibly defense-transformed) site. Under a wire policy the
-  // adversary knows the deployed scheme (Kerckhoffs) and compiles one entry
-  // per wire size the object can be served at.
-  auto db_add = [&](analysis::SizeIdentityDb& db, const std::string& label,
-                    std::size_t orig_size) {
-    if (wire_policy_) {
-      for (std::size_t c : wire_policy_->candidates(orig_size)) db.add(label, c);
-    } else {
-      db.add(label, orig_size);
-    }
-  };
-  analysis::SizeIdentityDb emblem_db;
-  for (int k = 0; k < 8; ++k) {
-    db_add(emblem_db, "party" + std::to_string(k),
-           site.find(site.emblem_paths[static_cast<std::size_t>(k)])->size);
-  }
-  analysis::SizeIdentityDb html_db;
-  db_add(html_db, "html", site.find(site.html_path)->size);
+  // The adversary's pre-compiled size databases, built from the public
+  // (possibly defense-transformed) site under the deployed padding, at the
+  // 2% identification tolerance.
+  const analysis::SizeDatabases dbs =
+      analysis::build_size_databases(site, cfg_.defense.padding, 0.02);
 
   const std::vector<analysis::DetectedObject> detections =
       analysis::detect_objects(pipeline_->trace());
   const analysis::SequencePrediction pred =
-      analysis::predict_sequence(detections, emblem_db);
+      analysis::predict_sequence(detections, dbs.emblems);
   r.predicted = pred.ranking;
 
   bool html_size_seen = false;
   for (const auto& d : detections) {
-    if (html_db.identify(d.size_estimate)) html_size_seen = true;
+    if (dbs.html.identify(d.size_estimate)) html_size_seen = true;
   }
 
   // Objects of interest: the HTML, then the emblem at each burst position.
@@ -324,7 +307,7 @@ TrialResult TrialWorld::finish() {
         "party" + std::to_string(perm_[static_cast<std::size_t>(j)]);
     ObjectOutcome oo = outcome_for(label);
     for (const auto& d : detections) {
-      const auto m = emblem_db.identify(d.size_estimate);
+      const auto m = dbs.emblems.identify(d.size_estimate);
       if (m && m->label == label) oo.size_identified = true;
     }
     const bool position_correct =

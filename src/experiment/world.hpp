@@ -10,7 +10,6 @@
 #include "analysis/trace.hpp"
 #include "attack/pipeline.hpp"
 #include "capture/session.hpp"
-#include "defense/policy.hpp"
 #include "experiment/background.hpp"
 #include "experiment/harness.hpp"
 #include "h2/server.hpp"
@@ -82,7 +81,6 @@ class TrialWorld {
   web::Website local_site_;
   const web::Website* site_ = nullptr;
   analysis::WireLog wire_log_;
-  std::unique_ptr<const defense::PaddingPolicy> wire_policy_;
   web::ServerAppConfig app_cfg_;
   std::vector<std::unique_ptr<ServerSide>> server_conns_;
   std::unique_ptr<attack::AttackPipeline> pipeline_;

@@ -14,7 +14,6 @@ const char* to_string(SchedulerKind k) {
     case SchedulerKind::kRoundRobin: return "round-robin";
     case SchedulerKind::kSequential: return "sequential";
     case SchedulerKind::kRandom: return "random";
-    case SchedulerKind::kWeighted: return "weighted";
   }
   return "?";
 }
@@ -283,25 +282,6 @@ std::uint32_t Connection::pick_ready_stream() {
       }
       if (cand.empty()) return 0;
       return cand[rng_.uniform(cand.size())];
-    }
-    case SchedulerKind::kWeighted: {
-      // Weight-proportional random pick among ready streams.
-      std::vector<std::uint32_t> cand;
-      std::uint64_t total = 0;
-      for (std::uint32_t id : rr_order_) {
-        if (ready(id)) {
-          cand.push_back(id);
-          total += find_stream(id)->weight;
-        }
-      }
-      if (cand.empty()) return 0;
-      std::uint64_t pick = rng_.uniform(total);
-      for (std::uint32_t id : cand) {
-        const std::uint64_t w = find_stream(id)->weight;
-        if (pick < w) return id;
-        pick -= w;
-      }
-      return cand.back();
     }
     case SchedulerKind::kRoundRobin: {
       if (rr_order_.empty()) return 0;
@@ -740,9 +720,22 @@ void Connection::handle_goaway(const FrameView& f) {
 }
 
 void Connection::handle_priority(const FrameView& f) {
-  auto p = parse_priority(f.payload);
-  if (!p || f.stream_id == 0) return;  // lenient
-  if (Stream* s = find_stream(f.stream_id)) s->weight = p->weight;
+  // RFC 7540 §6.3. The schedulers ignore priority, but its framing rules
+  // still hold.
+  if (f.stream_id == 0) {
+    connection_error(ErrorCode::kProtocolError, "PRIORITY on stream 0");
+    return;
+  }
+  // An idle or closed stream has nothing to reset (§6.4 forbids RST_STREAM
+  // on an idle one).
+  if (!find_stream(f.stream_id)) return;
+  const auto p = parse_priority(f.payload);
+  if (!p) {
+    reset_stream_on_error(f.stream_id, ErrorCode::kFrameSizeError);
+  } else if (p->dependency == f.stream_id) {
+    // A stream cannot depend on itself (§5.3.1).
+    reset_stream_on_error(f.stream_id, ErrorCode::kProtocolError);
+  }
 }
 
 void Connection::handle_push_promise(const FrameView& f) {

@@ -32,9 +32,6 @@ enum class SchedulerKind {
   /// Uniform-random ready stream per quantum: the §VII "confuse the
   /// adversary" direction.
   kRandom,
-  /// PRIORITY-weight-proportional quanta (RFC 7540 §5.3 weights): streams
-  /// with higher weight win the quantum more often.
-  kWeighted,
 };
 
 const char* to_string(SchedulerKind k);

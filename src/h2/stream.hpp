@@ -82,8 +82,6 @@ class Stream {
   std::size_t consumed_unacked() const { return consumed_unacked_; }
   void clear_consumed() { consumed_unacked_ = 0; }
 
-  std::uint8_t weight = 16;  // from PRIORITY frames; informational
-
  private:
   void set_state(StreamState next);
 

@@ -1,21 +1,42 @@
 #include "web/server_app.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
-#include "defense/policy.hpp"
 #include "http/message.hpp"
 
 namespace h2sim::web {
+
+namespace {
+
+// Appends filler up to `end`: the byte at offset pos is pos * 131 + key.
+// It depends only on pos mod 256, so runs of up to 256 bytes are copied
+// from one 512-byte table.
+void append_filler(std::vector<std::uint8_t>& body, std::size_t end,
+                   std::size_t key) {
+  if (body.size() >= end) return;
+  std::array<std::uint8_t, 512> table{};
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = static_cast<std::uint8_t>(i * 131 + key);
+  }
+  while (body.size() < end) {
+    const std::uint8_t* from = table.data() + body.size() % 256;
+    const std::size_t n = std::min<std::size_t>(256, end - body.size());
+    body.insert(body.end(), from, from + n);
+  }
+}
+
+}  // namespace
 
 ServerApp::ServerApp(sim::EventLoop& loop, const Website& site,
                      h2::ServerConnection& conn, sim::Rng rng, ServerAppConfig cfg)
     : loop_(loop), site_(site), conn_(conn), rng_(rng), cfg_(cfg) {
   speed_factor_ = rng_.uniform_real(cfg_.speed_factor_lo, cfg_.speed_factor_hi);
-  // Split only for randomized policies: deterministic policies never draw,
+  // Split only for randomized padding: deterministic schemes never draw,
   // and splitting unconditionally would shift rng_'s stream relative to an
   // undefended run of the same seed.
-  if (cfg_.padding && !cfg_.padding->deterministic()) pad_rng_ = rng_.split();
+  if (!cfg_.padding.deterministic()) pad_rng_ = rng_.split();
   h2::ServerConnection::Handlers handlers;
   handlers.on_request = [this](std::uint32_t sid, const hpack::HeaderList& h) {
     handle_request(sid, h);
@@ -60,11 +81,10 @@ void ServerApp::handle_request(std::uint32_t stream_id,
   }
 
   stream_objects_[stream_id] = obj->label;
-  // Wire size is drawn here, at response time, so a randomized policy pads
+  // Wire size is drawn here, at response time, so randomized padding pads
   // each serving of the same object independently. The padded size is what
   // the server advertises: the application genuinely serves that many bytes.
-  const std::size_t wire_size =
-      cfg_.padding ? cfg_.padding->padded_size(obj->size, pad_rng_) : obj->size;
+  const std::size_t wire_size = cfg_.padding.padded_size(obj->size, pad_rng_);
   conn_.respond_headers(stream_id, 200,
                         {{"content-length", std::to_string(wire_size)},
                          {"content-type", obj->content_type}});
@@ -104,14 +124,13 @@ std::span<const std::uint8_t> ServerApp::served_body(std::uint32_t stream_id,
   release_sent_bodies();
   // Deterministic filler; the bytes are opaque on the wire anyway. Whatever
   // content the object has comes first, then the materialize() formula up
-  // to the object's size, then padding keyed on the served size.
+  // to the object's size, then padding keyed on the served size. Each byte
+  // is appended once to the reserved body.
   std::vector<std::uint8_t>& body = built_bodies_[stream_id];
-  body.resize(wire_size);
-  std::copy(obj.content.begin(), obj.content.end(), body.begin());
-  for (std::size_t pos = obj.content.size(); pos < wire_size; ++pos) {
-    body[pos] = static_cast<std::uint8_t>(pos * 131 +
-                                          (pos < obj.size ? obj.size : wire_size));
-  }
+  body.reserve(wire_size);
+  body.assign(obj.content.begin(), obj.content.end());
+  append_filler(body, obj.size, obj.size);
+  append_filler(body, wire_size, wire_size);
   return body;
 }
 

@@ -9,13 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "defense/policy.hpp"
 #include "h2/server.hpp"
 #include "sim/random.hpp"
 #include "web/website.hpp"
-
-namespace h2sim::defense {
-class PaddingPolicy;
-}
 
 namespace h2sim::web {
 
@@ -41,12 +38,10 @@ struct ServerAppConfig {
   /// FIFO (the "multiplexing disabled by default" HTTP/2 deployments of
   /// Section V).
   bool serial_workers = false;
-  /// Wire-level padding policy (borrowed, may be nullptr = undefended).
-  /// When set, every 200 response advertises and serves
-  /// padding->padded_size(obj->size) body bytes: the plaintext object
-  /// followed by filler, all riding genuine DATA frames. The policy object
-  /// must outlive the ServerApp.
-  const defense::PaddingPolicy* padding = nullptr;
+  /// Wire-level padding (none = undefended): every 200 response advertises
+  /// and serves padding.padded_size(obj->size) body bytes, the plaintext
+  /// object followed by filler, all riding genuine DATA frames.
+  defense::PaddingSpec padding;
 };
 
 /// Binds a Website to an HTTP/2 ServerConnection: every request spawns a
@@ -83,7 +78,7 @@ class ServerApp {
  private:
   struct Worker {
     const WebObject* obj = nullptr;
-    /// The served bytes, obj->size plus policy padding: a prefix of
+    /// The served bytes, obj->size plus padding: a prefix of
     /// obj->content or a body in built_bodies_.
     std::span<const std::uint8_t> body;
     std::size_t produced = 0;
@@ -116,8 +111,8 @@ class ServerApp {
   void release_sent_bodies();
 
   double speed_factor_ = 1.0;
-  /// Dedicated stream for padding draws, split off rng_ only when a
-  /// non-deterministic policy is installed — undefended and
+  /// Dedicated stream for padding draws, split off rng_ only when the
+  /// padding is not deterministic — undefended and
   /// deterministically-defended trials keep the historical rng_ sequence
   /// bit-for-bit.
   sim::Rng pad_rng_{0};

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/boundary.hpp"
+#include "analysis/padding.hpp"
 #include "analysis/predictor.hpp"
 #include "analysis/trace.hpp"
 #include "defense/policy.hpp"
@@ -873,9 +874,9 @@ TEST(Golden, Table2CaptureReproducesTheLiveSeed7Attack) {
 // deploys wire-level quantum-3000 padding. Three guarantees in one file:
 // the capture still reproduces the live simulator, the on-wire bytes of
 // every object of interest differ from the undefended golden by exactly
-// the policy's padding rule, and offline analysis of the capture shows the
+// the quantum padding rule, and offline analysis of the capture shows the
 // degraded attack the defense is supposed to buy.
-TEST(Golden, DefendedCaptureDiffersByExactlyThePaddingPolicy) {
+TEST(Golden, DefendedCaptureDiffersByExactlyThePadding) {
   PcapReader reader;
   std::string error;
   ASSERT_TRUE(reader.open(std::string(H2SIM_GOLDEN_DIR) +
@@ -887,6 +888,9 @@ TEST(Golden, DefendedCaptureDiffersByExactlyThePaddingPolicy) {
   ASSERT_TRUE(gw.has_value());
 
   constexpr std::size_t kQuantum = 3000;
+  const auto rounded = [](std::size_t n) {
+    return (n + kQuantum - 1) / kQuantum * kQuantum;
+  };
 
   // Per-object-of-interest DATA bytes actually on the wire, undefended vs
   // defended, from the ground-truth wire log of the live trials.
@@ -935,32 +939,24 @@ TEST(Golden, DefendedCaptureDiffersByExactlyThePaddingPolicy) {
       << "defended golden capture no longer matches the live simulator";
 
   // (2) Object for object, the defended wire is the undefended wire padded
-  // by exactly the policy: round-up-to-3000, nothing else moved.
+  // by exactly the scheme: round-up-to-3000, nothing else moved.
   const std::vector<std::string> interest = {
       "html",   "party0", "party1", "party2", "party3",
       "party4", "party5", "party6", "party7"};
   for (const std::string& label : interest) {
     ASSERT_TRUE(undefended.count(label)) << label;
     ASSERT_TRUE(defended.count(label)) << label;
-    EXPECT_EQ(defended.at(label),
-              defense::QuantumPolicy::rounded(undefended.at(label), kQuantum))
-        << label;
+    EXPECT_EQ(defended.at(label), rounded(undefended.at(label))) << label;
   }
 
   // (3) Offline analysis of the capture sees only quantum-rounded size
   // classes for the emblems it identifies, and the merged classes cost the
   // attack accuracy relative to the undefended golden (which recovers all 8).
-  const web::Website site = web::make_isidewith_site();
-  analysis::SizeIdentityDb padded_db;
-  for (int k = 0; k < 8; ++k) {
-    padded_db.add(
-        "party" + std::to_string(k),
-        defense::QuantumPolicy::rounded(
-            site.find(site.emblem_paths[static_cast<std::size_t>(k)])->size,
-            kQuantum));
-  }
+  const analysis::SizeDatabases padded = analysis::build_size_databases(
+      web::make_isidewith_site(), defense::PaddingSpec::quantum_pad(kQuantum),
+      0.02);
   const auto detections = analysis::detect_objects(reassembler.trace());
-  const auto pred = analysis::predict_sequence(detections, padded_db);
+  const auto pred = analysis::predict_sequence(detections, padded.emblems);
   std::size_t identified = 0;
   for (const std::string& label : pred.ranking) {
     if (!label.empty()) ++identified;

@@ -32,20 +32,20 @@ TEST(Padding, CollapsesEmblemSizeClasses) {
   // The adversary knows the scheme, so its emblem database holds each
   // emblem's candidate wire sizes; colliding entries are merged classes.
   const web::Website site = web::make_isidewith_site();
-  auto collisions = [&site](const PaddingPolicy& policy) {
+  auto collisions = [&site](const PaddingSpec& spec) {
     analysis::SizeIdentityDb db;
     for (const std::string& path : site.emblem_paths) {
-      for (std::size_t c : policy.candidates(site.find(path)->size)) {
+      for (std::size_t c : spec.candidates(site.find(path)->size)) {
         db.add(path, c);
       }
     }
     return analysis::suspect_defense({}, db).db_collisions;
   };
-  EXPECT_EQ(collisions(NonePolicy()), 0);  // the attack's premise
+  EXPECT_EQ(collisions(PaddingSpec::none()), 0);  // the attack's premise
   // Every emblem pads to 16384: all 28 pairs collide.
-  EXPECT_EQ(collisions(QuantumPolicy(16384)), 28);
+  EXPECT_EQ(collisions(PaddingSpec::quantum_pad(16384)), 28);
   // Mild padding keeps the classes apart.
-  EXPECT_EQ(collisions(QuantumPolicy(512)), 0);
+  EXPECT_EQ(collisions(PaddingSpec::quantum_pad(512)), 0);
 }
 
 TEST(Dummies, AddObjectsAndSteps) {
@@ -53,9 +53,7 @@ TEST(Dummies, AddObjectsAndSteps) {
   const std::size_t objects_before = site.objects().size();
   const std::size_t steps_before = site.schedule.size();
   sim::Rng rng(3);
-  DummyConfig cfg;
-  cfg.count = 6;
-  inject_dummies(site, rng, cfg);
+  inject_dummies(site, rng, 6);
   EXPECT_EQ(site.objects().size(), objects_before + 6);
   EXPECT_EQ(site.schedule.size(), steps_before + 6);
   // Dummies must be resolvable so the server can actually serve them.

@@ -266,6 +266,8 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
        std::vector<std::uint8_t>(8, 0), "PROTOCOL_ERROR"},
       {"GOAWAY on stream 1 (6.8)", h2::FrameType::kGoaway, 0, 1,
        h2::encode_goaway({0, h2::ErrorCode::kNoError, ""}), "PROTOCOL_ERROR"},
+      {"PRIORITY on stream 0 (6.3)", h2::FrameType::kPriority, 0, 0,
+       h2::encode_priority({}), "PROTOCOL_ERROR"},
       {"DATA pad length = payload length (6.1)", h2::FrameType::kData,
        h2::flags::kPadded, 1, {3, 0, 0}, "PROTOCOL_ERROR"},
       {"DATA pad length past payload end (6.1)", h2::FrameType::kData,
@@ -586,6 +588,49 @@ TEST(ErrorPaths, DataPastTheStreamWindowResetsTheStream) {
   EXPECT_EQ(rst_sent, std::vector<h2::ErrorCode>{h2::ErrorCode::kFlowControlError});
   EXPECT_EQ(app_resets, std::vector<h2::ErrorCode>{h2::ErrorCode::kFlowControlError});
   EXPECT_EQ(conn_credit, std::vector<std::uint32_t>{4 * kFrame});
+}
+
+// The RST_STREAM codes the server sends after the client's PRIORITY frame
+// with `payload` on an open stream; the connection must survive.
+std::vector<h2::ErrorCode> resets_after_priority(
+    std::vector<std::uint8_t> payload) {
+  H2Pair pair;
+  pair.run(1);
+  http::Request get;
+  get.authority = "example.com";
+  get.path = "/";
+  const std::uint32_t sid = pair.client->send_request(get.to_h2_headers());
+  EXPECT_EQ(sid, 1u);  // the stream a payload below may name
+  pair.run(1);
+  EXPECT_NE(pair.server->find_stream(sid), nullptr);
+  std::vector<h2::ErrorCode> rst_sent;
+  pair.server->set_frame_tap([&](const h2::FrameView& f, sim::TimePoint) {
+    if (f.type != h2::FrameType::kRstStream) return;
+    EXPECT_EQ(f.stream_id, sid);
+    rst_sent.push_back(*h2::parse_rst_stream(f.payload));
+  });
+  pair.client_tls->write(
+      h2::serialize_frame({h2::FrameType::kPriority, 0, sid, std::move(payload)}));
+  pair.run(1);
+  EXPECT_FALSE(pair.server->dead());
+  EXPECT_EQ(pair.server->find_stream(sid), nullptr);
+  return rst_sent;
+}
+
+// RFC 7540 §6.3: a PRIORITY frame whose length is not 5 is a stream
+// FRAME_SIZE_ERROR.
+TEST(ErrorPaths, ShortPriorityResetsTheStream) {
+  EXPECT_EQ(resets_after_priority({0, 0, 0, 0}),
+            std::vector<h2::ErrorCode>{h2::ErrorCode::kFrameSizeError});
+}
+
+// RFC 7540 §5.3.1: a stream cannot depend on itself; that is a stream
+// PROTOCOL_ERROR.
+TEST(ErrorPaths, PriorityOnItselfResetsTheStream) {
+  h2::PriorityPayload self;
+  self.dependency = 1;
+  EXPECT_EQ(resets_after_priority(h2::encode_priority(self)),
+            std::vector<h2::ErrorCode>{h2::ErrorCode::kProtocolError});
 }
 
 }  // namespace

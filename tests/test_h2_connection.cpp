@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -324,51 +323,6 @@ TEST(H2Connection, FlowControlWindowLimitsBurst) {
   // Delivery completes because the client's batched WINDOW_UPDATEs keep the
   // 20 KB window refilled.
   EXPECT_EQ(received, 100000u);
-}
-
-TEST(H2Connection, WeightedSchedulerFavoursHeavyStream) {
-  h2::ConnectionConfig scfg;
-  scfg.scheduler = h2::SchedulerKind::kWeighted;
-  scfg.data_chunk_size = 1000;
-  scfg.tcp_send_watermark = 4000;  // force scheduling pressure
-  H2Pair pair(scfg);
-  pair.run(1);
-
-  std::map<std::uint32_t, int> frames;
-  std::vector<std::uint32_t> completion_order;
-  h2::ClientConnection::Handlers ch;
-  ch.on_response_data = [&](std::uint32_t sid, std::span<const std::uint8_t>,
-                            bool end) {
-    ++frames[sid];
-    if (end) completion_order.push_back(sid);
-  };
-  pair.client->set_handlers(std::move(ch));
-
-  int pending = 0;
-  const std::vector<std::uint8_t> heavy(60000, 1);
-  const std::vector<std::uint8_t> light(60000, 2);
-  h2::ServerConnection::Handlers sh;
-  sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
-    pair.server->respond_headers(sid, 200);
-    // Stream 1 heavy (weight 255), stream 3 light (weight 1).
-    pair.server->find_stream(sid)->weight = sid == 1 ? 255 : 1;
-    ++pending;
-    if (pending == 2) {
-      pair.server->send_body_chunk(1, heavy, true);
-      pair.server->send_body_chunk(3, light, true);
-    }
-  };
-  pair.server->set_handlers(std::move(sh));
-
-  pair.client->send_request(get("/heavy"));
-  pair.client->send_request(get("/light"));
-  pair.run(10);
-  // Both fully delivered, and the 255:1 weighting finished the heavy stream
-  // first.
-  EXPECT_EQ(frames[1], frames[3]);
-  ASSERT_EQ(completion_order.size(), 2u);
-  EXPECT_EQ(completion_order[0], 1u);
-  EXPECT_EQ(completion_order[1], 3u);
 }
 
 TEST(H2Connection, WindowUpdateBatchConfigurable) {

@@ -1,9 +1,8 @@
-// The wire-level padding defense subsystem: policy classes, the
-// constrained-padding optimizer and its serialized plan format, the
-// analysis-side size estimators (Morla's recovered-size metric), and the
-// end-to-end wire-honesty guarantees — padding bytes really ride DATA
-// frames, undefended trials stay bit-identical, and the adversary's
-// observers see the defended wire.
+// The wire-level padding defense subsystem: the padding spec and its
+// inverse (Morla's recovered-size metric), the constrained-padding
+// optimizer and its serialized plan format, and the end-to-end wire-honesty
+// guarantees — padding bytes really ride DATA frames, undefended trials
+// stay bit-identical, and the adversary's observers see the defended wire.
 
 #include <gtest/gtest.h>
 
@@ -21,10 +20,10 @@
 namespace h2sim::defense {
 namespace {
 
-// --- policy classes ---
+// --- the padding spec ---
 
-TEST(PaddingPolicy, QuantumRoundsUpAndIsDeterministic) {
-  const QuantumPolicy q(4096);
+TEST(PaddingSpec, QuantumRoundsUpAndIsDeterministic) {
+  const PaddingSpec q = PaddingSpec::quantum_pad(4096);
   sim::Rng rng(1);
   EXPECT_EQ(q.padded_size(1, rng), 4096u);
   EXPECT_EQ(q.padded_size(4096, rng), 4096u);
@@ -33,12 +32,12 @@ TEST(PaddingPolicy, QuantumRoundsUpAndIsDeterministic) {
   EXPECT_EQ(q.candidates(5000), std::vector<std::size_t>{8192});
   EXPECT_EQ(q.name(), "quantum4096");
   // quantum <= 1 is the identity.
-  EXPECT_EQ(QuantumPolicy::rounded(777, 1), 777u);
-  EXPECT_EQ(QuantumPolicy::rounded(777, 0), 777u);
+  EXPECT_EQ(PaddingSpec::quantum_pad(1).padded_size(777, rng), 777u);
+  EXPECT_EQ(PaddingSpec::quantum_pad(0).padded_size(777, rng), 777u);
 }
 
-TEST(PaddingPolicy, RandomStaysInRangeAndActuallyVaries) {
-  const RandomPolicy r(0.25);
+TEST(PaddingSpec, RandomStaysInRangeAndActuallyVaries) {
+  const PaddingSpec r = PaddingSpec::random_pad(0.25);
   EXPECT_FALSE(r.deterministic());
   sim::Rng rng(42);
   std::set<std::size_t> seen;
@@ -48,18 +47,19 @@ TEST(PaddingPolicy, RandomStaysInRangeAndActuallyVaries) {
     EXPECT_LE(w, 12500u);
     seen.insert(w);
   }
-  EXPECT_GT(seen.size(), 1u) << "randomized policy produced a constant";
+  EXPECT_GT(seen.size(), 1u) << "randomized padding produced a constant";
   // Best single point estimate: the distribution mean.
   EXPECT_EQ(r.candidates(10000), std::vector<std::size_t>{11250});
   // Zero-size objects stay zero.
   EXPECT_EQ(r.padded_size(0, rng), 0u);
 }
 
-TEST(PaddingPolicy, ConstrainedFollowsPlanAndFallsBack) {
+TEST(PaddingSpec, ConstrainedFollowsPlanAndFallsBack) {
   PadPlan plan;
   plan.entries = {{1000, {{3000, 1.0}}}, {2500, {{3000, 1.0}}},
                   {5000, {{6000, 1.0}}}};
-  const ConstrainedPolicy p(std::make_shared<const PadPlan>(plan));
+  const PaddingSpec p =
+      PaddingSpec::constrained(std::make_shared<const PadPlan>(plan));
   EXPECT_TRUE(p.deterministic());
   sim::Rng rng(1);
   EXPECT_EQ(p.padded_size(1000, rng), 3000u);
@@ -73,10 +73,11 @@ TEST(PaddingPolicy, ConstrainedFollowsPlanAndFallsBack) {
   EXPECT_EQ(p.candidates(1000), std::vector<std::size_t>{3000});
 }
 
-TEST(PaddingPolicy, ConstrainedWithDistributionIsNonDeterministic) {
+TEST(PaddingSpec, ConstrainedWithDistributionIsNonDeterministic) {
   PadPlan plan;
   plan.entries = {{1000, {{2000, 0.5}, {4000, 0.5}}}};
-  const ConstrainedPolicy p(std::make_shared<const PadPlan>(plan));
+  const PaddingSpec p =
+      PaddingSpec::constrained(std::make_shared<const PadPlan>(plan));
   EXPECT_FALSE(p.deterministic());
   sim::Rng rng(7);
   std::set<std::size_t> seen;
@@ -85,12 +86,13 @@ TEST(PaddingPolicy, ConstrainedWithDistributionIsNonDeterministic) {
   EXPECT_EQ(p.candidates(1000), (std::vector<std::size_t>{2000, 4000}));
 }
 
-TEST(PaddingPolicy, SpecResolutionAndParsing) {
-  EXPECT_EQ(make_policy(PaddingSpec::none()), nullptr);
-  EXPECT_EQ(make_policy(PaddingSpec::quantum_pad(1)), nullptr);
-  EXPECT_NE(make_policy(PaddingSpec::quantum_pad(2)), nullptr);
-  EXPECT_EQ(make_policy(PaddingSpec::random_pad(0.0)), nullptr);
-  EXPECT_EQ(make_policy(PaddingSpec::constrained(nullptr)), nullptr);
+TEST(PaddingSpec, SpecResolutionAndParsing) {
+  // A degenerate spec pads nothing.
+  EXPECT_FALSE(PaddingSpec::none().enabled());
+  EXPECT_FALSE(PaddingSpec::quantum_pad(1).enabled());
+  EXPECT_TRUE(PaddingSpec::quantum_pad(2).enabled());
+  EXPECT_FALSE(PaddingSpec::random_pad(0.0).enabled());
+  EXPECT_FALSE(PaddingSpec::constrained(nullptr).enabled());
 
   auto q = parse_padding_spec("quantum:3000");
   ASSERT_TRUE(q.has_value());
@@ -101,14 +103,14 @@ TEST(PaddingPolicy, SpecResolutionAndParsing) {
   EXPECT_EQ(r->kind, PaddingSpec::Kind::kRandom);
   EXPECT_DOUBLE_EQ(r->random_fraction, 0.25);
   EXPECT_TRUE(parse_padding_spec("none").has_value());
-  EXPECT_EQ(spec_name(*q), "quantum3000");
-  EXPECT_EQ(spec_name(PaddingSpec::none()), "none");
+  EXPECT_EQ(q->name(), "quantum3000");
+  EXPECT_EQ(PaddingSpec::none().name(), "none");
 }
 
-TEST(PaddingPolicy, ParseRejectsMalformedSpecs) {
+TEST(PaddingSpec, ParseRejectsMalformedSpecs) {
   const char* const malformed[] = {
       "quantum:-1",
-      "quantum:18446744073709551615",  // 2^64 - 1: would overflow rounded()
+      "quantum:18446744073709551615",  // 2^64 - 1: would overflow the rounding
       "quantum:16777217",              // kMaxQuantum + 1
       "quantum: 64",
       "quantum:+64",
@@ -136,10 +138,42 @@ TEST(PaddingPolicy, ParseRejectsMalformedSpecs) {
   ASSERT_TRUE(max.has_value());
   EXPECT_EQ(max->quantum, kMaxQuantum);
   sim::Rng rng(1);
-  EXPECT_GE(make_policy(*max)->padded_size(1000, rng), 1000u);
+  EXPECT_GE(max->padded_size(1000, rng), 1000u);
   const auto four = parse_padding_spec("random:4");
   ASSERT_TRUE(four.has_value());
   EXPECT_DOUBLE_EQ(four->random_fraction, 4.0);
+}
+
+TEST(PaddingSpec, NamesEachKindAndDegenerateSpecsAsNone) {
+  const auto plan = std::make_shared<const PadPlan>(
+      optimize_constrained({1800, 2600, 3400, 5200, 9900}, 0.3));
+  EXPECT_EQ(PaddingSpec::none().name(), "none");
+  EXPECT_EQ(PaddingSpec::quantum_pad(3000).name(), "quantum3000");
+  EXPECT_EQ(PaddingSpec::random_pad(0.25).name(), "random25");
+  EXPECT_EQ(PaddingSpec::constrained(plan).name(), "constrained");
+  EXPECT_EQ(PaddingSpec::quantum_pad(1).name(), "none");
+  EXPECT_EQ(PaddingSpec::random_pad(0.0).name(), "none");
+  EXPECT_EQ(PaddingSpec::constrained(nullptr).name(), "none");
+}
+
+TEST(PaddingSpec, DiscreteDrawsLieInCandidates) {
+  PadPlan mixed;
+  mixed.entries = {{1000, {{2000, 0.5}, {4000, 0.5}}}, {3000, {{4000, 1.0}}}};
+  const PaddingSpec specs[] = {
+      PaddingSpec::none(), PaddingSpec::quantum_pad(3000),
+      PaddingSpec::constrained(std::make_shared<const PadPlan>(mixed))};
+  sim::Rng rng(9);
+  for (const PaddingSpec& spec : specs) {
+    for (const std::size_t size :
+         {0u, 1u, 999u, 1000u, 2999u, 3000u, 3500u, 9000u}) {
+      const std::vector<std::size_t> support = spec.candidates(size);
+      for (int i = 0; i < 16; ++i) {
+        const std::size_t w = spec.padded_size(size, rng);
+        EXPECT_NE(std::find(support.begin(), support.end(), w), support.end())
+            << spec.name() << " size " << size << " drew " << w;
+      }
+    }
+  }
 }
 
 // --- the constrained-padding optimizer ---
@@ -250,25 +284,29 @@ namespace {
 
 // --- size estimation under padding (Morla's metric) ---
 
-TEST(SizeEstimator, InvertsEachScheme) {
+TEST(PaddingSpec, EstimateInvertsEachScheme) {
   // none: identity.
-  EXPECT_EQ(SizeEstimator(defense::PaddingSpec::none()).estimate(5000), 5000u);
+  EXPECT_EQ(defense::PaddingSpec::none().estimate(5000), 5000u);
   // quantum: midpoint of the feasible interval (observed-q, observed].
-  const SizeEstimator q(defense::PaddingSpec::quantum_pad(3000));
+  const auto q = defense::PaddingSpec::quantum_pad(3000);
   EXPECT_EQ(q.estimate(6000), 4500u);  // (3001 + 6000) / 2
   // random f: divide out the mean inflation 1 + f/2.
-  const SizeEstimator r(defense::PaddingSpec::random_pad(0.5));
+  const auto r = defense::PaddingSpec::random_pad(0.5);
   EXPECT_EQ(r.estimate(12500), 10000u);
   // constrained: posterior mean of the originals mapping near the target.
   defense::PadPlan plan;
   plan.entries = {{1000, {{3000, 1.0}}},
                   {2000, {{3000, 1.0}}},
                   {8000, {{9000, 1.0}}}};
-  const SizeEstimator c(defense::PaddingSpec::constrained(
-      std::make_shared<const defense::PadPlan>(plan)));
+  const auto c = defense::PaddingSpec::constrained(
+      std::make_shared<const defense::PadPlan>(plan));
   EXPECT_EQ(c.estimate(3000), 1500u);  // mean of {1000, 2000}
   EXPECT_EQ(c.estimate(9000), 8000u);
   EXPECT_EQ(c.estimate(4242), 4242u);  // off-plan observation passes through
+  // Degenerate specs are undefended: the observation is the size.
+  EXPECT_EQ(defense::PaddingSpec::quantum_pad(1).estimate(5000), 5000u);
+  EXPECT_EQ(defense::PaddingSpec::random_pad(0.0).estimate(5000), 5000u);
+  EXPECT_EQ(defense::PaddingSpec::constrained(nullptr).estimate(5000), 5000u);
 }
 
 TEST(SizeErrorStats, NearestRankQuantiles) {
@@ -292,9 +330,9 @@ TEST(ScoreRecoveredSizes, MatchesByWireSizeAndScoresAgainstTruth) {
   detections[1].size_estimate = 9000;
   const std::vector<PaddedTruth> truths = {
       {"a", 5200, 6000}, {"b", 8600, 9000}, {"c", 20000, 21000}};
-  const SizeEstimator est(defense::PaddingSpec::quantum_pad(3000));
   std::size_t misses = 0;
-  const auto samples = score_recovered_sizes(detections, truths, est, &misses);
+  const auto samples = score_recovered_sizes(
+      detections, truths, defense::PaddingSpec::quantum_pad(3000), &misses);
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(misses, 1u);  // "c" has no detection anywhere near 21000
   EXPECT_EQ(samples[0].label, "a");
@@ -366,8 +404,7 @@ TEST(WirePadding, PaddingBytesRideRealDataFrames) {
     ASSERT_TRUE(plain.count(obj.label)) << obj.label;
     ASSERT_TRUE(padded.count(obj.label)) << obj.label;
     EXPECT_EQ(plain.at(obj.label), obj.size) << obj.label;
-    EXPECT_EQ(padded.at(obj.label),
-              defense::QuantumPolicy::rounded(obj.size, 3000))
+    EXPECT_EQ(padded.at(obj.label), (obj.size + 2999) / 3000 * 3000)
         << obj.label;
   }
 }
@@ -447,15 +484,22 @@ TEST(WirePadding, ConstrainedPolicyServesPlanTargets) {
 }
 
 TEST(WirePadding, NoneSpecKeepsTrialBitIdentical) {
+  // A degenerate spec is undefended in every respect: no padding, no RNG
+  // split, plain-size databases.
   TrialConfig plain;
   plain.seed = 21;
   plain.attack = full_attack_config();
-  TrialConfig with_spec = plain;
-  with_spec.defense.padding = defense::PaddingSpec::none();
   const TrialResult a = run_trial(plain);
-  const TrialResult b = run_trial(with_spec);
-  EXPECT_TRUE(a == b);
-  EXPECT_EQ(result_digest(a), result_digest(b));
+  for (const defense::PaddingSpec& spec :
+       {defense::PaddingSpec::quantum_pad(1), defense::PaddingSpec::random_pad(0.0),
+        defense::PaddingSpec::constrained(nullptr)}) {
+    SCOPED_TRACE(static_cast<int>(spec.kind));
+    TrialConfig with_spec = plain;
+    with_spec.defense.padding = spec;
+    const TrialResult b = run_trial(with_spec);
+    EXPECT_TRUE(a == b);
+    EXPECT_EQ(result_digest(a), result_digest(b));
+  }
 }
 
 TEST(WirePadding, DefenseDegradesTheStagedAttack) {

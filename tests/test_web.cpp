@@ -133,12 +133,12 @@ class ServedBytes {
     std::optional<h2::ErrorCode> reset;
   };
 
-  ServedBytes(const Website& site, const defense::PaddingPolicy* padding,
+  ServedBytes(const Website& site, defense::PaddingSpec padding,
               bool serial_workers = false)
       : pair_(h2::ConnectionConfig{}, small_window()) {
     pair_.run(1);
     ServerAppConfig cfg;
-    cfg.padding = padding;
+    cfg.padding = std::move(padding);
     cfg.serial_workers = serial_workers;
     app_ = std::make_unique<ServerApp>(pair_.loop, site, *pair_.server, sim::Rng(5),
                                        cfg);
@@ -230,7 +230,7 @@ TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
   const_cast<WebObject*>(site.find("/hand"))->content = hand_content;
 
   {  // Unpadded: consecutive windows of the materialized content.
-    ServedBytes s(site, nullptr);
+    ServedBytes s(site, defense::PaddingSpec::none());
     const std::uint32_t sid = s.get("/obj");
     s.run(10);
     const auto& r = s.responses[sid];
@@ -242,8 +242,7 @@ TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
   {  // Randomized padding: each serving's body, padded tail included, is
      // built once. Requests are staggered so a serving starts while earlier
      // ones still have bytes queued.
-    const defense::RandomPolicy policy(0.5);
-    ServedBytes s(site, &policy);
+    ServedBytes s(site, defense::PaddingSpec::random_pad(0.5));
     std::vector<std::uint32_t> sids;
     for (int i = 0; i < 3; ++i) {
       sids.push_back(s.get("/obj"));
@@ -259,10 +258,8 @@ TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
     }
   }
   {  // The hand-built object, unpadded and padded.
-    const defense::RandomPolicy policy(0.5);
-    for (const defense::PaddingPolicy* padding :
-         {static_cast<const defense::PaddingPolicy*>(nullptr),
-          static_cast<const defense::PaddingPolicy*>(&policy)}) {
+    for (const defense::PaddingSpec& padding :
+         {defense::PaddingSpec::none(), defense::PaddingSpec::random_pad(0.5)}) {
       ServedBytes s(site, padding);
       const std::uint32_t sid = s.get("/hand");
       s.run(10);
@@ -273,10 +270,8 @@ TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
     }
   }
   {  // A reset mid-body, then a fresh request for the same object.
-    const defense::RandomPolicy policy(0.5);
-    for (const defense::PaddingPolicy* padding :
-         {static_cast<const defense::PaddingPolicy*>(nullptr),
-          static_cast<const defense::PaddingPolicy*>(&policy)}) {
+    for (const defense::PaddingSpec& padding :
+         {defense::PaddingSpec::none(), defense::PaddingSpec::random_pad(0.5)}) {
       ServedBytes s(site, padding);
       const std::uint32_t reset = s.get("/obj");
       for (int i = 0; i < 1000 && s.responses[reset].body.empty(); ++i) s.run(0.001);
@@ -310,7 +305,7 @@ TEST(ServerApp, ConnectionResetOfAStreamCancelsItsWorker) {
   obj.size = 20000;
   site.add_object(obj);
 
-  ServedBytes s(site, nullptr, /*serial_workers=*/true);
+  ServedBytes s(site, defense::PaddingSpec::none(), /*serial_workers=*/true);
   const std::uint32_t big = s.get("/big");
   const std::uint32_t next = s.get("/next");
   for (int i = 0; i < 1000 && s.responses[big].body.empty(); ++i) s.run(0.001);

@@ -10,10 +10,10 @@
 //     --iface NAME        vantage interface to read (default: "gateway"
 //                         when present, else the file's first interface)
 //     --server-port N     TCP port identifying the server side (default 443)
-//     --wire-pad SPEC     the wire-level padding policy the capture's server
-//                         deployed (none|quantum:N|random:F|plan:FILE): size
-//                         databases switch to the padded wire sizes, and each
-//                         identified object gets a recovered-size line
+//     --wire-pad SPEC     the wire-level defense::PaddingSpec the capture's
+//                         server deployed (none|quantum:N|random:F|plan:FILE):
+//                         size databases switch to the padded wire sizes, and
+//                         each identified object gets a recovered-size line
 //                         scoring the attacker's best size estimate against
 //                         the site profile's original size (Morla's metric)
 //     --tolerance F       size-identification relative tolerance (default .02)
@@ -30,7 +30,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -198,40 +197,13 @@ int main(int argc, char** argv) {
   }
 
   // Site profile -> the adversary's pre-compiled size databases, exactly as
-  // the live harness builds them.
-  const web::Website site = web::make_isidewith_site();
-  // The attacker knows the wire scheme (Kerckhoffs): one DB entry per wire
-  // size the object can be served at, exactly as the live harness compiles
-  // its databases.
-  const std::unique_ptr<const defense::PaddingPolicy> wire_policy =
-      defense::make_policy(opt->wire_pad);
-  auto db_add = [&](analysis::SizeIdentityDb& db, const std::string& label,
-                    std::size_t orig) {
-    if (wire_policy) {
-      for (std::size_t c : wire_policy->candidates(orig)) db.add(label, c);
-    } else {
-      db.add(label, orig);
-    }
-  };
-  // Original (pre-wire-padding) sizes: ground truth for recovered-size error.
-  std::vector<std::pair<std::string, std::size_t>> originals;
-  analysis::SizeIdentityDb emblem_db;
-  emblem_db.set_tolerance(opt->tolerance);
-  for (int k = 0; k < 8; ++k) {
-    const std::string label = "party" + std::to_string(k);
-    const std::size_t orig =
-        site.find(site.emblem_paths[static_cast<std::size_t>(k)])->size;
-    originals.emplace_back(label, orig);
-    db_add(emblem_db, label, orig);
-  }
-  analysis::SizeIdentityDb html_db;
-  html_db.set_tolerance(opt->tolerance);
-  originals.emplace_back("html", site.find(site.html_path)->size);
-  db_add(html_db, "html", site.find(site.html_path)->size);
-
-  const analysis::SizeEstimator estimator(opt->wire_pad);
+  // the live harness builds them: the attacker knows the wire scheme
+  // (Kerckhoffs) and compiles one entry per wire size an object can be
+  // served at.
+  const analysis::SizeDatabases dbs = analysis::build_size_databases(
+      web::make_isidewith_site(), opt->wire_pad, opt->tolerance);
   auto original_of = [&](const std::string& label) -> std::size_t {
-    for (const auto& [l, s] : originals) {
+    for (const auto& [l, s] : dbs.originals) {
       if (l == label) return s;
     }
     return 0;
@@ -243,8 +215,8 @@ int main(int argc, char** argv) {
   std::vector<double> rel_errors;
   for (std::size_t i = 0; i < detections.size(); ++i) {
     const analysis::DetectedObject& d = detections[i];
-    const auto emblem = emblem_db.identify(d.size_estimate);
-    const auto html = html_db.identify(d.size_estimate);
+    const auto emblem = dbs.emblems.identify(d.size_estimate);
+    const auto html = dbs.html.identify(d.size_estimate);
     if (html) html_identified = true;
     std::printf(
         "{\"type\":\"object\",\"index\":%zu,\"size_estimate\":%zu,"
@@ -267,7 +239,7 @@ int main(int argc, char** argv) {
         emblem ? emblem->label : (html ? std::string("html") : std::string());
     if (!matched.empty()) {
       const std::size_t truth = original_of(matched);
-      const std::size_t recovered = estimator.estimate(d.size_estimate);
+      const std::size_t recovered = opt->wire_pad.estimate(d.size_estimate);
       const double err =
           truth == 0 ? 0.0
                      : std::abs(static_cast<double>(recovered) -
@@ -288,11 +260,11 @@ int main(int argc, char** argv) {
   std::printf(
       "{\"type\":\"size_error_summary\",\"wire_pad\":\"%s\",\"count\":%zu,"
       "\"mean\":%.6f,\"p50\":%.6f,\"p90\":%.6f,\"max\":%.6f}\n",
-      defense::spec_name(opt->wire_pad).c_str(), err_stats.count,
+      opt->wire_pad.name().c_str(), err_stats.count,
       err_stats.mean, err_stats.p50, err_stats.p90, err_stats.max);
 
   const analysis::DefenseSuspicion suspicion =
-      analysis::suspect_defense(detections, emblem_db);
+      analysis::suspect_defense(detections, dbs.emblems);
   std::printf(
       "{\"type\":\"defense_verdict\",\"defense_suspected\":%s,"
       "\"db_collisions\":%d,\"inferred_quantum\":%zu,\"reason\":\"%s\"}\n",
@@ -300,7 +272,7 @@ int main(int argc, char** argv) {
       suspicion.inferred_quantum, json_escape(suspicion.reason).c_str());
 
   const analysis::SequencePrediction pred =
-      analysis::predict_sequence(detections, emblem_db);
+      analysis::predict_sequence(detections, dbs.emblems);
   bool complete = pred.ranking.size() >= 8;
   std::printf("{\"type\":\"ranking\",\"positions\":[");
   for (std::size_t j = 0; j < pred.ranking.size(); ++j) {
@@ -316,7 +288,7 @@ int main(int argc, char** argv) {
   // Partial-multiplexing inference (§VII): explains multiplexed regions the
   // direct size match cannot.
   const analysis::PartialInference partial =
-      analysis::infer_objects_partial(detections, emblem_db);
+      analysis::infer_objects_partial(detections, dbs.emblems);
   std::printf(
       "{\"type\":\"partial\",\"direct_matches\":%d,\"subset_matches\":%d,"
       "\"unexplained_regions\":%d}\n",

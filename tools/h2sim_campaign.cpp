@@ -14,9 +14,10 @@
 //
 // The grid is the cross product of the comma-separated axis lists; each cell
 // is labeled "attack=A,pad=P,dummies=D". --pad P pads every response on the
-// wire to a multiple of P bytes (defense::QuantumPolicy); 0 or 1 means no
-// padding, and P above defense::kMaxQuantum is rejected. Live telemetry (trials/s, ETA,
-// per-cell CI width) goes to stderr; one NDJSON summary line goes to stdout.
+// wire to a multiple of P bytes (defense::PaddingSpec::quantum_pad); 0 or 1
+// means no padding, and P above defense::kMaxQuantum is rejected. Live
+// telemetry (trials/s, ETA, per-cell CI width) goes to stderr; one NDJSON
+// summary line goes to stdout.
 // --resume continues from DIR/manifest.json and refuses grids that don't
 // match the manifest's config digest. A numeric option or list item that is
 // not a complete number prints the usage and exits with status 2.

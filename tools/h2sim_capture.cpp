@@ -10,8 +10,8 @@
 //                 [--site default|small]
 //                 [--wire-pad none|quantum:N|random:F|plan:FILE]
 //
-// --wire-pad installs a wire-level padding policy on the simulated server
-// (defense/policy.hpp): padding bytes ride genuine DATA frames, so the
+// --wire-pad installs a wire-level defense::PaddingSpec on the simulated
+// server (defense/policy.hpp): padding bytes ride genuine DATA frames, so the
 // written capture is the defended wire — the generator for the defended
 // golden corpus.
 //
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
       "\"capture_bytes\":%llu,\"records_observed\":%zu,\"gets_counted\":%d,"
       "\"predicted\":[",
       static_cast<unsigned long long>(cfg.seed), attack_mode.c_str(),
-      defense::spec_name(cfg.defense.padding).c_str(),
+      cfg.defense.padding.name().c_str(),
       cfg.capture.path.c_str(), r.page_complete ? "true" : "false",
       static_cast<unsigned long long>(r.capture_packets),
       static_cast<unsigned long long>(r.capture_bytes_written),

@@ -1,7 +1,7 @@
 // h2sim-padplan: compile a constrained-padding plan (Reed–Reiter style)
 // for a site's object-size corpus under a bandwidth-overhead budget, and
 // write it as deterministic single-line JSON. The output file is the input
-// of the wire-level ConstrainedPolicy (`--wire-pad plan:FILE` on
+// of a constrained defense::PaddingSpec (`--wire-pad plan:FILE` on
 // h2sim-capture / h2sim-analyze, `plan:` cells of bench_defense_matrix):
 // equal inputs produce byte-identical plan files on every machine, so plans
 // can be committed and sha256-compared like the capture goldens.
