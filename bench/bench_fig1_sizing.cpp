@@ -36,12 +36,11 @@ MicroResult run_case(h2::SchedulerKind scheduler, sim::Duration request_gap) {
   pc.server_side.delay = sim::Duration::millis(10);
   net::Topology topo(loop, pc, 1);
 
-  tcp::TcpConfig tcfg;
-  tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode, tcfg,
+  tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode,
                              [&](net::Packet&& p) {
                                topo.send_from_server(std::move(p));
                              });
-  tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0), tcfg,
+  tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0),
                              [&](net::Packet&& p) {
                                topo.send_from_client(0, std::move(p));
                              });
@@ -54,7 +53,7 @@ MicroResult run_case(h2::SchedulerKind scheduler, sim::Duration request_gap) {
   site.schedule[0].noise_lo = site.schedule[0].noise_hi = 1.0;
 
   attack::TrafficMonitor monitor;
-  topo.middlebox().set_tap([&](const net::Packet& p, net::Direction d, sim::TimePoint t) {
+  topo.middlebox().add_tap([&](const net::Packet& p, net::Direction d, sim::TimePoint t) {
     monitor.observe(p, d, t);
   });
 
@@ -75,7 +74,8 @@ MicroResult run_case(h2::SchedulerKind scheduler, sim::Duration request_gap) {
     auto s = std::make_unique<Srv>();
     s->tls = std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kServer);
     s->conn = std::make_unique<h2::ServerConnection>(loop, *s->tls, scfg, rng.split());
-    s->app = std::make_unique<web::ServerApp>(loop, site, *s->conn, rng.split(), app_cfg);
+    s->app = std::make_unique<web::ServerApp>(loop, site, *s->conn, rng.split(),
+                                              defense::PaddingSpec::none(), app_cfg);
     auto* app = s->app.get();
     s->conn->set_frame_tap([app, &wire_log](const h2::FrameView& f, sim::TimePoint t) {
       analysis::ServerWireEvent ev;

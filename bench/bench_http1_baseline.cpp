@@ -33,12 +33,11 @@ int main(int argc, char** argv) {
     sim::Rng rng(5000 + static_cast<std::uint64_t>(t));
 
     net::Topology topo(loop, net::Topology::Config{}, 1);
-    tcp::TcpConfig tcfg;
-    tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode, tcfg,
+    tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode,
                                [&](net::Packet&& p) {
                                  topo.send_from_server(std::move(p));
                                });
-    tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0), tcfg,
+    tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0),
                                [&](net::Packet&& p) {
                                  topo.send_from_client(0, std::move(p));
                                });
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
         0, [&](net::Packet&& p) { client_stack.deliver(std::move(p)); });
 
     attack::TrafficMonitor monitor;
-    topo.middlebox().set_tap(
+    topo.middlebox().add_tap(
         [&](const net::Packet& p, net::Direction d, sim::TimePoint now) {
           monitor.observe(p, d, now);
         });

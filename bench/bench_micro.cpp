@@ -424,10 +424,9 @@ void BM_H2DataFrameSteadyState(benchmark::State& state) {
   sim::EventLoop loop;
   net::Topology topo(loop, net::Topology::Config{}, 1);
   tcp::TcpStack server_stack(loop, sim::Rng(11), net::Topology::kServerNode,
-                             tcp::TcpConfig{},
                              [&topo](net::Packet&& p) { topo.send_from_server(std::move(p)); });
   tcp::TcpStack client_stack(loop, sim::Rng(12), net::Topology::client_node(0),
-                             tcp::TcpConfig{}, [&topo](net::Packet&& p) {
+                             [&topo](net::Packet&& p) {
                                topo.send_from_client(0, std::move(p));
                              });
   topo.set_server_sink([&](net::Packet&& p) { server_stack.deliver(std::move(p)); });

@@ -48,12 +48,11 @@ int main(int argc, char** argv) {
   sim::Rng rng(seed);
 
   net::Topology topo(loop, net::Topology::Config{}, 1);
-  tcp::TcpConfig tcfg;
-  tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode, tcfg,
+  tcp::TcpStack server_stack(loop, rng.split(), net::Topology::kServerNode,
                              [&](net::Packet&& p) {
                                topo.send_from_server(std::move(p));
                              });
-  tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0), tcfg,
+  tcp::TcpStack client_stack(loop, rng.split(), net::Topology::client_node(0),
                              [&](net::Packet&& p) {
                                topo.send_from_client(0, std::move(p));
                              });
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
   }
 
   attack::TrafficMonitor monitor;
-  topo.middlebox().set_tap(
+  topo.middlebox().add_tap(
       [&](const net::Packet& p, net::Direction d, sim::TimePoint t) {
         monitor.observe(p, d, t);
       });
@@ -100,7 +99,8 @@ int main(int argc, char** argv) {
     s->tls = std::make_unique<tls::TlsSession>(c, tls::TlsSession::Role::kServer);
     s->conn = std::make_unique<h2::ServerConnection>(loop, *s->tls,
                                                      h2::ConnectionConfig{}, rng.split());
-    s->app = std::make_unique<web::ServerApp>(loop, site, *s->conn, rng.split(), app_cfg);
+    s->app = std::make_unique<web::ServerApp>(loop, site, *s->conn, rng.split(),
+                                              defense::PaddingSpec::none(), app_cfg);
     srv.push_back(std::move(s));
   });
 

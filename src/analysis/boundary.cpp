@@ -5,6 +5,21 @@
 
 namespace h2sim::analysis {
 
+namespace {
+
+/// Records with body below this are control chatter (WINDOW_UPDATE,
+/// SETTINGS acks, ~29-35 bytes) or response HEADERS (~28-60 bytes), not
+/// body bytes. Object tail records are larger than this for any realistic
+/// chunking.
+constexpr std::size_t kMinBodyRecord = 64;
+/// Per-record protocol overhead subtracted from each record when summing
+/// object bytes: 9 (frame header) + 16 (AEAD tag).
+constexpr std::size_t kPerRecordOverhead = 25;
+/// Tolerance when deciding a record is "smaller than full".
+constexpr std::size_t kFullSizeSlack = 32;
+
+}  // namespace
+
 std::vector<DetectedObject> detect_objects(const PacketTrace& trace,
                                            const BoundaryConfig& cfg) {
   // Collect candidate body records.
@@ -12,7 +27,7 @@ std::vector<DetectedObject> detect_objects(const PacketTrace& trace,
   for (const auto& r : trace.records()) {
     if (r.dir != net::Direction::kServerToClient) continue;
     if (r.type != tls::ContentType::kApplicationData) continue;
-    if (r.body_len < cfg.min_body_record) continue;
+    if (r.body_len < kMinBodyRecord) continue;
     body.push_back(r);
   }
   std::vector<DetectedObject> out;
@@ -48,10 +63,9 @@ std::vector<DetectedObject> detect_objects(const PacketTrace& trace,
     }
     cur.end = r.time;
     ++cur.records;
-    cur.size_estimate += r.body_len > cfg.per_record_overhead
-                             ? r.body_len - cfg.per_record_overhead
-                             : 0;
-    if (r.body_len + cfg.full_size_slack < full) {
+    cur.size_estimate +=
+        r.body_len > kPerRecordOverhead ? r.body_len - kPerRecordOverhead : 0;
+    if (r.body_len + kFullSizeSlack < full) {
       // Sub-full record: delimits the object (Figure 1, Case 1).
       flush(true);
     }

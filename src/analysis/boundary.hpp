@@ -13,18 +13,8 @@ namespace h2sim::analysis {
 /// record); a record smaller than full delimits the end of an object's
 /// serialized transmission. Time gaps longer than `idle_gap` also delimit.
 struct BoundaryConfig {
-  /// Records with body below this are control chatter (WINDOW_UPDATE,
-  /// SETTINGS acks, ~29-35 bytes) or response HEADERS (~28-60 bytes), not
-  /// body bytes. Object tail records are larger than this for any realistic
-  /// chunking.
-  std::size_t min_body_record = 64;
-  /// Per-record protocol overhead subtracted from each record when summing
-  /// object bytes: 9 (frame header) + 16 (AEAD tag).
-  std::size_t per_record_overhead = 25;
   /// A silence longer than this ends the current object segment.
   sim::Duration idle_gap = sim::Duration::millis(120);
-  /// Tolerance when deciding a record is "smaller than full".
-  std::size_t full_size_slack = 32;
 };
 
 struct DetectedObject {

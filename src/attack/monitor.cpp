@@ -42,7 +42,7 @@ void TrafficMonitor::observe(const net::Packet& p, net::Direction dir,
       p.payload[0] == static_cast<std::uint8_t>(tls::ContentType::kApplicationData)) {
     const std::size_t rec_len =
         static_cast<std::size_t>(p.payload[3]) << 8 | p.payload[4];
-    if (rec_len >= cfg_.get_min_record_body) last_request_packet_id_ = p.id;
+    if (rec_len >= kGetMinRecordBody) last_request_packet_id_ = p.id;
   }
 
   // Reassemble, deduplicating retransmissions; parse what became contiguous.
@@ -66,7 +66,7 @@ void TrafficMonitor::drain_records(StreamState& st, net::Direction dir,
 
     if (dir == net::Direction::kClientToServer &&
         header.type == tls::ContentType::kApplicationData &&
-        header.length >= cfg_.get_min_record_body) {
+        header.length >= kGetMinRecordBody) {
       ++get_count_;
       metrics_.gets_counted.inc();
       auto& tr = obs::tracer();

@@ -21,25 +21,21 @@ namespace h2sim::attack {
 /// consumes, and fires a callback per client GET — identified, as in the
 /// paper, by `content_type == 23` application-data records large enough to
 /// be requests rather than WINDOW_UPDATE chatter.
-struct MonitorConfig {
+class TrafficMonitor {
+ public:
   /// Minimum record body for a client->server application-data record to
   /// count as a GET request. Chatter sits well below: WINDOW_UPDATE ~29 B,
   /// SETTINGS ~55 B, the connection preface 40 B, PING 33 B; HPACK'd GETs
   /// with a cookie land at ~80+ B.
-  std::size_t get_min_record_body = 60;
-};
+  static constexpr std::size_t kGetMinRecordBody = 60;
 
-class TrafficMonitor {
- public:
-  using Config = MonitorConfig;
-
-  explicit TrafficMonitor(Config cfg = Config{}) : cfg_(cfg) {
+  TrafficMonitor() {
     auto& reg = obs::metrics();
     metrics_.records_observed = reg.counter("attack.records_observed");
     metrics_.gets_counted = reg.counter("attack.gets_counted");
   }
 
-  /// Wire into Middlebox::set_tap.
+  /// Wire into Middlebox::add_tap.
   void observe(const net::Packet& p, net::Direction dir, sim::TimePoint now);
 
   const analysis::PacketTrace& trace() const { return trace_; }
@@ -77,7 +73,6 @@ class TrafficMonitor {
 
   void drain_records(StreamState& st, net::Direction dir, sim::TimePoint now);
 
-  Config cfg_;
   // Keyed by (client node, client port) per direction: one entry per TCP
   // connection, unambiguous even when several client stacks share the
   // gateway and their ephemeral port ranges collide.

@@ -29,7 +29,7 @@ const char* to_string(AttackPipeline::Phase p) {
 AttackPipeline::AttackPipeline(sim::EventLoop& loop, net::Middlebox& mb,
                                AttackConfig cfg, sim::Rng rng)
     : loop_(loop), mb_(mb), cfg_(cfg), controller_(loop, rng) {
-  mb_.set_tap([this](const net::Packet& p, net::Direction dir, sim::TimePoint t) {
+  mb_.add_tap([this](const net::Packet& p, net::Direction dir, sim::TimePoint t) {
     monitor_.observe(p, dir, t);
   });
   if (!cfg_.enabled) return;

@@ -50,7 +50,7 @@ std::vector<const CapturedPacket*> PcapReader::packets_on(
 }
 
 TlsRecordReassembler::TlsRecordReassembler(ReassemblerConfig cfg)
-    : cfg_(cfg), monitor_(cfg.monitor) {}
+    : cfg_(cfg) {}
 
 void TlsRecordReassembler::feed(const CapturedPacket& cp) {
   // The monitor reads the packet id only to flag the most recent

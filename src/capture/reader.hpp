@@ -64,7 +64,6 @@ struct ReassemblerConfig {
   /// TCP port identifying the server side; packets toward it are
   /// client->server. 443 for our captures and almost any HTTPS trace.
   net::Port server_port = 443;
-  attack::MonitorConfig monitor;
 };
 
 class TlsRecordReassembler {

@@ -23,7 +23,8 @@ inline constexpr std::size_t kMaxQuantum = std::size_t{1} << 24;
 /// observer — the gateway TrafficMonitor, pcapng captures, the goldens —
 /// sees the defended wire, not a post-hoc mutation of the site description.
 ///
-/// A value type, cheap to copy, carried on TrialConfig and ServerAppConfig.
+/// A value type, cheap to copy, carried on TrialConfig::defense and handed
+/// to each web::ServerApp.
 /// The kinds:
 ///   * none        -> wire size == plaintext size
 ///   * quantum q   -> pad up to the next multiple of q (the classic

@@ -1,6 +1,5 @@
 #include "experiment/background.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "http/message.hpp"
@@ -9,6 +8,21 @@
 namespace h2sim::experiment {
 
 using sim::Duration;
+
+namespace {
+
+/// Mean of the exponential arrival offset before a background client opens
+/// its connection (per-client draw from its own seed stream).
+constexpr Duration kArrivalMean = Duration::millis(150);
+/// kBulk: outstanding requests kept in flight over its one pass of the
+/// site's objects.
+constexpr int kBulkConcurrency = 8;
+/// kPoll: mean exponential think time between polls.
+constexpr Duration kPollMean = Duration::millis(250);
+/// kSlowDrip: advertised per-stream window, bytes.
+constexpr std::uint32_t kDripWindow = 2048;
+
+}  // namespace
 
 const char* to_string(BackgroundWorkload w) {
   switch (w) {
@@ -23,8 +37,7 @@ const char* to_string(BackgroundWorkload w) {
 BackgroundClient::BackgroundClient(sim::EventLoop& loop, net::Topology& topo,
                                    std::size_t index, const web::Website& site,
                                    BackgroundWorkload workload,
-                                   std::uint64_t seed, const LoadConfig& cfg,
-                                   const tcp::TcpConfig& tcp_cfg,
+                                   std::uint64_t seed,
                                    h2::ConnectionConfig h2_cfg,
                                    tls::TlsSession::Protection protection)
     : loop_(loop),
@@ -32,11 +45,10 @@ BackgroundClient::BackgroundClient(sim::EventLoop& loop, net::Topology& topo,
       index_(index),
       site_(site),
       workload_(workload),
-      cfg_(cfg),
       h2_cfg_(h2_cfg),
       protection_(protection),
       rng_(seed),
-      stack_(loop, rng_.split(), net::Topology::client_node(index), tcp_cfg,
+      stack_(loop, rng_.split(), net::Topology::client_node(index),
              [&topo, index](net::Packet&& p) {
                topo.send_from_client(index, std::move(p));
              }) {
@@ -66,10 +78,9 @@ BackgroundClient::BackgroundClient(sim::EventLoop& loop, net::Topology& topo,
 
   if (workload_ == BackgroundWorkload::kSlowDrip) {
     // Window-limited slow read: the server can never have more than
-    // drip_window bytes in flight on the stream, so a large object trickles
+    // kDripWindow bytes in flight on the stream, so a large object trickles
     // for the whole trial (the slow-HTTP/2-DoS occupancy pattern).
-    h2_cfg_.initial_window_size =
-        std::max<std::uint32_t>(1, cfg_.drip_window);
+    h2_cfg_.initial_window_size = kDripWindow;
     h2_cfg_.connection_window_bonus = 0;
   }
 }
@@ -78,7 +89,7 @@ void BackgroundClient::start() {
   if (workload_ == BackgroundWorkload::kIdle) return;
   if (bulk_paths_.empty()) return;  // nothing to request from an empty site
   const Duration offset = Duration::seconds_f(
-      rng_.exponential(cfg_.arrival_mean.to_seconds()));
+      rng_.exponential(kArrivalMean.to_seconds()));
   timer_ = loop_.schedule_after(offset, [this] { open_connection(); });
 }
 
@@ -168,22 +179,15 @@ void BackgroundClient::on_complete(std::uint32_t /*sid*/) {
 }
 
 void BackgroundClient::pump_bulk() {
-  while (outstanding_ < cfg_.bulk_concurrency) {
-    if (bulk_pos_ >= bulk_paths_.size()) {
-      if (outstanding_ > 0) return;  // pass ends when the tail completes
-      ++bulk_passes_done_;
-      if (cfg_.bulk_passes != 0 && bulk_passes_done_ >= cfg_.bulk_passes) {
-        return;  // workload complete; the connection idles out
-      }
-      bulk_pos_ = 0;
-    }
+  // One pass over the site's objects; the connection then idles out.
+  while (outstanding_ < kBulkConcurrency && bulk_pos_ < bulk_paths_.size()) {
     request(bulk_paths_[bulk_pos_++]);
   }
 }
 
 void BackgroundClient::schedule_poll() {
   const Duration think =
-      Duration::seconds_f(rng_.exponential(cfg_.poll_mean.to_seconds()));
+      Duration::seconds_f(rng_.exponential(kPollMean.to_seconds()));
   timer_ = loop_.schedule_after(think, [this] { request(poll_path_); });
 }
 

@@ -18,7 +18,7 @@ namespace h2sim::experiment {
 /// What one background client does on the shared gateway path.
 enum class BackgroundWorkload : int {
   kIdle = 0,      // a constructed stack that never connects (zero packets)
-  kBulk = 1,      // download every embedded object, multiplexed, N passes
+  kBulk = 1,      // download every site object once, 8 requests in flight
   kPoll = 2,      // small periodic request with exponential think time
   kSlowDrip = 3,  // window-limited slow read of the largest object
 };
@@ -37,23 +37,6 @@ struct LoadConfig {
   std::vector<BackgroundWorkload> mix{BackgroundWorkload::kBulk,
                                       BackgroundWorkload::kPoll,
                                       BackgroundWorkload::kSlowDrip};
-
-  /// Mean of the exponential arrival offset before a background client opens
-  /// its connection (per-client draw from its own seed stream).
-  sim::Duration arrival_mean = sim::Duration::millis(150);
-
-  /// kBulk: how many passes over the site's objects (0 = until sim end).
-  int bulk_passes = 1;
-  /// kBulk: outstanding requests kept in flight per client.
-  int bulk_concurrency = 8;
-
-  /// kPoll: mean exponential think time between polls.
-  sim::Duration poll_mean = sim::Duration::millis(250);
-
-  /// kSlowDrip: advertised per-stream window, bytes. Tiny windows force the
-  /// server to trickle the response — the slow-read occupancy pattern of the
-  /// HTTP/2 slow-DoS literature.
-  std::uint32_t drip_window = 2048;
 };
 
 /// One background client: its own TCP/TLS/H2 stack riding topology slot
@@ -66,9 +49,7 @@ class BackgroundClient {
  public:
   BackgroundClient(sim::EventLoop& loop, net::Topology& topo, std::size_t index,
                    const web::Website& site, BackgroundWorkload workload,
-                   std::uint64_t seed, const LoadConfig& cfg,
-                   const tcp::TcpConfig& tcp_cfg,
-                   h2::ConnectionConfig h2_cfg,
+                   std::uint64_t seed, h2::ConnectionConfig h2_cfg,
                    tls::TlsSession::Protection protection);
 
   BackgroundClient(const BackgroundClient&) = delete;
@@ -94,7 +75,6 @@ class BackgroundClient {
   std::size_t index_;
   const web::Website& site_;
   BackgroundWorkload workload_;
-  LoadConfig cfg_;
   h2::ConnectionConfig h2_cfg_;
   tls::TlsSession::Protection protection_;
   sim::Rng rng_;
@@ -106,7 +86,6 @@ class BackgroundClient {
 
   std::vector<std::string> bulk_paths_;
   std::size_t bulk_pos_ = 0;
-  int bulk_passes_done_ = 0;
   int outstanding_ = 0;
   std::string poll_path_;
   std::string drip_path_;

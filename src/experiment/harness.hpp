@@ -11,6 +11,7 @@
 #include "analysis/predictor.hpp"
 #include "analysis/trace.hpp"
 #include "attack/pipeline.hpp"
+#include "capture/session.hpp"
 #include "defense/policy.hpp"
 #include "experiment/background.hpp"
 #include "h2/connection.hpp"
@@ -65,14 +66,9 @@ struct TrialConfig {
   /// Wire capture (src/capture): when `path` is non-empty the trial exports
   /// every packet at the enabled vantage points as a PCAPNG file. Capture is
   /// observation-only — the TrialResult is identical with it on or off,
-  /// except for the capture_* counters.
-  struct CaptureOptions {
-    std::string path;  // empty = capture off
-    bool client_vantage = false;
-    bool gateway_vantage = true;
-    bool server_vantage = false;
-  };
-  CaptureOptions capture;
+  /// except for the capture_* counters. An empty path (the default) is
+  /// capture off.
+  capture::CaptureConfig capture;
 
   /// Diagnostic hook: invoked with the ground-truth wire log after the run.
   std::function<void(const analysis::WireLog&)> wire_log_inspector;

@@ -8,29 +8,19 @@ ScenarioTemplate::ScenarioTemplate(TrialConfig base) : base_(std::move(base)) {
   if (!base_.prebuilt_site) base_.prebuilt_site = prebuild_site(base_);
 }
 
-ScenarioTemplate ScenarioTemplate::with_load(LoadConfig load) const {
+ScenarioTemplate ScenarioTemplate::with_background(int background_clients) const {
   TrialConfig cfg = base_;
-  cfg.load = std::move(load);
+  cfg.load.background_clients = background_clients;
   // The ctor keeps an already-populated prebuilt_site, so the derived
   // template shares this one's site instead of rebuilding it.
   return ScenarioTemplate(std::move(cfg));
-}
-
-ScenarioTemplate ScenarioTemplate::with_background(int background_clients) const {
-  LoadConfig load = base_.load;
-  load.background_clients = background_clients;
-  return with_load(std::move(load));
 }
 
 bool same_site_recipe(const TrialConfig& a, const TrialConfig& b) {
   if (!site_is_seed_independent(a) || !site_is_seed_independent(b)) {
     return false;
   }
-  return a.site.html_size == b.site.html_size &&
-         a.site.emblem_sizes == b.site.emblem_sizes &&
-         a.site.pre_objects == b.site.pre_objects &&
-         a.site.filler_objects == b.site.filler_objects &&
-         a.site.head_fillers == b.site.head_fillers;
+  return a.site == b.site;
 }
 
 std::shared_ptr<const web::Website> prebuild_site(const TrialConfig& cfg) {

@@ -38,14 +38,12 @@ class ScenarioTemplate {
   /// randomness in the base config).
   bool site_shared() const { return base_.prebuilt_site != nullptr; }
 
-  /// Derives a template identical to this one except for gateway contention.
-  /// The prebuilt site is carried over (background workloads request objects
-  /// from the same site; the site itself is load-independent), so a
-  /// client-count sweep shares a single site across all its cells.
-  ScenarioTemplate with_load(LoadConfig load) const;
-
-  /// Shorthand: same scenario with `background_clients` extra client stacks
-  /// under the default workload mix.
+  /// Derives a template identical to this one except for
+  /// `background_clients` extra client stacks under this template's
+  /// workload mix. The prebuilt site is carried over (background workloads
+  /// request objects from the same site; the site itself is
+  /// load-independent), so a client-count sweep shares a single site
+  /// across all its cells.
   ScenarioTemplate with_background(int background_clients) const;
 
  private:

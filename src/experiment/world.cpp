@@ -42,10 +42,10 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
       loop_, topo_cfg, 1 + static_cast<std::size_t>(n_background_));
 
   server_stack_ = std::make_unique<tcp::TcpStack>(
-      loop_, rng_server_stack, net::Topology::kServerNode, tcp_cfg_,
+      loop_, rng_server_stack, net::Topology::kServerNode,
       [this](net::Packet&& p) { topo_->send_from_server(std::move(p)); });
   client_stack_ = std::make_unique<tcp::TcpStack>(
-      loop_, rng_client_stack, net::Topology::client_node(0), tcp_cfg_,
+      loop_, rng_client_stack, net::Topology::client_node(0),
       [this](net::Packet&& p) { topo_->send_from_client(0, std::move(p)); });
   topo_->set_server_sink(
       [this](net::Packet&& p) { server_stack_->deliver(std::move(p)); });
@@ -69,11 +69,6 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
   }
   site_ = share_site ? cfg_.prebuilt_site.get() : &local_site_;
 
-  // Wire-level padding: one scheme serves every connection of the trial
-  // (the defense is a server deployment, not per-client).
-  app_cfg_ = cfg_.server_app;
-  app_cfg_.padding = cfg_.defense.padding;
-
   server_stack_->listen(443, [this](tcp::TcpConnection& c) {
     // Victim connections draw the historical rng_server_h2/rng_app splits;
     // background connections get streams derived from their node id instead.
@@ -91,10 +86,12 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
         loop_, *sc->tls, cfg_.server_h2,
         is_victim ? rng_server_h2_.split()
                   : sim::Rng(bg_salt ^ 0x5e77e27).split());
+    // Wire-level padding: one scheme serves every connection of the trial
+    // (the defense is a server deployment, not per-client).
     sc->app = std::make_unique<web::ServerApp>(
         loop_, *site_, *sc->conn,
         is_victim ? rng_app_.split() : sim::Rng(bg_salt ^ 0xa99).split(),
-        app_cfg_);
+        cfg_.defense.padding, cfg_.server_app);
     web::ServerApp* app = sc->app.get();
     // Ground truth stays victim-only: the wire log feeds the DoM evaluation
     // of the victim's page, so background connections are never tapped.
@@ -136,16 +133,12 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
   pipeline_ = std::make_unique<attack::AttackPipeline>(
       loop_, topo_->middlebox(), cfg_.attack, rng_attack);
 
-  // Wire capture attaches after the pipeline (whose set_tap replaces all
-  // middlebox taps); both observers see every gateway packet identically.
+  // Wire capture taps the gateway after the pipeline, so the adversary's
+  // tap runs first on each packet; both see every gateway packet
+  // identically.
   if (!cfg_.capture.path.empty()) {
-    capture::CaptureConfig ccfg;
-    ccfg.path = cfg_.capture.path;
-    ccfg.client_vantage = cfg_.capture.client_vantage;
-    ccfg.gateway_vantage = cfg_.capture.gateway_vantage;
-    ccfg.server_vantage = cfg_.capture.server_vantage;
-    capture_session_ = std::make_unique<capture::CaptureSession>(
-        loop_, *topo_, std::move(ccfg));
+    capture_session_ =
+        std::make_unique<capture::CaptureSession>(loop_, *topo_, cfg_.capture);
   }
 
   // Client: TCP connect -> TLS -> HTTP/2 -> browser.
@@ -173,7 +166,7 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
         cfg_.seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i));
     backgrounds_.push_back(std::make_unique<BackgroundClient>(
         loop_, *topo_, static_cast<std::size_t>(i), *site_, w, bg_seed,
-        cfg_.load, tcp_cfg_, cfg_.client_h2, tls_protection()));
+        cfg_.client_h2, tls_protection()));
     backgrounds_.back()->start();
   }
 

@@ -75,13 +75,11 @@ class TrialWorld {
   std::array<int, 8> perm_{};
   int n_background_ = 0;
   std::unique_ptr<net::Topology> topo_;
-  tcp::TcpConfig tcp_cfg_;
   std::unique_ptr<tcp::TcpStack> server_stack_;
   std::unique_ptr<tcp::TcpStack> client_stack_;
   web::Website local_site_;
   const web::Website* site_ = nullptr;
   analysis::WireLog wire_log_;
-  web::ServerAppConfig app_cfg_;
   std::vector<std::unique_ptr<ServerSide>> server_conns_;
   std::unique_ptr<attack::AttackPipeline> pipeline_;
   std::unique_ptr<capture::CaptureSession> capture_session_;

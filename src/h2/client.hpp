@@ -18,9 +18,6 @@ class ClientConnection : public Connection {
                        bool end_stream)>
         on_response_data;
     std::function<void(std::uint32_t stream_id, ErrorCode)> on_reset;
-    std::function<void(std::uint32_t parent, std::uint32_t promised,
-                       const hpack::HeaderList&)>
-        on_push_promise;
     std::function<void(std::string_view reason)> on_connection_dead;
     std::function<void(const GoawayPayload&)> on_goaway;
   };
@@ -58,12 +55,6 @@ class ClientConnection : public Connection {
   }
   void on_stream_reset(std::uint32_t stream_id, ErrorCode code) override {
     if (handlers_.on_reset) handlers_.on_reset(stream_id, code);
-  }
-  void on_remote_push_promise(std::uint32_t parent, std::uint32_t promised,
-                              const hpack::HeaderList& headers) override {
-    if (handlers_.on_push_promise) {
-      handlers_.on_push_promise(parent, promised, headers);
-    }
   }
   void on_remote_goaway(const GoawayPayload& g) override {
     if (handlers_.on_goaway) handlers_.on_goaway(g);

@@ -72,13 +72,12 @@ void Connection::on_tls_established() {
 void Connection::send_initial_settings() {
   const SettingsEntry entries[] = {
       {SettingId::kHeaderTableSize, 4096},
-      {SettingId::kEnablePush, cfg_.enable_push ? 1u : 0u},
+      {SettingId::kEnablePush, 0},  // this implementation never pushes
       {SettingId::kMaxConcurrentStreams, cfg_.max_concurrent_streams},
       {SettingId::kInitialWindowSize, cfg_.initial_window_size},
-      {SettingId::kMaxFrameSize, cfg_.max_frame_size},
+      {SettingId::kMaxFrameSize, kDefaultMaxFrameSize},
   };
   write_frame({FrameType::kSettings, 0, 0, encode_settings(entries)});
-  decoder_.set_max_frame_size(cfg_.max_frame_size);
 
   if (cfg_.connection_window_bonus > 0) {
     write_frame({FrameType::kWindowUpdate, 0, 0,
@@ -407,7 +406,12 @@ void Connection::handle_frame(const FrameView& f) {
     case FrameType::kPriority: handle_priority(f); return;
     case FrameType::kRstStream: handle_rst(f); return;
     case FrameType::kSettings: handle_settings(f); return;
-    case FrameType::kPushPromise: handle_push_promise(f); return;
+    case FrameType::kPushPromise:
+      // Both ends advertise ENABLE_PUSH=0, so a PUSH_PROMISE is never
+      // allowed: from a client, or to a client that disabled push (§8.2).
+      connection_error(ErrorCode::kProtocolError,
+                       "PUSH_PROMISE with push disabled");
+      return;
     case FrameType::kPing: handle_ping(f); return;
     case FrameType::kGoaway: handle_goaway(f); return;
     case FrameType::kWindowUpdate: handle_window_update(f); return;
@@ -497,21 +501,25 @@ void Connection::handle_headers(const FrameView& f) {
     return;
   }
   std::span<const std::uint8_t> block = *unpadded;
-  // Strip optional priority fields (PRIORITY flag).
+  // Strip optional priority fields (PRIORITY flag). The schedulers ignore
+  // priority, but, as on a PRIORITY frame, a stream cannot depend on itself
+  // (§5.3.1).
+  assembling_self_dependent_ = false;
   if (f.has_flag(flags::kPriority)) {
     if (block.size() < 5) {
       connection_error(ErrorCode::kFrameSizeError, "short HEADERS priority");
       return;
     }
+    assembling_self_dependent_ =
+        parse_priority(block.first(5))->dependency == f.stream_id;
     block = block.subspan(5);
   }
   header_block_.assign(block.begin(), block.end());
   assembling_stream_ = f.stream_id;
   assembling_end_stream_ = f.has_flag(flags::kEndStream);
-  assembling_is_push_ = false;
 
   if (f.has_flag(flags::kEndHeaders)) {
-    finish_header_block(assembling_stream_, assembling_end_stream_, false, 0);
+    finish_header_block();
   } else {
     assembling_headers_ = true;
   }
@@ -525,25 +533,19 @@ void Connection::handle_continuation(const FrameView& f) {
   header_block_.insert(header_block_.end(), f.payload.begin(), f.payload.end());
   if (f.has_flag(flags::kEndHeaders)) {
     assembling_headers_ = false;
-    finish_header_block(assembling_stream_, assembling_end_stream_,
-                        assembling_is_push_, assembling_promised_);
+    finish_header_block();
   }
 }
 
-void Connection::finish_header_block(std::uint32_t stream_id, bool end_stream,
-                                     bool is_push_promise,
-                                     std::uint32_t promised_id) {
+void Connection::finish_header_block() {
+  const std::uint32_t stream_id = assembling_stream_;
+  const bool end_stream = assembling_end_stream_;
+  // The block is decoded even for a stream about to be reset: the HPACK
+  // dynamic table must see every header block.
   auto headers = hpack_decoder_.decode(header_block_);
   header_block_.clear();
   if (!headers) {
     connection_error(ErrorCode::kCompressionError, "hpack decode failed");
-    return;
-  }
-
-  if (is_push_promise) {
-    Stream& promised = create_stream(promised_id);
-    promised.on_recv_push_promise();
-    on_remote_push_promise(stream_id, promised_id, *headers);
     return;
   }
 
@@ -568,6 +570,10 @@ void Connection::finish_header_block(std::uint32_t stream_id, bool end_stream,
     return;
   }
   trace_stream_state(stream_id, before);
+  if (assembling_self_dependent_) {
+    reset_stream_on_error(stream_id, ErrorCode::kProtocolError);
+    return;
+  }
   on_remote_headers(stream_id, *headers, end_stream);
   destroy_stream_if_closed(stream_id);
 }
@@ -590,19 +596,12 @@ void Connection::handle_settings(const FrameView& f) {
   }
   for (const SettingsEntry& e : *entries) {
     switch (e.id) {
-      case SettingId::kHeaderTableSize:
-        // Peer's decode table limit constrains our encoder.
-        break;
       case SettingId::kEnablePush:
         if (e.value > 1) {  // RFC 7540 §6.5.2
           connection_error(ErrorCode::kProtocolError, "bad ENABLE_PUSH");
           return;
         }
-        peer_push_enabled_ = e.value != 0;
-        break;
-      case SettingId::kMaxConcurrentStreams:
-        peer_max_concurrent_ = e.value;
-        break;
+        break;  // this implementation never pushes
       case SettingId::kInitialWindowSize: {
         if (e.value > kMaxWindow) {
           connection_error(ErrorCode::kFlowControlError, "bad initial window");
@@ -626,8 +625,10 @@ void Connection::handle_settings(const FrameView& f) {
         }
         peer_max_frame_size_ = e.value;
         break;
+      case SettingId::kHeaderTableSize:
+      case SettingId::kMaxConcurrentStreams:
       case SettingId::kMaxHeaderListSize:
-        break;
+        break;  // not applied to our sending side
     }
   }
   write_frame({FrameType::kSettings, flags::kAck, 0, {}});
@@ -715,7 +716,6 @@ void Connection::handle_goaway(const FrameView& f) {
     connection_error(ErrorCode::kFrameSizeError, "bad GOAWAY");
     return;
   }
-  goaway_last_stream_ = g->last_stream_id;
   on_remote_goaway(*g);
 }
 
@@ -735,38 +735,6 @@ void Connection::handle_priority(const FrameView& f) {
   } else if (p->dependency == f.stream_id) {
     // A stream cannot depend on itself (§5.3.1).
     reset_stream_on_error(f.stream_id, ErrorCode::kProtocolError);
-  }
-}
-
-void Connection::handle_push_promise(const FrameView& f) {
-  if (is_server_) {
-    connection_error(ErrorCode::kProtocolError, "PUSH_PROMISE from client");
-    return;
-  }
-  if (!cfg_.enable_push) {
-    connection_error(ErrorCode::kProtocolError, "push disabled");
-    return;
-  }
-  const auto unpadded = unpadded_payload(f);
-  if (!unpadded) {
-    connection_error(ErrorCode::kProtocolError,
-                     "PUSH_PROMISE padding overruns payload");
-    return;
-  }
-  auto p = parse_push_promise(*unpadded);
-  if (!p) {
-    connection_error(ErrorCode::kFrameSizeError, "bad PUSH_PROMISE");
-    return;
-  }
-  header_block_ = std::move(p->block);
-  assembling_stream_ = f.stream_id;
-  assembling_is_push_ = true;
-  assembling_promised_ = p->promised_id;
-  assembling_end_stream_ = false;
-  if (f.has_flag(flags::kEndHeaders)) {
-    finish_header_block(f.stream_id, false, true, p->promised_id);
-  } else {
-    assembling_headers_ = true;
   }
 }
 

@@ -4,8 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -41,10 +39,8 @@ struct ConnectionConfig {
   /// Max DATA payload written per scheduler quantum. Controls interleaving
   /// granularity: one quantum becomes one frame, one TLS record.
   std::size_t data_chunk_size = 2048;
-  std::uint32_t max_frame_size = kDefaultMaxFrameSize;     // advertised
-  std::uint32_t initial_window_size = 131072;              // advertised
-  std::uint32_t max_concurrent_streams = 100;              // advertised
-  bool enable_push = false;                                // advertised
+  std::uint32_t initial_window_size = 131072;  // advertised
+  std::uint32_t max_concurrent_streams = 100;  // advertised
   /// Extra connection-level window granted at startup (browsers grant
   /// megabytes so the connection window never throttles).
   std::uint32_t connection_window_bonus = 12 * 1024 * 1024;
@@ -87,7 +83,6 @@ class Connection {
   Stream* find_stream(std::uint32_t id);
   bool ready() const { return handshake_done_; }
   bool dead() const { return dead_; }
-  const ConnectionConfig& config() const { return cfg_; }
   sim::EventLoop& loop() { return loop_; }
 
   /// Number of streams currently holding queued data — the paper's "number
@@ -117,17 +112,11 @@ class Connection {
   /// on a stream error (reset_stream_on_error); its queue is already flushed.
   virtual void on_stream_reset(std::uint32_t stream_id, ErrorCode code) = 0;
   virtual void on_remote_goaway(const GoawayPayload&) {}
-  virtual void on_remote_push_promise(std::uint32_t /*parent*/,
-                                      std::uint32_t /*promised*/,
-                                      const hpack::HeaderList&) {}
   virtual void on_ready() {}  // settings handshake complete
   virtual void on_dead(std::string_view /*reason*/) {}
 
   Stream& create_stream(std::uint32_t id);
   void destroy_stream_if_closed(std::uint32_t id);
-  /// Shared per-connection HPACK encode context (HEADERS and PUSH_PROMISE
-  /// must use the same dynamic table).
-  hpack::Encoder& header_encoder() { return hpack_encoder_; }
   void connection_error(ErrorCode code, const std::string& msg);
   /// Writes one frame: its header and payload go into a reused scratch
   /// buffer and from there to TLS as one record.
@@ -148,13 +137,10 @@ class Connection {
   bool handshake_done_ = false;
   bool preface_received_ = false;
   bool dead_ = false;
-  std::optional<std::uint32_t> goaway_last_stream_;  // set when GOAWAY received
 
   // Peer settings as currently applied to our sending side.
   std::uint32_t peer_max_frame_size_ = kDefaultMaxFrameSize;
   std::int64_t peer_initial_window_ = kDefaultInitialWindow;
-  std::uint32_t peer_max_concurrent_ = 0xffffffff;
-  bool peer_push_enabled_ = true;
 
   FlowWindow conn_send_window_{kDefaultInitialWindow};
   FlowWindow conn_recv_window_{kDefaultInitialWindow};
@@ -167,15 +153,13 @@ class Connection {
   void handle_data(const FrameView& f);
   void handle_headers(const FrameView& f);
   void handle_continuation(const FrameView& f);
-  void finish_header_block(std::uint32_t stream_id, bool end_stream,
-                           bool is_push_promise, std::uint32_t promised_id);
+  void finish_header_block();
   void handle_settings(const FrameView& f);
   void handle_rst(const FrameView& f);
   void handle_window_update(const FrameView& f);
   void handle_ping(const FrameView& f);
   void handle_goaway(const FrameView& f);
   void handle_priority(const FrameView& f);
-  void handle_push_promise(const FrameView& f);
   void send_initial_settings();
   std::uint32_t pick_ready_stream();
   void replenish_recv_windows(std::uint32_t stream_id, std::size_t consumed);
@@ -193,8 +177,9 @@ class Connection {
   bool assembling_headers_ = false;
   std::uint32_t assembling_stream_ = 0;
   bool assembling_end_stream_ = false;
-  bool assembling_is_push_ = false;
-  std::uint32_t assembling_promised_ = 0;
+  /// The HEADERS frame made its stream depend on itself (RFC 7540 §5.3.1):
+  /// the block is still decoded, then the stream is reset.
+  bool assembling_self_dependent_ = false;
   std::vector<std::uint8_t> header_block_;
 
   std::vector<std::uint32_t> rr_order_;  // round-robin rotation state
@@ -214,9 +199,6 @@ class Connection {
   /// Emits a stream state-transition instant when `before` differs from the
   /// stream's current state (call after any state-changing operation).
   void trace_stream_state(std::uint32_t stream_id, StreamState before);
-
- protected:
-  std::uint32_t next_promised_stream_ = 2;  // server push ids (even)
 };
 
 }  // namespace h2sim::h2

@@ -190,23 +190,6 @@ std::optional<PriorityPayload> parse_priority(std::span<const std::uint8_t> payl
   return p;
 }
 
-std::vector<std::uint8_t> encode_push_promise(std::uint32_t promised_id,
-                                              std::span<const std::uint8_t> block) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, promised_id & 0x7fffffff);
-  out.insert(out.end(), block.begin(), block.end());
-  return out;
-}
-
-std::optional<PushPromisePayload> parse_push_promise(
-    std::span<const std::uint8_t> payload) {
-  if (payload.size() < 4) return std::nullopt;
-  PushPromisePayload p;
-  p.promised_id = get_u32(payload, 0) & 0x7fffffff;
-  p.block.assign(payload.begin() + 4, payload.end());
-  return p;
-}
-
 std::span<const std::uint8_t> client_preface() {
   static const std::uint8_t kPreface[] = "PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";
   return {kPreface, 24};

@@ -50,7 +50,7 @@ const char* to_string(ErrorCode e);
 namespace flags {
 inline constexpr std::uint8_t kEndStream = 0x1;   // DATA, HEADERS
 inline constexpr std::uint8_t kAck = 0x1;         // SETTINGS, PING
-inline constexpr std::uint8_t kEndHeaders = 0x4;  // HEADERS, PUSH_PROMISE, CONT
+inline constexpr std::uint8_t kEndHeaders = 0x4;  // HEADERS, CONTINUATION
 inline constexpr std::uint8_t kPadded = 0x8;
 inline constexpr std::uint8_t kPriority = 0x20;
 }  // namespace flags
@@ -94,8 +94,8 @@ void write_frame_header(const FrameView& f, std::uint8_t* out);
 /// The header and payload of `f` as one wire buffer.
 std::vector<std::uint8_t> serialize_frame(const FrameView& f);
 
-/// The payload of a DATA, HEADERS or PUSH_PROMISE frame without its padding
-/// (RFC 7540 §6.1, §6.2, §6.6): with the PADDED flag set, the Pad Length byte
+/// The payload of a DATA or HEADERS frame without its padding (RFC 7540
+/// §6.1, §6.2): with the PADDED flag set, the Pad Length byte
 /// and the padding it names are cut off. nullopt when the padding reaches the
 /// end of the payload, a PROTOCOL_ERROR connection error.
 std::optional<std::span<const std::uint8_t>> unpadded_payload(const FrameView& f);
@@ -153,16 +153,6 @@ struct PriorityPayload {
 };
 std::vector<std::uint8_t> encode_priority(const PriorityPayload& p);
 std::optional<PriorityPayload> parse_priority(std::span<const std::uint8_t> payload);
-
-/// PUSH_PROMISE payload: promised stream id + header block fragment.
-std::vector<std::uint8_t> encode_push_promise(std::uint32_t promised_id,
-                                              std::span<const std::uint8_t> block);
-struct PushPromisePayload {
-  std::uint32_t promised_id = 0;
-  std::vector<std::uint8_t> block;
-};
-std::optional<PushPromisePayload> parse_push_promise(
-    std::span<const std::uint8_t> payload);
 
 /// The 24-byte client connection preface (§3.5).
 std::span<const std::uint8_t> client_preface();

@@ -9,7 +9,7 @@
 namespace h2sim::h2 {
 
 /// Server side of an HTTP/2 connection: surfaces requests to the application
-/// and provides response emission (headers, body chunks, push).
+/// and provides response emission (headers, body chunks).
 class ServerConnection : public Connection {
  public:
   struct Handlers {
@@ -44,10 +44,6 @@ class ServerConnection : public Connection {
   }
   /// A temporary body would be gone before the scheduler sends it.
   void send_body_chunk(std::uint32_t, std::vector<std::uint8_t>&&, bool) = delete;
-
-  /// Server push: announces `request_headers` on `parent` and returns the
-  /// promised stream id (0 if the peer disabled push).
-  std::uint32_t push(std::uint32_t parent, const hpack::HeaderList& request_headers);
 
  protected:
   void on_remote_headers(std::uint32_t stream_id, const hpack::HeaderList& headers,

@@ -7,16 +7,14 @@ namespace h2sim::h2 {
 
 namespace {
 
-/// The edges of RFC 7540 §5.1's state diagram. A HEADERS frame carrying
-/// END_STREAM takes two edges at once (idle to half-closed, or reserved to
-/// closed), and RST_STREAM closes any stream that has left idle.
+/// The edges of RFC 7540 §5.1's state diagram without the reserved states.
+/// A HEADERS frame carrying END_STREAM takes two edges at once (idle to
+/// half-closed), and RST_STREAM closes any stream that has left idle.
 [[maybe_unused]] bool legal_transition(StreamState from, StreamState to) {
   using S = StreamState;
   if (from == to) return true;
   switch (from) {
     case S::kIdle: return to != S::kClosed;
-    case S::kReservedLocal: return to == S::kHalfClosedRemote || to == S::kClosed;
-    case S::kReservedRemote: return to == S::kHalfClosedLocal || to == S::kClosed;
     case S::kOpen:
       return to == S::kHalfClosedLocal || to == S::kHalfClosedRemote ||
              to == S::kClosed;
@@ -32,8 +30,6 @@ namespace {
 const char* to_string(StreamState s) {
   switch (s) {
     case StreamState::kIdle: return "idle";
-    case StreamState::kReservedLocal: return "reserved(local)";
-    case StreamState::kReservedRemote: return "reserved(remote)";
     case StreamState::kOpen: return "open";
     case StreamState::kHalfClosedLocal: return "half-closed(local)";
     case StreamState::kHalfClosedRemote: return "half-closed(remote)";
@@ -46,9 +42,6 @@ bool Stream::on_send_headers(bool end_stream) {
   switch (state_) {
     case StreamState::kIdle:
       set_state(end_stream ? StreamState::kHalfClosedLocal : StreamState::kOpen);
-      return true;
-    case StreamState::kReservedLocal:
-      set_state(end_stream ? StreamState::kClosed : StreamState::kHalfClosedRemote);
       return true;
     case StreamState::kOpen:
       // Trailers.
@@ -66,9 +59,6 @@ bool Stream::on_recv_headers(bool end_stream) {
   switch (state_) {
     case StreamState::kIdle:
       set_state(end_stream ? StreamState::kHalfClosedRemote : StreamState::kOpen);
-      return true;
-    case StreamState::kReservedRemote:
-      set_state(end_stream ? StreamState::kClosed : StreamState::kHalfClosedLocal);
       return true;
     case StreamState::kOpen:
       if (end_stream) set_state(StreamState::kHalfClosedRemote);
@@ -100,18 +90,6 @@ bool Stream::on_recv_data(bool end_stream) {
     set_state(state_ == StreamState::kOpen ? StreamState::kHalfClosedRemote
                                             : StreamState::kClosed);
   }
-  return true;
-}
-
-bool Stream::on_send_push_promise() {
-  if (state_ != StreamState::kIdle) return false;
-  set_state(StreamState::kReservedLocal);
-  return true;
-}
-
-bool Stream::on_recv_push_promise() {
-  if (state_ != StreamState::kIdle) return false;
-  set_state(StreamState::kReservedRemote);
   return true;
 }
 

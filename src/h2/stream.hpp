@@ -8,11 +8,10 @@
 
 namespace h2sim::h2 {
 
-/// RFC 7540 §5.1 stream states.
+/// RFC 7540 §5.1 stream states. Neither end ever pushes, so no stream is
+/// reserved.
 enum class StreamState {
   kIdle,
-  kReservedLocal,
-  kReservedRemote,
   kOpen,
   kHalfClosedLocal,
   kHalfClosedRemote,
@@ -49,8 +48,6 @@ class Stream {
   bool on_recv_data(bool end_stream);
   void on_send_rst() { set_state(StreamState::kClosed); }
   void on_recv_rst() { set_state(StreamState::kClosed); }
-  bool on_send_push_promise();  // transitions a new stream to reserved-local
-  bool on_recv_push_promise();
 
   bool can_recv_data() const {
     return state_ == StreamState::kOpen || state_ == StreamState::kHalfClosedLocal;

@@ -18,16 +18,14 @@ bool Encoder::is_sensitive(std::string_view name) {
 }
 
 void Encoder::encode_string(std::string_view s, std::vector<std::uint8_t>& out) const {
-  if (opts_.use_huffman) {
-    const std::size_t hsize = huffman::encoded_size(s);
-    if (hsize < s.size()) {
-      encode_integer(hsize, 7, 0x80, out);
-      std::string enc;
-      enc.reserve(hsize);
-      huffman::encode(s, enc);
-      out.insert(out.end(), enc.begin(), enc.end());
-      return;
-    }
+  const std::size_t hsize = huffman::encoded_size(s);
+  if (hsize < s.size()) {
+    encode_integer(hsize, 7, 0x80, out);
+    std::string enc;
+    enc.reserve(hsize);
+    huffman::encode(s, enc);
+    out.insert(out.end(), enc.begin(), enc.end());
+    return;
   }
   encode_integer(s.size(), 7, 0x00, out);
   out.insert(out.end(), s.begin(), s.end());
@@ -55,7 +53,7 @@ std::vector<std::uint8_t> Encoder::encode(const HeaderList& headers) {
 
     // 2. Literal. Sensitive fields are never indexed; the rest enter the
     //    dynamic table (incremental indexing).
-    const bool sensitive = opts_.protect_sensitive && is_sensitive(f.name);
+    const bool sensitive = is_sensitive(f.name);
     std::size_t name_index = 0;
     if (sm.index != 0) {
       name_index = sm.index;

@@ -8,22 +8,13 @@
 
 namespace h2sim::hpack {
 
-struct EncoderOptions {
-  bool use_huffman = true;
-  /// Fields matching these names are emitted never-indexed (RFC 7541 §7.1.3
-  /// guidance for sensitive values).
-  bool protect_sensitive = true;
-};
-
 /// HPACK encoder: one per connection direction. Stateful (owns the encoding
-/// dynamic table), so header blocks must be encoded in transmission order.
+/// dynamic table, 4096 bytes to start), so header blocks must be encoded in
+/// transmission order. A string literal is Huffman-coded whenever that makes
+/// it shorter; sensitive fields (authorization, cookies) are emitted
+/// never-indexed (RFC 7541 §7.1.3).
 class Encoder {
  public:
-  using Options = EncoderOptions;
-
-  explicit Encoder(Options opts = Options{}, std::size_t table_size = 4096)
-      : opts_(opts), table_(table_size) {}
-
   /// Signals a table-size change; emitted as a dynamic table size update at
   /// the start of the next header block.
   void set_table_size(std::size_t size);
@@ -37,7 +28,6 @@ class Encoder {
   void encode_string(std::string_view s, std::vector<std::uint8_t>& out) const;
   static bool is_sensitive(std::string_view name);
 
-  Options opts_;
   DynamicTable table_;
   bool pending_size_update_ = false;
   std::size_t pending_size_ = 0;

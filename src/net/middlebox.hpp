@@ -97,17 +97,9 @@ class Middlebox {
 
   using Tap = std::function<void(const Packet&, Direction, sim::TimePoint)>;
 
-  /// Observation-only hook (the traffic monitor). Sees every packet on
-  /// arrival, before any policy action. Replaces all previously installed
-  /// taps (the historical single-tap semantics).
-  void set_tap(Tap tap) {
-    taps_.clear();
-    taps_.push_back(std::move(tap));
-  }
-
-  /// Installs an additional tap alongside any existing ones; taps run in
-  /// installation order. Wire capture attaches here so the adversary's
-  /// monitor and a pcap writer can observe the same gateway concurrently.
+  /// Installs an observation-only hook (the traffic monitor, a pcap
+  /// writer) beside any installed before it. Every tap sees every packet on
+  /// arrival, before any policy action, in installation order.
   void add_tap(Tap tap) { taps_.push_back(std::move(tap)); }
 
   /// Enables/disables throttling. rate_bps <= 0 disables. Applied to both

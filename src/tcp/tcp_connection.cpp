@@ -50,9 +50,9 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, const TcpConfig& cfg,
       snd_una_(initial_seq),
       snd_nxt_(initial_seq),
       buf_seq_(initial_seq + 1),
-      cwnd_(cfg.initial_cwnd_segments * cfg.mss),
+      cwnd_(kInitialCwndSegments * net::kMssBytes),
       ssthresh_(cfg.recv_window),
-      rto_(cfg.initial_rto) {
+      rto_(kInitialRto) {
   auto& reg = obs::metrics();
   metrics_.segments_sent = reg.counter("tcp.segments_sent");
   metrics_.segments_received = reg.counter("tcp.segments_received");
@@ -111,7 +111,7 @@ void TcpConnection::emit(std::uint8_t flags, std::uint32_t seq,
     // reuses pooled capacity whatever segment the buffer carried before, so
     // steady-state segment emission performs no heap allocation.
     p.payload = loop_.payload_pool().acquire();
-    p.payload.reserve(cfg_.mss);
+    p.payload.reserve(net::kMssBytes);
     p.payload.assign(bytes.begin(), bytes.end());
   }
   metrics_.segments_sent.inc();
@@ -131,7 +131,7 @@ void TcpConnection::connect() {
 
 void TcpConnection::send(std::span<const std::uint8_t> data) {
   if (state_ == State::kAborted || fin_pending_ || fin_sent_) return;
-  if (send_buf_.size() + data.size() > cfg_.send_buffer_limit) {
+  if (send_buf_.size() + data.size() > kSendBufferLimit) {
     auto& tr = obs::tracer();
     if (tr.enabled(obs::Component::kTcp)) {
       tr.instant(obs::Component::kTcp, "send-buffer-overflow", loop_.now(),
@@ -188,7 +188,7 @@ void TcpConnection::try_send() {
     const std::size_t usable = wnd - flight;
     if (!seq_lt(snd_nxt_, buf_end)) break;  // nothing unsent
     const std::size_t unsent = buf_end - snd_nxt_;
-    const std::size_t len = std::min({cfg_.mss, unsent, usable});
+    const std::size_t len = std::min({net::kMssBytes, unsent, usable});
     if (len == 0) break;
     assert(tracked_segments() == 0 || tx_records_.back().key < tx_key(snd_nxt_));
     tx_records_.push_back(
@@ -223,7 +223,7 @@ void TcpConnection::retransmit_from(std::uint32_t seq, const char* why,
   } else if (seq_lt(seq, buf_end)) {
     const std::size_t avail = buf_end - seq;
     const std::size_t in_flight_past = snd_nxt_ - seq;
-    const std::size_t len = std::min({cfg_.mss, avail, in_flight_past});
+    const std::size_t len = std::min({net::kMssBytes, avail, in_flight_past});
     if (len == 0) return;
     const auto it = tx_lower_bound(tx_key(seq));
     if (it != tx_records_.end() && it->key == tx_key(seq)) {
@@ -271,17 +271,17 @@ void TcpConnection::on_rto() {
     }
   }
   ++consecutive_rto_;
-  if (consecutive_rto_ > cfg_.max_rto_retries) {
+  if (consecutive_rto_ > kMaxRtoRetries) {
     abort("rto-retries-exceeded");
     return;
   }
   if (snd_una_ != snd_nxt_ &&
-      loop_.now() - last_forward_progress_ > cfg_.stuck_timeout) {
+      loop_.now() - last_forward_progress_ > kStuckTimeout) {
     abort("no-forward-progress");
     return;
   }
-  rto_ = std::min({rto_ * 2, cfg_.max_rto,
-                   std::max(cfg_.rto_backoff_cap, cfg_.min_rto)});
+  static_assert(kMinRto <= kRtoBackoffCap && kRtoBackoffCap <= kMaxRto);
+  rto_ = std::min(rto_ * 2, kRtoBackoffCap);
 
   if (state_ == State::kSynSent) {
     emit(kSyn, iss_, 0, true);
@@ -290,8 +290,8 @@ void TcpConnection::on_rto() {
   } else if (snd_una_ != snd_nxt_) {
     // Loss signalled by timeout: back off to one segment.
     const std::size_t flight = snd_nxt_ - snd_una_;
-    ssthresh_ = std::max(flight / 2, 2 * cfg_.mss);
-    cwnd_ = cfg_.mss;
+    ssthresh_ = std::max(flight / 2, 2 * net::kMssBytes);
+    cwnd_ = net::kMssBytes;
     trace_cwnd();
     in_fast_recovery_ = false;
     dupacks_ = 0;
@@ -316,7 +316,7 @@ void TcpConnection::update_rtt(sim::Duration sample) {
     srtt_ = srtt_ * 7 / 8 + sample / 8;
   }
   sim::Duration rto = srtt_ + rttvar_ * 4;
-  rto_ = std::clamp(rto, cfg_.min_rto, cfg_.max_rto);
+  rto_ = std::clamp(rto, kMinRto, kMaxRto);
 }
 
 void TcpConnection::handle_segment(const net::Packet& p) {
@@ -351,7 +351,7 @@ void TcpConnection::handle_segment(const net::Packet& p) {
       snd_una_ = p.tcp.ack;
       consecutive_rto_ = 0;
       cancel_rto();
-      rto_ = cfg_.initial_rto;
+      rto_ = kInitialRto;
       become(State::kEstablished);
       send_ack();
       if (cbs_.on_connected) cbs_.on_connected();
@@ -365,7 +365,7 @@ void TcpConnection::handle_segment(const net::Packet& p) {
       snd_una_ = p.tcp.ack;
       consecutive_rto_ = 0;
       cancel_rto();
-      rto_ = cfg_.initial_rto;
+      rto_ = kInitialRto;
       become(State::kEstablished);
       if (cbs_.on_connected) cbs_.on_connected();
       // fall through: the ACK may carry data
@@ -398,9 +398,9 @@ void TcpConnection::handle_ack(const net::Packet& p) {
     metrics_.dup_acks_received.inc();
     ++dupacks_;
     if (in_fast_recovery_) {
-      cwnd_ += cfg_.mss;  // inflate for the segment that left the network
+      cwnd_ += net::kMssBytes;  // inflate for the segment that left the network
       try_send();
-    } else if (dupacks_ == cfg_.dupack_threshold) {
+    } else if (dupacks_ == kDupackThreshold) {
       enter_fast_retransmit();
     }
   }
@@ -442,14 +442,14 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
     } else {
       // NewReno partial ACK: retransmit the next hole, deflate the window.
       retransmit_from(snd_una_, "partial-ack", false);
-      cwnd_ = cwnd_ > newly_acked ? cwnd_ - newly_acked + cfg_.mss : cfg_.mss;
+      cwnd_ = cwnd_ > newly_acked ? cwnd_ - newly_acked + net::kMssBytes : net::kMssBytes;
     }
   } else {
     dupacks_ = 0;
     if (cwnd_ < ssthresh_) {
-      cwnd_ += std::min(newly_acked, cfg_.mss);  // slow start
+      cwnd_ += std::min(newly_acked, net::kMssBytes);  // slow start
     } else {
-      cwnd_ += std::max<std::size_t>(1, cfg_.mss * cfg_.mss / cwnd_);  // CA
+      cwnd_ += std::max<std::size_t>(1, net::kMssBytes * net::kMssBytes / cwnd_);  // CA
     }
   }
   trace_cwnd();
@@ -464,9 +464,9 @@ void TcpConnection::on_new_ack(std::uint32_t ack, std::size_t newly_acked) {
   // New data acknowledged: exponential backoff ends (Linux resets
   // icsk_backoff here); the timer is re-armed from the smoothed estimate.
   if (have_rtt_sample_) {
-    rto_ = std::clamp(srtt_ + rttvar_ * 4, cfg_.min_rto, cfg_.max_rto);
+    rto_ = std::clamp(srtt_ + rttvar_ * 4, kMinRto, kMaxRto);
   } else {
-    rto_ = cfg_.initial_rto;
+    rto_ = kInitialRto;
   }
   if (snd_una_ == snd_nxt_) {
     cancel_rto();
@@ -518,11 +518,11 @@ void TcpConnection::retire_tx(std::uint32_t ack) {
 
 void TcpConnection::enter_fast_retransmit() {
   const std::size_t flight = snd_nxt_ - snd_una_;
-  ssthresh_ = std::max(flight / 2, 2 * cfg_.mss);
+  ssthresh_ = std::max(flight / 2, 2 * net::kMssBytes);
   recover_ = snd_nxt_;
   in_fast_recovery_ = true;
   retransmit_from(snd_una_, "fast-retransmit", false);
-  cwnd_ = ssthresh_ + 3 * cfg_.mss;
+  cwnd_ = ssthresh_ + 3 * net::kMssBytes;
   trace_cwnd();
 }
 

@@ -8,7 +8,7 @@ namespace h2sim::tcp {
 TcpConnection& TcpStack::connect(net::NodeId dst, net::Port dst_port) {
   const net::Port sport = next_ephemeral_++;
   const auto iss = static_cast<std::uint32_t>(rng_.uniform(1u << 24));
-  auto conn = std::make_unique<TcpConnection>(loop_, cfg_, node_, sport, dst,
+  auto conn = std::make_unique<TcpConnection>(loop_, TcpConfig{}, node_, sport, dst,
                                               dst_port, send_fn_, iss);
   TcpConnection& ref = *conn;
   conns_[ConnKey{sport, dst, dst_port}] = std::move(conn);
@@ -37,7 +37,7 @@ void TcpStack::handle(const net::Packet& p) {
     auto lit = listeners_.find(p.tcp.dst_port);
     if (lit != listeners_.end()) {
       const auto iss = static_cast<std::uint32_t>(rng_.uniform(1u << 24));
-      auto conn = std::make_unique<TcpConnection>(loop_, cfg_, node_,
+      auto conn = std::make_unique<TcpConnection>(loop_, TcpConfig{}, node_,
                                                   p.tcp.dst_port, p.src,
                                                   p.tcp.src_port, send_fn_, iss);
       TcpConnection& ref = *conn;

@@ -23,13 +23,8 @@ class TcpStack {
   using AcceptFn = std::function<void(TcpConnection&)>;
   using SendFn = TcpConnection::SendFn;
 
-  TcpStack(sim::EventLoop& loop, sim::Rng rng, net::NodeId node, TcpConfig cfg,
-           SendFn send_fn)
-      : loop_(loop),
-        rng_(rng),
-        node_(node),
-        cfg_(cfg),
-        send_fn_(std::move(send_fn)) {}
+  TcpStack(sim::EventLoop& loop, sim::Rng rng, net::NodeId node, SendFn send_fn)
+      : loop_(loop), rng_(rng), node_(node), send_fn_(std::move(send_fn)) {}
 
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -47,7 +42,6 @@ class TcpStack {
   void deliver(net::Packet&& p);
 
   net::NodeId node() const { return node_; }
-  const TcpConfig& config() const { return cfg_; }
 
  private:
   using ConnKey = std::tuple<net::Port, net::NodeId, net::Port>;
@@ -57,7 +51,6 @@ class TcpStack {
   sim::EventLoop& loop_;
   sim::Rng rng_;
   net::NodeId node_;
-  TcpConfig cfg_;
   SendFn send_fn_;
   net::Port next_ephemeral_ = 49152;
 

@@ -20,25 +20,29 @@ inline bool seq_le(std::uint32_t a, std::uint32_t b) {
 inline bool seq_gt(std::uint32_t a, std::uint32_t b) { return seq_lt(b, a); }
 inline bool seq_ge(std::uint32_t a, std::uint32_t b) { return seq_le(b, a); }
 
+// Fixed parameters of every simulated TCP endpoint; segments carry up to
+// net::kMssBytes of payload.
+
+/// RFC 6928 initial window (10 segments).
+inline constexpr std::size_t kInitialCwndSegments = 10;
+inline constexpr sim::Duration kInitialRto = sim::Duration::seconds(1);
+inline constexpr sim::Duration kMinRto = sim::Duration::millis(200);
+inline constexpr sim::Duration kMaxRto = sim::Duration::seconds(60);
+/// Cap on the exponentially backed-off RTO while retrying (several modern
+/// stacks bound the backoff; this also bounds recovery latency after an
+/// outage).
+inline constexpr sim::Duration kRtoBackoffCap = sim::Duration::millis(800);
+/// Consecutive RTO expirations before the connection is declared broken.
+inline constexpr int kMaxRtoRetries = 10;
+/// Abort when no forward progress (snd_una advance) happens for this long
+/// with data outstanding: the stack/application gives up on a dead path.
+inline constexpr sim::Duration kStuckTimeout = sim::Duration::millis(5800);
+inline constexpr int kDupackThreshold = 3;
+inline constexpr std::size_t kSendBufferLimit = 16 << 20;
+
 struct TcpConfig {
-  std::size_t mss = net::kMssBytes;
-  /// RFC 6928 initial window (10 segments).
-  std::size_t initial_cwnd_segments = 10;
+  /// Advertised receive window, and the initial slow-start threshold.
   std::size_t recv_window = 1 << 20;
-  sim::Duration initial_rto = sim::Duration::seconds(1);
-  sim::Duration min_rto = sim::Duration::millis(200);
-  sim::Duration max_rto = sim::Duration::seconds(60);
-  /// Cap on the exponentially backed-off RTO while retrying (several modern
-  /// stacks bound the backoff; this also bounds recovery latency after an
-  /// outage).
-  sim::Duration rto_backoff_cap = sim::Duration::millis(800);
-  /// Consecutive RTO expirations before the connection is declared broken.
-  int max_rto_retries = 10;
-  /// Abort when no forward progress (snd_una advance) happens for this long
-  /// with data outstanding: the stack/application gives up on a dead path.
-  sim::Duration stuck_timeout = sim::Duration::millis(5800);
-  int dupack_threshold = 3;
-  std::size_t send_buffer_limit = 16 << 20;
 };
 
 }  // namespace h2sim::tcp

@@ -12,6 +12,23 @@ namespace h2sim::web {
 using sim::Duration;
 using sim::TimePoint;
 
+namespace {
+
+/// No response byte at all for this long after a GET -> reissue the request
+/// on a fresh stream (the "retransmission requests" whose copies intensify
+/// multiplexing in the paper's Table I), at most kMaxReissues times.
+constexpr Duration kFirstByteStallTimeout = Duration::millis(1000);
+constexpr int kMaxReissues = 2;
+/// No progress on an incomplete response for this long -> RST_STREAM all
+/// pending streams and re-request after a backoff that doubles per sweep
+/// (the paper's Figure 6 reset behaviour); the page fails after kMaxResets.
+constexpr Duration kResetStallTimeout = Duration::millis(3500);
+constexpr Duration kResetBackoff = Duration::millis(200);
+constexpr int kMaxResets = 6;
+constexpr Duration kPageDeadline = Duration::seconds(60);
+
+}  // namespace
+
 Browser::Browser(sim::EventLoop& loop, h2::ClientConnection& conn,
                  const Website& site, std::array<int, 8> permutation,
                  sim::Rng rng, BrowserConfig cfg)
@@ -85,7 +102,7 @@ void Browser::start() {
   if (started_) return;
   started_ = true;
   last_issue_time_ = loop_.now();
-  deadline_timer_ = loop_.schedule_after(cfg_.page_deadline, [this] {
+  deadline_timer_ = loop_.schedule_after(kPageDeadline, [this] {
     if (!page_complete() && !failed_) fail("page deadline exceeded");
   });
   if (conn_.ready()) dispatch();
@@ -183,10 +200,10 @@ void Browser::issue(std::size_t index, bool is_rerequest) {
 
   // Arm the stall (reissue) and reset timers.
   o.stall_timer.cancel();
-  o.stall_timer = loop_.schedule_after(cfg_.first_byte_stall_timeout,
+  o.stall_timer = loop_.schedule_after(kFirstByteStallTimeout,
                                        [this, index] { stall_fired(index); });
   o.reset_timer.cancel();
-  o.reset_timer = loop_.schedule_after(cfg_.reset_stall_timeout,
+  o.reset_timer = loop_.schedule_after(kResetStallTimeout,
                                        [this, index] { reset_fired(index); });
 }
 
@@ -226,7 +243,7 @@ void Browser::note_progress(std::size_t index) {
   }
   if (!o.complete) {
     o.reset_timer.cancel();
-    o.reset_timer = loop_.schedule_after(cfg_.reset_stall_timeout,
+    o.reset_timer = loop_.schedule_after(kResetStallTimeout,
                                          [this, index] { reset_fired(index); });
   }
 }
@@ -270,12 +287,12 @@ void Browser::on_stream_reset(std::uint32_t sid, h2::ErrorCode) {
 void Browser::stall_fired(std::size_t index) {
   ObjectState& o = objects_[index];
   if (o.complete || o.first_byte || failed_) return;
-  if (o.reissues >= cfg_.max_reissues) return;  // reset timer takes over
+  if (o.reissues >= kMaxReissues) return;  // reset timer takes over
   // Only treat the request as lost when the whole connection has gone
   // quiet; if other responses are streaming, this request is merely queued
   // behind them and a duplicate would just add load.
-  if (loop_.now() - last_any_progress_ < cfg_.first_byte_stall_timeout / 2) {
-    o.stall_timer = loop_.schedule_after(cfg_.first_byte_stall_timeout,
+  if (loop_.now() - last_any_progress_ < kFirstByteStallTimeout / 2) {
+    o.stall_timer = loop_.schedule_after(kFirstByteStallTimeout,
                                          [this, index] { stall_fired(index); });
     return;
   }
@@ -292,7 +309,7 @@ void Browser::reset_fired(std::size_t index) {
 
 void Browser::perform_reset_sweep() {
   metrics_.reset_sweeps.inc();
-  if (++reset_sweeps_ > cfg_.max_resets) {
+  if (++reset_sweeps_ > kMaxResets) {
     fail("too many reset sweeps");
     return;
   }
@@ -323,7 +340,7 @@ void Browser::perform_reset_sweep() {
   }
   // Exponential backoff across sweeps, mimicking the client TCP's growing
   // retransmission timeouts the paper describes after a reset.
-  sim::Duration backoff = cfg_.reset_backoff;
+  sim::Duration backoff = kResetBackoff;
   for (int i = 1; i < reset_sweeps_; ++i) backoff = backoff * 2;
   dispatch_timer_.cancel();
   dispatch_timer_ = loop_.schedule_after(backoff, [this] {

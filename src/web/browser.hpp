@@ -14,21 +14,11 @@
 
 namespace h2sim::web {
 
-/// Client-side page-load behaviour knobs.
+/// The settable client-side page-load behaviour; the stall, reset and
+/// deadline timings are constants in browser.cpp.
 struct BrowserConfig {
-  /// No response byte at all for this long after a GET -> reissue the
-  /// request on a fresh stream (the "retransmission requests" whose copies
-  /// intensify multiplexing in the paper's Table I).
-  sim::Duration first_byte_stall_timeout = sim::Duration::millis(1000);
-  int max_reissues = 2;
-  /// No progress on an incomplete response for this long -> RST_STREAM all
-  /// pending streams and re-request (the paper's Figure 6 reset behaviour).
-  sim::Duration reset_stall_timeout = sim::Duration::millis(3500);
-  sim::Duration reset_backoff = sim::Duration::millis(200);
-  int max_resets = 6;
   /// §VII defense: randomize the order of gated embedded requests.
   bool randomize_embedded_order = false;
-  sim::Duration page_deadline = sim::Duration::seconds(60);
 };
 
 /// The browser model: issues the page-load request sequence (with the

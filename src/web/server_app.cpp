@@ -10,6 +10,20 @@ namespace h2sim::web {
 
 namespace {
 
+// The server's production pace: the bytes of one chunk, the interval
+// between chunks and the delay before the first one.
+constexpr std::size_t kChunkBytes = 1024;
+// Per-chunk production interval for static objects (disk/app read pace,
+// ~2.5 MB/s per stream).
+constexpr sim::Duration kStaticChunkInterval = sim::Duration::micros(400);
+// Per-chunk interval for dynamic objects (template flushes of the survey
+// result page): stretches the HTML's transmission window slightly.
+constexpr sim::Duration kDynamicChunkInterval = sim::Duration::millis_f(1.5);
+// Multiplicative jitter on every interval, uniform in [1-j, 1+j].
+constexpr double kIntervalJitter = 0.35;
+constexpr sim::Duration kStaticFirstByteDelay = sim::Duration::millis(4);
+constexpr sim::Duration kDynamicFirstByteDelay = sim::Duration::millis(12);
+
 // Appends filler up to `end`: the byte at offset pos is pos * 131 + key.
 // It depends only on pos mod 256, so runs of up to 256 bytes are copied
 // from one 512-byte table.
@@ -30,13 +44,19 @@ void append_filler(std::vector<std::uint8_t>& body, std::size_t end,
 }  // namespace
 
 ServerApp::ServerApp(sim::EventLoop& loop, const Website& site,
-                     h2::ServerConnection& conn, sim::Rng rng, ServerAppConfig cfg)
-    : loop_(loop), site_(site), conn_(conn), rng_(rng), cfg_(cfg) {
+                     h2::ServerConnection& conn, sim::Rng rng,
+                     defense::PaddingSpec padding, ServerAppConfig cfg)
+    : loop_(loop),
+      site_(site),
+      conn_(conn),
+      rng_(rng),
+      padding_(std::move(padding)),
+      cfg_(cfg) {
   speed_factor_ = rng_.uniform_real(cfg_.speed_factor_lo, cfg_.speed_factor_hi);
   // Split only for randomized padding: deterministic schemes never draw,
   // and splitting unconditionally would shift rng_'s stream relative to an
   // undefended run of the same seed.
-  if (!cfg_.padding.deterministic()) pad_rng_ = rng_.split();
+  if (!padding_.deterministic()) pad_rng_ = rng_.split();
   h2::ServerConnection::Handlers handlers;
   handlers.on_request = [this](std::uint32_t sid, const hpack::HeaderList& h) {
     handle_request(sid, h);
@@ -60,9 +80,9 @@ ServerApp::ServerApp(sim::EventLoop& loop, const Website& site,
 }
 
 sim::Duration ServerApp::jittered(sim::Duration base) {
-  const double f = rng_.uniform_real(1.0 - cfg_.interval_jitter,
-                                     1.0 + cfg_.interval_jitter) *
-                   speed_factor_;
+  const double f =
+      rng_.uniform_real(1.0 - kIntervalJitter, 1.0 + kIntervalJitter) *
+      speed_factor_;
   return sim::Duration::nanos(
       static_cast<std::int64_t>(static_cast<double>(base.count_nanos()) * f));
 }
@@ -84,7 +104,7 @@ void ServerApp::handle_request(std::uint32_t stream_id,
   // Wire size is drawn here, at response time, so randomized padding pads
   // each serving of the same object independently. The padded size is what
   // the server advertises: the application genuinely serves that many bytes.
-  const std::size_t wire_size = cfg_.padding.padded_size(obj->size, pad_rng_);
+  const std::size_t wire_size = padding_.padded_size(obj->size, pad_rng_);
   conn_.respond_headers(stream_id, 200,
                         {{"content-length", std::to_string(wire_size)},
                          {"content-type", obj->content_type}});
@@ -102,8 +122,8 @@ void ServerApp::start_worker(std::uint32_t stream_id, const WebObject* obj,
   Worker w;
   w.obj = obj;
   w.body = served_body(stream_id, *obj, wire_size);
-  const sim::Duration first = jittered(obj->dynamic ? cfg_.dynamic_first_byte_delay
-                                                    : cfg_.static_first_byte_delay);
+  const sim::Duration first =
+      jittered(obj->dynamic ? kDynamicFirstByteDelay : kStaticFirstByteDelay);
   w.timer = loop_.schedule_after(first, [this, stream_id] { produce_chunk(stream_id); });
   workers_[stream_id] = std::move(w);
 }
@@ -148,7 +168,7 @@ void ServerApp::produce_chunk(std::uint32_t stream_id) {
   if (it == workers_.end()) return;
   Worker& w = it->second;
 
-  const std::size_t n = std::min(cfg_.chunk_bytes, w.body.size() - w.produced);
+  const std::size_t n = std::min(kChunkBytes, w.body.size() - w.produced);
   const auto chunk = w.body.subspan(w.produced, n);
   w.produced += n;
   const bool last = w.produced >= w.body.size();
@@ -159,8 +179,8 @@ void ServerApp::produce_chunk(std::uint32_t stream_id) {
     start_next_queued();
     return;
   }
-  sim::Duration base = w.obj->dynamic ? cfg_.dynamic_chunk_interval
-                                      : cfg_.static_chunk_interval;
+  sim::Duration base =
+      w.obj->dynamic ? kDynamicChunkInterval : kStaticChunkInterval;
   base = sim::Duration::nanos(static_cast<std::int64_t>(
       static_cast<double>(base.count_nanos()) * w.obj->pace_factor));
   const sim::Duration next = jittered(base);

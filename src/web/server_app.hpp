@@ -16,20 +16,10 @@
 
 namespace h2sim::web {
 
-/// Server-application timing model: how the "threads" of the paper's
-/// Figure 3 produce object segments into the stream queues.
+/// The settable part of the server-application timing model: how the
+/// "threads" of the paper's Figure 3 produce object segments into the
+/// stream queues. The chunk size and pacing are constants in server_app.cpp.
 struct ServerAppConfig {
-  std::size_t chunk_bytes = 1024;
-  /// Per-chunk production interval for static objects (disk/app read pace,
-  /// ~2.5 MB/s per stream).
-  sim::Duration static_chunk_interval = sim::Duration::micros(400);
-  /// Per-chunk interval for dynamic objects (template flushes of the survey
-  /// result page) — stretches the HTML's transmission window slightly.
-  sim::Duration dynamic_chunk_interval = sim::Duration::millis_f(1.5);
-  /// Multiplicative jitter on every interval, uniform in [1-j, 1+j].
-  double interval_jitter = 0.35;
-  sim::Duration static_first_byte_delay = sim::Duration::millis(4);
-  sim::Duration dynamic_first_byte_delay = sim::Duration::millis(12);
   /// Per-connection service-speed factor range (server load varies between
   /// downloads); drawn once per connection, multiplies every interval.
   double speed_factor_lo = 0.55;
@@ -38,16 +28,17 @@ struct ServerAppConfig {
   /// FIFO (the "multiplexing disabled by default" HTTP/2 deployments of
   /// Section V).
   bool serial_workers = false;
-  /// Wire-level padding (none = undefended): every 200 response advertises
-  /// and serves padding.padded_size(obj->size) body bytes, the plaintext
-  /// object followed by filler, all riding genuine DATA frames.
-  defense::PaddingSpec padding;
 };
 
 /// Binds a Website to an HTTP/2 ServerConnection: every request spawns a
 /// worker that paces response chunks into the stream queue. RST_STREAM
 /// cancels the worker (and the connection has already flushed the queue) —
 /// the paper's Figure 6 server behaviour.
+///
+/// `padding` is the deployed wire-level padding (none = undefended): every
+/// 200 response advertises and serves padding.padded_size(obj->size) body
+/// bytes, the plaintext object followed by filler, all riding genuine DATA
+/// frames.
 ///
 /// The stream queue borrows the chunks (ServerConnection::send_body_chunk),
 /// so every served body outlives its stream's references to it. An object
@@ -59,7 +50,7 @@ struct ServerAppConfig {
 class ServerApp {
  public:
   ServerApp(sim::EventLoop& loop, const Website& site, h2::ServerConnection& conn,
-            sim::Rng rng, ServerAppConfig cfg = {});
+            sim::Rng rng, defense::PaddingSpec padding, ServerAppConfig cfg = {});
 
   /// Object label served on each stream (ground truth for the evaluator;
   /// includes streams serving duplicate copies after client reissues).
@@ -98,6 +89,7 @@ class ServerApp {
   const Website& site_;
   h2::ServerConnection& conn_;
   sim::Rng rng_;
+  defense::PaddingSpec padding_;
   ServerAppConfig cfg_;
 
   void start_worker(std::uint32_t stream_id, const WebObject* obj,

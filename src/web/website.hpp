@@ -89,6 +89,10 @@ struct IsidewithConfig {
   int filler_objects = 39; // embedded page assets besides the 8 emblems
   /// Fillers requested between the HTML and the emblem burst.
   int head_fillers = 12;
+
+  /// Equal configs build byte-identical sites (experiment::same_site_recipe
+  /// shares one prebuilt site between them), so every field takes part.
+  bool operator==(const IsidewithConfig&) const = default;
 };
 
 /// Builds the target website: 5 pre-objects, the dynamic result HTML, 47

@@ -22,10 +22,10 @@ class H2Pair {
                   h2::ConnectionConfig client_cfg = {}) {
     topo = std::make_unique<net::Topology>(loop, net::Topology::Config{}, 1);
     server_stack = std::make_unique<tcp::TcpStack>(
-        loop, sim::Rng(11), net::Topology::kServerNode, tcp::TcpConfig{},
+        loop, sim::Rng(11), net::Topology::kServerNode,
         [this](net::Packet&& p) { topo->send_from_server(std::move(p)); });
     client_stack = std::make_unique<tcp::TcpStack>(
-        loop, sim::Rng(12), net::Topology::client_node(0), tcp::TcpConfig{},
+        loop, sim::Rng(12), net::Topology::client_node(0),
         [this](net::Packet&& p) { topo->send_from_client(0, std::move(p)); });
     topo->set_server_sink(
         [this](net::Packet&& p) { server_stack->deliver(std::move(p)); });

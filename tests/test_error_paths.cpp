@@ -7,6 +7,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "h2_fixture.hpp"
@@ -37,12 +38,11 @@ CorruptionOutcome send_through_corruptor(tls::TlsSession::Protection mode,
                                          const std::vector<std::uint8_t>& b) {
   sim::EventLoop loop;
   net::Topology topo(loop, net::Topology::Config{}, 1);
-  tcp::TcpConfig cfg;
-  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Topology::kServerNode, cfg,
+  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Topology::kServerNode,
                              [&](net::Packet&& p) {
                                topo.send_from_server(std::move(p));
                              });
-  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Topology::client_node(0), cfg,
+  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Topology::client_node(0),
                              [&](net::Packet&& p) {
                                topo.send_from_client(0, std::move(p));
                              });
@@ -177,12 +177,11 @@ TEST(ErrorPaths, BadConnectionPrefaceKillsConnection) {
   // connection torn down.
   sim::EventLoop loop;
   net::Topology topo(loop, net::Topology::Config{}, 1);
-  tcp::TcpConfig cfg;
-  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Topology::kServerNode, cfg,
+  tcp::TcpStack server_stack(loop, sim::Rng(1), net::Topology::kServerNode,
                              [&](net::Packet&& p) {
                                topo.send_from_server(std::move(p));
                              });
-  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Topology::client_node(0), cfg,
+  tcp::TcpStack client_stack(loop, sim::Rng(2), net::Topology::client_node(0),
                              [&](net::Packet&& p) {
                                topo.send_from_client(0, std::move(p));
                              });
@@ -277,18 +276,16 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
       {"HEADERS pad length past payload end (6.2)", h2::FrameType::kHeaders,
        h2::flags::kPadded | h2::flags::kEndHeaders, 1, {5, 0x82},
        "PROTOCOL_ERROR"},
-      {"PUSH_PROMISE pad length past payload end (6.6)",
-       h2::FrameType::kPushPromise, h2::flags::kPadded | h2::flags::kEndHeaders,
-       1, {9, 0, 0, 0, 2, 0x82}, "PROTOCOL_ERROR", /*from_server=*/true},
+      {"PUSH_PROMISE to a client (8.2)", h2::FrameType::kPushPromise,
+       h2::flags::kEndHeaders, 1, {0, 0, 0, 2, 0x82}, "PROTOCOL_ERROR",
+       /*from_server=*/true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     obs::Context ctx;
     obs::ScopedContext scope(ctx);
     ctx.tracer.enable(obs::Component::kH2);
-    h2::ConnectionConfig client_cfg;
-    client_cfg.enable_push = true;  // so a PUSH_PROMISE reaches its padding
-    H2Pair pair({}, client_cfg);
+    H2Pair pair;
     pair.run(1);
     (c.from_server ? pair.server_tls : pair.client_tls)
         ->write(h2::serialize_frame({c.type, c.flags, c.stream_id, c.payload}));
@@ -389,9 +386,10 @@ TEST(ErrorPaths, UnknownFrameTypesAreIgnored) {
 TEST(ErrorPaths, PushPromiseFromClientIsProtocolError) {
   H2Pair pair;
   pair.run(1);
+  const std::vector<std::uint8_t> promised_stream_2 = {0, 0, 0, 2};
   pair.client_tls->write(h2::serialize_frame({h2::FrameType::kPushPromise,
                                               h2::flags::kEndHeaders, 1,
-                                              h2::encode_push_promise(2, {})}));
+                                              promised_stream_2}));
   pair.run(2);
   EXPECT_TRUE(pair.server->dead());
 }
@@ -631,6 +629,63 @@ TEST(ErrorPaths, PriorityOnItselfResetsTheStream) {
   self.dependency = 1;
   EXPECT_EQ(resets_after_priority(h2::encode_priority(self)),
             std::vector<h2::ErrorCode>{h2::ErrorCode::kProtocolError});
+}
+
+// RFC 7540 §5.3.1 on a HEADERS frame: a request whose PRIORITY fields make
+// its stream depend on itself is a stream PROTOCOL_ERROR. The server resets
+// that stream without passing the request on and keeps the connection. It
+// still decodes the header block, so the next request's HPACK references
+// resolve.
+TEST(ErrorPaths, SelfDependentHeadersResetsTheStream) {
+  H2Pair pair;
+  // A scripted peer replaces the client connection on the same TLS session.
+  pair.client.reset();
+  tls::TlsSession::Callbacks cbs;
+  cbs.on_established = [&pair] {
+    pair.client_tls->write(h2::client_preface());
+    pair.client_tls->write(h2::serialize_frame({h2::FrameType::kSettings, 0, 0, {}}));
+  };
+  cbs.on_plaintext = [](std::span<const std::uint8_t>) {};
+  pair.client_tls->set_callbacks(std::move(cbs));
+  pair.run(1);
+  ASSERT_TRUE(pair.server);
+
+  std::vector<std::string> requests;  // "<stream> <path>"
+  h2::ServerConnection::Handlers sh;
+  sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList& headers) {
+    const auto req = http::Request::from_h2_headers(headers);
+    requests.push_back(std::to_string(sid) + " " + (req ? req->path : "?"));
+  };
+  pair.server->set_handlers(std::move(sh));
+  std::vector<std::pair<std::uint32_t, h2::ErrorCode>> rst_sent;
+  pair.server->set_frame_tap([&](const h2::FrameView& f, sim::TimePoint) {
+    if (f.type == h2::FrameType::kRstStream) {
+      rst_sent.emplace_back(f.stream_id, *h2::parse_rst_stream(f.payload));
+    }
+  });
+
+  hpack::Encoder encoder;
+  http::Request get;
+  get.authority = "example.com";
+  get.path = "/self";
+  h2::PriorityPayload self;
+  self.dependency = 1;
+  std::vector<std::uint8_t> payload = h2::encode_priority(self);
+  const std::vector<std::uint8_t> block = encoder.encode(get.to_h2_headers());
+  payload.insert(payload.end(), block.begin(), block.end());
+  constexpr std::uint8_t kGet = h2::flags::kEndHeaders | h2::flags::kEndStream;
+  pair.client_tls->write(h2::serialize_frame(
+      {h2::FrameType::kHeaders, kGet | h2::flags::kPriority, 1, payload}));
+  get.path = "/next";
+  pair.client_tls->write(h2::serialize_frame(
+      {h2::FrameType::kHeaders, kGet, 3, encoder.encode(get.to_h2_headers())}));
+  pair.run(1);
+
+  EXPECT_FALSE(pair.server->dead());
+  EXPECT_EQ(rst_sent, (std::vector<std::pair<std::uint32_t, h2::ErrorCode>>{
+                          {1, h2::ErrorCode::kProtocolError}}));
+  EXPECT_EQ(requests, std::vector<std::string>{"3 /next"});
+  EXPECT_EQ(pair.server->find_stream(1), nullptr);
 }
 
 }  // namespace

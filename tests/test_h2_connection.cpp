@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -224,60 +225,30 @@ TEST(H2Connection, LargeHeadersUseContinuation) {
   EXPECT_EQ(got, headers);
 }
 
-TEST(H2Connection, ServerPushDeliversPromise) {
-  h2::ConnectionConfig ccfg;
-  ccfg.enable_push = true;
-  H2Pair pair(h2::ConnectionConfig{}, ccfg);
-  pair.run(1);
-
-  std::uint32_t promised_id = 0;
-  hpack::HeaderList promised_headers;
-  std::size_t pushed_bytes = 0;
-  h2::ClientConnection::Handlers ch;
-  ch.on_push_promise = [&](std::uint32_t, std::uint32_t promised,
-                           const hpack::HeaderList& h) {
-    promised_id = promised;
-    promised_headers = h;
-  };
-  ch.on_response_data = [&](std::uint32_t sid, std::span<const std::uint8_t> b, bool) {
-    if (sid == promised_id) pushed_bytes += b.size();
-  };
-  pair.client->set_handlers(std::move(ch));
-
-  const std::vector<std::uint8_t> pushed(1234, 7);
-  h2::ServerConnection::Handlers sh;
-  sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
-    const std::uint32_t p = pair.server->push(sid, get("/pushed.css"));
-    EXPECT_NE(p, 0u);
-    pair.server->respond_headers(p, 200);
-    pair.server->send_body_chunk(p, pushed, true);
-    pair.server->respond_headers(sid, 200, {}, true);
-  };
-  pair.server->set_handlers(std::move(sh));
-
-  pair.client->send_request(get("/index.html"));
-  pair.run(5);
-  EXPECT_EQ(promised_id, 2u);
-  EXPECT_EQ(pushed_bytes, 1234u);
-  auto req = http::Request::from_h2_headers(promised_headers);
-  ASSERT_TRUE(req.has_value());
-  EXPECT_EQ(req->path, "/pushed.css");
-}
-
+// Neither end pushes. The client's SETTINGS advertise ENABLE_PUSH=0, so a
+// PUSH_PROMISE from the server is a connection PROTOCOL_ERROR (§8.2).
 TEST(H2Connection, PushRefusedWhenDisabled) {
-  H2Pair pair;  // client default: push disabled
+  H2Pair pair;
+  std::optional<std::uint32_t> enable_push;
+  pair.client->set_frame_tap([&](const h2::FrameView& f, sim::TimePoint) {
+    if (f.type != h2::FrameType::kSettings || f.has_flag(h2::flags::kAck)) return;
+    const auto entries = h2::parse_settings(f.payload);
+    ASSERT_TRUE(entries);
+    for (const h2::SettingsEntry& e : *entries) {
+      if (e.id == h2::SettingId::kEnablePush) enable_push = e.value;
+    }
+  });
   pair.run(1);
-  h2::ServerConnection::Handlers sh;
-  std::uint32_t push_result = 99;
-  sh.on_request = [&](std::uint32_t sid, const hpack::HeaderList&) {
-    push_result = pair.server->push(sid, get("/nope.css"));
-    pair.server->respond_headers(sid, 200, {}, true);
-  };
-  pair.server->set_handlers(std::move(sh));
-  pair.client->send_request(get("/index.html"));
-  pair.run(5);
-  EXPECT_EQ(push_result, 0u);  // SETTINGS_ENABLE_PUSH=0 honoured
-  EXPECT_FALSE(pair.client->dead());
+  EXPECT_EQ(enable_push, 0u);
+  ASSERT_FALSE(pair.client->dead());
+
+  // Promised stream 2, header block ":method: GET", written past the server's
+  // connection (which has no way to push).
+  const std::vector<std::uint8_t> payload = {0, 0, 0, 2, 0x82};
+  pair.server_tls->write(h2::serialize_frame(
+      {h2::FrameType::kPushPromise, h2::flags::kEndHeaders, 1, payload}));
+  pair.run(1);
+  EXPECT_TRUE(pair.client->dead());
 }
 
 TEST(H2Connection, GoawaySurfacesToClient) {

@@ -244,14 +244,6 @@ TEST(PriorityCodec, RoundTrip) {
   EXPECT_EQ(out->weight, 200);
 }
 
-TEST(PushPromiseCodec, RoundTrip) {
-  const std::vector<std::uint8_t> block = {0x82, 0x86};
-  auto out = parse_push_promise(encode_push_promise(2, block));
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->promised_id, 2u);
-  EXPECT_EQ(out->block, block);
-}
-
 TEST(PayloadCodecs, RejectMalformedLengths) {
   for (std::size_t n = 0; n < 8; ++n) {
     EXPECT_FALSE(parse_goaway(std::vector<std::uint8_t>(n, 0)).has_value()) << n;
@@ -260,10 +252,6 @@ TEST(PayloadCodecs, RejectMalformedLengths) {
   for (std::size_t n : {0u, 4u, 6u, 9u}) {
     EXPECT_FALSE(parse_priority(std::vector<std::uint8_t>(n, 0)).has_value()) << n;
   }
-  for (std::size_t n = 0; n < 4; ++n) {
-    EXPECT_FALSE(parse_push_promise(std::vector<std::uint8_t>(n, 0)).has_value()) << n;
-  }
-  EXPECT_TRUE(parse_push_promise(std::vector<std::uint8_t>(4, 0))->block.empty());
   for (std::size_t n : {0u, 3u, 5u, 8u}) {
     EXPECT_FALSE(parse_window_update(std::vector<std::uint8_t>(n, 0)).has_value()) << n;
   }

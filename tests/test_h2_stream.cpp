@@ -43,8 +43,6 @@ TEST(StreamState, RstClosesFromAnyState) {
   // Every state a stream leaves idle for (RFC 7540 §5.1: RST_STREAM is never
   // sent on an idle stream) closes on a sent or received reset.
   const std::vector<void (*)(Stream&)> openers = {
-      [](Stream& st) { st.on_send_push_promise(); },
-      [](Stream& st) { st.on_recv_push_promise(); },
       [](Stream& st) { st.on_send_headers(false); },
       [](Stream& st) { st.on_send_headers(true); },
       [](Stream& st) { st.on_recv_headers(true); },
@@ -70,26 +68,6 @@ TEST(StreamState, DataInIdleRejected) {
   Stream s(1, 65535, 65535);
   EXPECT_FALSE(s.can_recv_data());
   EXPECT_FALSE(s.on_recv_data(false));
-}
-
-TEST(StreamState, PushPromiseReservations) {
-  Stream promised(2, 65535, 65535);
-  EXPECT_TRUE(promised.on_send_push_promise());
-  EXPECT_EQ(promised.state(), StreamState::kReservedLocal);
-  EXPECT_TRUE(promised.on_send_headers(false));
-  EXPECT_EQ(promised.state(), StreamState::kHalfClosedRemote);
-
-  Stream remote(2, 65535, 65535);
-  EXPECT_TRUE(remote.on_recv_push_promise());
-  EXPECT_EQ(remote.state(), StreamState::kReservedRemote);
-  EXPECT_TRUE(remote.on_recv_headers(false));
-  EXPECT_EQ(remote.state(), StreamState::kHalfClosedLocal);
-}
-
-TEST(StreamState, PushPromiseOnlyFromIdle) {
-  Stream s(2, 65535, 65535);
-  s.on_send_headers(false);
-  EXPECT_FALSE(s.on_send_push_promise());
 }
 
 TEST(StreamQueue, EnqueueDequeue) {

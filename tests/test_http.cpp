@@ -98,10 +98,10 @@ class Http1PairTest : public ::testing::Test {
   void SetUp() override {
     topo_ = std::make_unique<net::Topology>(loop_, net::Topology::Config{}, 1);
     server_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(1), net::Topology::kServerNode, tcp::TcpConfig{},
+        loop_, sim::Rng(1), net::Topology::kServerNode,
         [this](net::Packet&& p) { topo_->send_from_server(std::move(p)); });
     client_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(2), net::Topology::client_node(0), tcp::TcpConfig{},
+        loop_, sim::Rng(2), net::Topology::client_node(0),
         [this](net::Packet&& p) { topo_->send_from_client(0, std::move(p)); });
     topo_->set_server_sink(
         [this](net::Packet&& p) { server_stack_->deliver(std::move(p)); });

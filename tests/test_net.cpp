@@ -103,7 +103,7 @@ TEST(Middlebox, ForwardsByDefaultAndTapsEverything) {
   Middlebox mb(loop);
   int to_server = 0, tapped = 0;
   mb.attach([&](Packet&&) { ++to_server; }, [](Packet&&) {});
-  mb.set_tap([&](const Packet&, Direction, sim::TimePoint) { ++tapped; });
+  mb.add_tap([&](const Packet&, Direction, sim::TimePoint) { ++tapped; });
   mb.on_from_client(make_packet());
   mb.on_from_client(make_packet());
   loop.run();
@@ -126,7 +126,7 @@ TEST(Middlebox, PolicyDropsButTapStillSees) {
   DropAllPolicy policy;
   int forwarded = 0, tapped = 0;
   mb.attach([&](Packet&&) { ++forwarded; }, [](Packet&&) {});
-  mb.set_tap([&](const Packet&, Direction, sim::TimePoint) { ++tapped; });
+  mb.add_tap([&](const Packet&, Direction, sim::TimePoint) { ++tapped; });
   mb.set_policy(&policy);
   mb.on_from_client(make_packet());
   loop.run();

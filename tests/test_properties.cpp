@@ -153,10 +153,9 @@ TEST_P(TcpLossProperty, StreamIntegrityUnderLoss) {
   pc.client_side.loss_seed = param.seed ^ 0xabcdef;
   net::Topology topo(loop, pc, 1);
 
-  tcp::TcpConfig cfg;
-  tcp::TcpStack server(loop, rng.split(), net::Topology::kServerNode, cfg,
+  tcp::TcpStack server(loop, rng.split(), net::Topology::kServerNode,
                        [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
-  tcp::TcpStack client(loop, rng.split(), net::Topology::client_node(0), cfg,
+  tcp::TcpStack client(loop, rng.split(), net::Topology::client_node(0),
                        [&](net::Packet&& p) {
                          topo.send_from_client(0, std::move(p));
                        });
@@ -208,10 +207,9 @@ class TlsSizeProperty : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(TlsSizeProperty, WriteOfAnySizeDeliversExactly) {
   sim::EventLoop loop;
   net::Topology topo(loop, net::Topology::Config{}, 1);
-  tcp::TcpConfig cfg;
-  tcp::TcpStack server(loop, sim::Rng(1), net::Topology::kServerNode, cfg,
+  tcp::TcpStack server(loop, sim::Rng(1), net::Topology::kServerNode,
                        [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
-  tcp::TcpStack client(loop, sim::Rng(2), net::Topology::client_node(0), cfg,
+  tcp::TcpStack client(loop, sim::Rng(2), net::Topology::client_node(0),
                        [&](net::Packet&& p) {
                          topo.send_from_client(0, std::move(p));
                        });

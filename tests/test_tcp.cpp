@@ -392,10 +392,9 @@ TEST(TcpStack, ConnectAndAcceptThroughPath) {
   sim::EventLoop loop;
   sim::Rng rng(3);
   net::Topology topo(loop, net::Topology::Config{}, 1);
-  TcpConfig cfg;
-  TcpStack server(loop, rng.split(), net::Topology::kServerNode, cfg,
+  TcpStack server(loop, rng.split(), net::Topology::kServerNode,
                   [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
-  TcpStack client(loop, rng.split(), net::Topology::client_node(0), cfg,
+  TcpStack client(loop, rng.split(), net::Topology::client_node(0),
                   [&](net::Packet&& p) { topo.send_from_client(0, std::move(p)); });
   topo.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
   topo.set_client_sink(0, [&](net::Packet&& p) { client.deliver(std::move(p)); });
@@ -424,10 +423,9 @@ TEST(TcpStack, SynToClosedPortIgnored) {
   sim::EventLoop loop;
   sim::Rng rng(3);
   net::Topology topo(loop, net::Topology::Config{}, 1);
-  TcpConfig cfg;
-  TcpStack server(loop, rng.split(), net::Topology::kServerNode, cfg,
+  TcpStack server(loop, rng.split(), net::Topology::kServerNode,
                   [&](net::Packet&& p) { topo.send_from_server(std::move(p)); });
-  TcpStack client(loop, rng.split(), net::Topology::client_node(0), cfg,
+  TcpStack client(loop, rng.split(), net::Topology::client_node(0),
                   [&](net::Packet&& p) { topo.send_from_client(0, std::move(p)); });
   topo.set_server_sink([&](net::Packet&& p) { server.deliver(std::move(p)); });
   topo.set_client_sink(0, [&](net::Packet&& p) { client.deliver(std::move(p)); });
@@ -510,11 +508,10 @@ TEST_F(TcpPairAtWrap, HoleBeforeTheWrapDrainsInOnePass) {
 
 TEST(TcpWrap, RetransmitFromMidRecordRetiresOnCoveringAckWithoutRttSample) {
   sim::EventLoop loop;
-  TcpConfig cfg;
   std::vector<net::Packet> sent;
   const std::uint32_t iss = 0xFFFFF000u;
   const std::uint32_t peer_iss = 0x7000u;
-  TcpConnection conn(loop, cfg, 1, 1000, 2, 443,
+  TcpConnection conn(loop, TcpConfig{}, 1, 1000, 2, 443,
                      [&](net::Packet&& p) { sent.push_back(std::move(p)); }, iss);
   auto from_peer = [&](std::uint8_t flags, std::uint32_t ack) {
     net::Packet p;
@@ -536,8 +533,8 @@ TEST(TcpWrap, RetransmitFromMidRecordRetiresOnCoveringAckWithoutRttSample) {
   from_peer(net::tcpflag::kSyn | net::tcpflag::kAck, iss + 1);
   ASSERT_TRUE(conn.established());
   const std::uint32_t s0 = iss + 1;
-  const auto mss = static_cast<std::uint32_t>(cfg.mss);
-  conn.send(std::vector<std::uint8_t>(3 * cfg.mss, 0xab));  // third one wraps
+  const auto mss = static_cast<std::uint32_t>(net::kMssBytes);
+  conn.send(std::vector<std::uint8_t>(3 * net::kMssBytes, 0xab));  // third one wraps
   ASSERT_EQ(conn.tracked_segments(), 3u);
 
   // Partial ACK inside the first record: it advances snd_una but the record
@@ -545,7 +542,7 @@ TEST(TcpWrap, RetransmitFromMidRecordRetiresOnCoveringAckWithoutRttSample) {
   advance(10);
   from_peer(net::tcpflag::kAck, s0 + 500);
   EXPECT_EQ(conn.tracked_segments(), 3u);
-  EXPECT_EQ(conn.current_rto(), cfg.initial_rto);  // no RTT sample
+  EXPECT_EQ(conn.current_rto(), kInitialRto);  // no RTT sample
 
   // The RTO retransmits from s0+500, where no record starts: one is added.
   advance(1100);
@@ -560,7 +557,7 @@ TEST(TcpWrap, RetransmitFromMidRecordRetiresOnCoveringAckWithoutRttSample) {
   advance(10);
   from_peer(net::tcpflag::kAck, s0 + 500 + mss);
   EXPECT_EQ(conn.tracked_segments(), 2u);
-  EXPECT_EQ(conn.current_rto(), cfg.initial_rto);
+  EXPECT_EQ(conn.current_rto(), kInitialRto);
 
   from_peer(net::tcpflag::kAck, s0 + 3 * mss);
   EXPECT_EQ(conn.tracked_segments(), 0u);

@@ -68,7 +68,7 @@ TEST_F(TcpTimerTest, RtoConvergesTowardsRttAfterSamples) {
     run_for(0.1);
   }
   // RFC 6298 with min_rto clamp: srtt ~10 ms -> rto == min_rto (200 ms).
-  EXPECT_EQ(client_->current_rto().to_millis(), cfg_.min_rto.to_millis());
+  EXPECT_EQ(client_->current_rto().to_millis(), kMinRto.to_millis());
 }
 
 TEST_F(TcpTimerTest, BackoffIsCappedDuringBlackout) {
@@ -88,7 +88,7 @@ TEST_F(TcpTimerTest, BackoffIsCappedDuringBlackout) {
   ASSERT_GE(rtx_times.size(), 3u);
   for (std::size_t i = 1; i < rtx_times.size(); ++i) {
     const double gap = rtx_times[i] - rtx_times[i - 1];
-    EXPECT_LE(gap, cfg_.rto_backoff_cap.to_millis() * 1.1)
+    EXPECT_LE(gap, kRtoBackoffCap.to_millis() * 1.1)
         << "backoff gap " << i << " exceeds the cap";
   }
 }

@@ -159,10 +159,10 @@ class TlsPairTest : public ::testing::Test {
   void SetUp() override {
     topo_ = std::make_unique<net::Topology>(loop_, net::Topology::Config{}, 1);
     server_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(1), net::Topology::kServerNode, tcp::TcpConfig{},
+        loop_, sim::Rng(1), net::Topology::kServerNode,
         [this](net::Packet&& p) { topo_->send_from_server(std::move(p)); });
     client_stack_ = std::make_unique<tcp::TcpStack>(
-        loop_, sim::Rng(2), net::Topology::client_node(0), tcp::TcpConfig{},
+        loop_, sim::Rng(2), net::Topology::client_node(0),
         [this](net::Packet&& p) { topo_->send_from_client(0, std::move(p)); });
     topo_->set_server_sink(
         [this](net::Packet&& p) { server_stack_->deliver(std::move(p)); });
@@ -235,7 +235,7 @@ TEST_F(TlsPairTest, CiphertextDiffersFromPlaintext) {
   run(1);
   // Tap the path to confirm no plaintext pattern leaks on the wire.
   std::vector<std::uint8_t> wire_bytes;
-  topo_->middlebox().set_tap(
+  topo_->middlebox().add_tap(
       [&](const net::Packet& p, net::Direction d, sim::TimePoint) {
         if (d == net::Direction::kClientToServer) {
           wire_bytes.insert(wire_bytes.end(), p.payload.begin(), p.payload.end());
@@ -266,7 +266,7 @@ TEST_F(TlsElidedPairTest, RecordsKeepTheirSizeAndCarryPlaintext) {
   run(1);
   ASSERT_TRUE(client_established_ && server_established_);
   std::vector<std::uint8_t> wire_bytes;
-  topo_->middlebox().set_tap(
+  topo_->middlebox().add_tap(
       [&](const net::Packet& p, net::Direction d, sim::TimePoint) {
         if (d == net::Direction::kClientToServer) {
           wire_bytes.insert(wire_bytes.end(), p.payload.begin(), p.payload.end());
@@ -317,7 +317,7 @@ class TlsPair : public TlsPairTest {
   std::vector<std::uint8_t> client_wire(const std::vector<std::uint8_t>& msg) {
     run(1);
     std::vector<std::uint8_t> wire;
-    topo_->middlebox().set_tap(
+    topo_->middlebox().add_tap(
         [&](const net::Packet& p, net::Direction d, sim::TimePoint) {
           if (d == net::Direction::kClientToServer) {
             wire.insert(wire.end(), p.payload.begin(), p.payload.end());

@@ -138,10 +138,9 @@ class ServedBytes {
       : pair_(h2::ConnectionConfig{}, small_window()) {
     pair_.run(1);
     ServerAppConfig cfg;
-    cfg.padding = std::move(padding);
     cfg.serial_workers = serial_workers;
     app_ = std::make_unique<ServerApp>(pair_.loop, site, *pair_.server, sim::Rng(5),
-                                       cfg);
+                                       std::move(padding), cfg);
     h2::ClientConnection::Handlers ch;
     ch.on_response_headers = [this](std::uint32_t sid, const hpack::HeaderList& h) {
       for (const auto& f : h) {

@@ -175,9 +175,8 @@ int main(int argc, char** argv) {
 
   // Reassemble the vantage point's record stream through the live monitor
   // code path; its GET callback gives us the per-GET lines for free.
-  capture::ReassemblerConfig rcfg;
-  rcfg.server_port = static_cast<net::Port>(opt->server_port);
-  capture::TlsRecordReassembler reassembler(rcfg);
+  capture::TlsRecordReassembler reassembler(
+      {.server_port = static_cast<net::Port>(opt->server_port)});
   reassembler.monitor().on_get = [](int index, sim::TimePoint t) {
     std::printf("{\"type\":\"get\",\"index\":%d,\"t_ms\":%.6f}\n", index,
                 t.to_millis());
