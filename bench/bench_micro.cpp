@@ -35,10 +35,12 @@
 #include "tcp/tcp_stack.hpp"
 #include "tls/record.hpp"
 #include "tls/session.hpp"
+#include "web/website.hpp"
 
-// Process-wide heap allocation counter. The steady-state benches below use
-// delta snapshots around the measured region to prove the simulator hot path
-// is allocation-free once warmed; other benches ignore it.
+// Process-wide heap allocation and byte counters. The steady-state benches
+// below use delta snapshots around the measured region to prove the
+// simulator hot path is allocation-free once warmed, and BM_SiteBuild
+// reports the bytes a site build asks for; other benches ignore them.
 //
 // The replacement new/delete pair below is consistently malloc/free-based,
 // but GCC's -Wmismatched-new-delete cannot see that when it inlines the
@@ -48,15 +50,18 @@
 #endif
 
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
 
 void* operator new(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new(std::size_t n, std::align_val_t al) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
                                    (n + static_cast<std::size_t>(al) - 1) &
                                        ~(static_cast<std::size_t>(al) - 1))) {
@@ -641,6 +646,23 @@ void BM_RngU64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngU64);
+
+// Building the isidewith site. Every object body is a window of one pattern
+// of about the largest object (258.5 KB), so a build asks the heap for far
+// less than the 4.25 MB the bodies add up to. Reported as
+// `heap_bytes_per_build`; CI requires it under 1 MiB.
+void BM_SiteBuild(benchmark::State& state) {
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+    const web::Website site = web::make_isidewith_site();
+    bytes += g_heap_bytes.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(&site);
+  }
+  state.counters["heap_bytes_per_build"] = benchmark::Counter(
+      static_cast<double>(bytes) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_SiteBuild);
 
 // The per-packet cost of the observability layer: a registered counter
 // increment is one pointer dereference, and a record call against a disabled

@@ -82,7 +82,7 @@ struct TrialConfig {
   std::function<web::Website()> site_builder;
 
   /// Sweep-level shared site (see experiment::ScenarioTemplate): a fully
-  /// built, content-materialized site reused read-only by every trial of a
+  /// built site, body pattern included, reused read-only by every trial of a
   /// sweep. Honored only when the site really is seed-independent
   /// (experiment::site_is_seed_independent); otherwise the trial builds its
   /// own site exactly as before. The site a trial sees is byte-identical

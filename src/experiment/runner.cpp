@@ -15,12 +15,11 @@ namespace h2sim::experiment {
 namespace {
 
 /// Sweep-level site sharing: configs whose site is seed-independent and
-/// built from the same recipe get one prebuilt, content-materialized site
-/// between them (typically the whole sweep shares a single site). Configs
-/// that already carry a prebuilt_site, use a custom builder, or inject
-/// per-seed dummies are passed through untouched. Trials behave
-/// byte-identically either way; this only moves site construction out of
-/// the per-trial loop.
+/// built from the same recipe get one prebuilt site between them (typically
+/// the whole sweep shares a single site). Configs that already carry a
+/// prebuilt_site, use a custom builder, or inject per-seed dummies are
+/// passed through untouched. Trials behave byte-identically either way;
+/// this only moves site construction out of the per-trial loop.
 std::vector<TrialConfig> share_prebuilt_sites(std::span<const TrialConfig> cfgs) {
   std::vector<TrialConfig> out(cfgs.begin(), cfgs.end());
   struct Recipe {

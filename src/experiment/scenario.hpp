@@ -8,7 +8,7 @@
 namespace h2sim::experiment {
 
 /// Sweep-level scenario template: the seed-independent parts of a
-/// TrialConfig — the website (objects built, body bytes materialized), the
+/// TrialConfig — the website (objects and body pattern built), the
 /// topology shape, the TLS/h2 connection parameters, and the attack plan —
 /// prepared once and shared read-only by every trial of a sweep.
 ///
@@ -62,8 +62,8 @@ inline bool site_is_seed_independent(const TrialConfig& cfg) {
 /// Such configs can share one prebuilt site.
 bool same_site_recipe(const TrialConfig& a, const TrialConfig& b);
 
-/// Builds the site a config would construct at trial time (content
-/// materialized), or nullptr when the site is per-seed and cannot be shared.
+/// Builds the site a config would construct at trial time, or nullptr when
+/// the site is per-seed and cannot be shared.
 std::shared_ptr<const web::Website> prebuild_site(const TrialConfig& cfg);
 
 }  // namespace h2sim::experiment

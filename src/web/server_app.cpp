@@ -1,7 +1,6 @@
 #include "web/server_app.hpp"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "http/message.hpp"
@@ -23,23 +22,6 @@ constexpr sim::Duration kDynamicChunkInterval = sim::Duration::millis_f(1.5);
 constexpr double kIntervalJitter = 0.35;
 constexpr sim::Duration kStaticFirstByteDelay = sim::Duration::millis(4);
 constexpr sim::Duration kDynamicFirstByteDelay = sim::Duration::millis(12);
-
-// Appends filler up to `end`: the byte at offset pos is pos * 131 + key.
-// It depends only on pos mod 256, so runs of up to 256 bytes are copied
-// from one 512-byte table.
-void append_filler(std::vector<std::uint8_t>& body, std::size_t end,
-                   std::size_t key) {
-  if (body.size() >= end) return;
-  std::array<std::uint8_t, 512> table{};
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    table[i] = static_cast<std::uint8_t>(i * 131 + key);
-  }
-  while (body.size() < end) {
-    const std::uint8_t* from = table.data() + body.size() % 256;
-    const std::size_t n = std::min<std::size_t>(256, end - body.size());
-    body.insert(body.end(), from, from + n);
-  }
-}
 
 }  // namespace
 
@@ -138,19 +120,20 @@ void ServerApp::start_next_queued() {
 std::span<const std::uint8_t> ServerApp::served_body(std::uint32_t stream_id,
                                                      const WebObject& obj,
                                                      std::size_t wire_size) {
-  if (obj.content.size() >= wire_size) {
-    return std::span<const std::uint8_t>(obj.content).first(wire_size);
-  }
+  if (wire_size <= obj.size) return site_.body(obj).first(wire_size);
   release_sent_bodies();
-  // Deterministic filler; the bytes are opaque on the wire anyway. Whatever
-  // content the object has comes first, then the materialize() formula up
-  // to the object's size, then padding keyed on the served size. Each byte
-  // is appended once to the reserved body.
+  // The object's body, then padding whose byte at offset pos is
+  // pos*131 + wire_size, copied from the site's pattern in runs that wrap
+  // on its 256-byte period where the padding outruns it.
   std::vector<std::uint8_t>& body = built_bodies_[stream_id];
   body.reserve(wire_size);
-  body.assign(obj.content.begin(), obj.content.end());
-  append_filler(body, obj.size, obj.size);
-  append_filler(body, wire_size, wire_size);
+  const auto object = site_.body(obj);
+  body.assign(object.begin(), object.end());
+  while (body.size() < wire_size) {
+    const auto run =
+        site_.filler(body.size() * 131 + wire_size, wire_size - body.size());
+    body.insert(body.end(), run.begin(), run.end());
+  }
   return body;
 }
 

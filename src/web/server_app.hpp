@@ -41,12 +41,11 @@ struct ServerAppConfig {
 /// frames.
 ///
 /// The stream queue borrows the chunks (ServerConnection::send_body_chunk),
-/// so every served body outlives its stream's references to it. An object
-/// whose materialized content covers the served size is served straight
-/// from `content` (the Website outlives the trial). Any other serving, a
-/// padded one or an object whose content was never materialized, gets its
-/// whole body built once into a buffer the app owns until the stream is
-/// reset or has sent it.
+/// so every served body outlives its stream's references to it. An unpadded
+/// serving is served straight from `site.body(*obj)` (the Website outlives
+/// the trial). A padded serving gets its whole body built once, from the
+/// site's pattern, into a buffer the app owns until the stream is reset or
+/// has sent it.
 class ServerApp {
  public:
   ServerApp(sim::EventLoop& loop, const Website& site, h2::ServerConnection& conn,
@@ -69,8 +68,8 @@ class ServerApp {
  private:
   struct Worker {
     const WebObject* obj = nullptr;
-    /// The served bytes, obj->size plus padding: a prefix of
-    /// obj->content or a body in built_bodies_.
+    /// The served bytes, obj->size plus padding: site_.body(*obj) or a
+    /// body in built_bodies_.
     std::span<const std::uint8_t> body;
     std::size_t produced = 0;
     sim::TimerHandle timer;

@@ -1,27 +1,41 @@
 #include "web/website.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace h2sim::web {
 
 using sim::Duration;
 
-void WebObject::materialize() {
-  if (content.size() == size) return;
-  content.resize(size);
-  // Locals, not members: a byte store may alias `content` and `size`, which
-  // would force a reload of both per byte and keep the loop from vectorizing.
-  std::uint8_t* out = content.data();
-  const std::size_t n = size;
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = static_cast<std::uint8_t>(j * 131 + n);
-  }
-}
-
 void Website::add_object(WebObject obj) {
   assert(!obj.path.empty());
-  obj.materialize();
+  const std::size_t want = obj.size + 256;
+  if (pattern_.size() < want) {
+    // Power-of-two capacity: a site whose objects arrive in growing sizes
+    // reallocates a few times, not once per new largest object.
+    pattern_.reserve(std::bit_ceil(want));
+    std::size_t i = pattern_.size();
+    pattern_.resize(want);
+    for (std::uint8_t* out = pattern_.data(); i < want; ++i) {
+      out[i] = static_cast<std::uint8_t>(i * 131);
+    }
+  }
   objects_[obj.path] = std::move(obj);
+}
+
+std::span<const std::uint8_t> Website::body(const WebObject& obj) const {
+  const auto b = filler(obj.size, obj.size);
+  assert(b.size() == obj.size);
+  return b;
+}
+
+std::span<const std::uint8_t> Website::filler(std::size_t key,
+                                              std::size_t n) const {
+  const std::size_t phase = (key * 43) % 256;
+  assert(pattern_.size() > phase);
+  return std::span<const std::uint8_t>(pattern_).subspan(
+      phase, std::min(n, pattern_.size() - phase));
 }
 
 const WebObject* Website::find(std::string_view path) const {

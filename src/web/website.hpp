@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,15 +25,6 @@ struct WebObject {
   /// object (image decode/IO paths are slower than cached JS, for example).
   double pace_factor = 1.0;
   std::string label;  // "html", "I1".."I8" (party emblems), "pre3", "filler7"
-  /// Materialized body, filled by Website::add_object. Generating the filler
-  /// bytes once per object (instead of per served chunk) lets the server app
-  /// hand out read-only spans, and lets a shared prebuilt site amortize the
-  /// generation across a whole sweep. The byte at offset j is j*131 + size
-  /// (mod 256) — identical to what chunk-time generation produced.
-  std::vector<std::uint8_t> content;
-
-  /// (Re)generates `content` to match `size`. Idempotent.
-  void materialize();
 };
 
 /// When a request step may be issued relative to page-load progress.
@@ -59,11 +51,18 @@ struct RequestStep {
 /// A website: object store plus the canonical page-load request schedule.
 class Website {
  public:
-  /// Stores the object, materializing its body bytes if `obj.content` does
-  /// not already match `obj.size`.
+  /// Stores the object and grows the body pattern to cover it.
   void add_object(WebObject obj);
   const WebObject* find(std::string_view path) const;
   const WebObject* find_by_label(std::string_view label) const;
+
+  /// The body of an object of this site: byte j is (j*131 + obj.size)
+  /// mod 256. Valid until the next add_object.
+  std::span<const std::uint8_t> body(const WebObject& obj) const;
+  /// Up to `n` bytes whose byte j is (j*131 + key) mod 256: fewer when the
+  /// pattern ends first, but at least one for n > 0 once the site has an
+  /// object. Valid until the next add_object.
+  std::span<const std::uint8_t> filler(std::size_t key, std::size_t n) const;
 
   std::vector<RequestStep> schedule;
   std::string html_path;
@@ -76,6 +75,10 @@ class Website {
 
  private:
   std::map<std::string, WebObject, std::less<>> objects_;
+  /// pattern_[i] = 131*i mod 256. Since 131 is odd, every filler run is
+  /// the window starting at 43*key mod 256 (43 = 131^-1 mod 256), so one
+  /// buffer of the largest object + 256 bytes holds every body.
+  std::vector<std::uint8_t> pattern_;
 };
 
 /// Parameters of the isidewith.com-like survey site of Section V.

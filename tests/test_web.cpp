@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -7,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "defense/defenses.hpp"
 #include "defense/policy.hpp"
 #include "experiment/harness.hpp"
 #include "h2_fixture.hpp"
@@ -188,21 +191,18 @@ class ServedBytes {
 };
 
 // The byte at offset j of an object of size s is (j*131 + s) mod 256
-// (WebObject::materialize); a padding byte at offset j of a w-byte serving
-// is (j*131 + w) mod 256.
+// (Website::body); a padding byte at offset j of a w-byte serving is
+// (j*131 + w) mod 256.
 std::uint8_t filler(std::size_t pos, std::size_t size) {
   return static_cast<std::uint8_t>(pos * 131 + size);
 }
 
-// Checks `r` against an object of `size` bytes whose first bytes are
-// `content` and that was served with `r.content_length` bytes; returns the
-// number of bytes checked.
-std::size_t expect_served(const ServedBytes::Response& r, std::size_t size,
-                          const std::vector<std::uint8_t>& content = {}) {
+// Checks `r` against an object of `size` bytes that was served with
+// `r.content_length` bytes; returns the number of bytes checked.
+std::size_t expect_served(const ServedBytes::Response& r, std::size_t size) {
   for (std::size_t j = 0; j < r.body.size(); ++j) {
-    const std::uint8_t want = j < content.size() ? content[j]
-                              : j < size         ? filler(j, size)
-                                                 : filler(j, r.content_length);
+    const std::uint8_t want =
+        j < size ? filler(j, size) : filler(j, r.content_length);
     if (r.body[j] != want) {
       ADD_FAILURE() << "byte " << j << " of " << r.content_length << ": got "
                     << int{r.body[j]} << ", want " << int{want};
@@ -212,6 +212,41 @@ std::size_t expect_served(const ServedBytes::Response& r, std::size_t size,
   return r.body.size();
 }
 
+// Every object body is a window of the site's one pattern, at the phase its
+// size picks. Sizes 0..600 cover all 256 phases; the isidewith site with
+// dummies covers every size a trial serves. The pattern itself stays the
+// size of the largest object, not of the sum of all bodies.
+TEST(Website, BodyIsTheFillerFormulaAtEveryPhase) {
+  const auto check = [](const Website& site) {
+    std::size_t largest = 0;
+    for (const auto& [path, obj] : site.objects()) {
+      const auto body = site.body(obj);
+      ASSERT_EQ(body.size(), obj.size) << path;
+      for (std::size_t j = 0; j < body.size(); ++j) {
+        ASSERT_EQ(body[j], (j * 131 + obj.size) & 0xff)
+            << path << " byte " << j << " of " << obj.size;
+      }
+      largest = std::max(largest, obj.size);
+    }
+    // filler(0, ...) starts at phase 0, so it spans the whole pattern.
+    EXPECT_LE(site.filler(0, SIZE_MAX).size(), largest + 512);
+  };
+
+  Website phases;
+  for (std::size_t n = 0; n <= 600; ++n) {
+    WebObject o;
+    o.path = "/o" + std::to_string(n);
+    o.size = n;
+    phases.add_object(o);
+  }
+  check(phases);
+
+  Website site = make_isidewith_site();
+  sim::Rng rng(3);
+  defense::inject_dummies(site, rng, 8);
+  check(site);
+}
+
 TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
   constexpr std::size_t kSize = 20000;
   Website site;
@@ -219,16 +254,8 @@ TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
   obj.path = "/obj";
   obj.size = kSize;
   site.add_object(obj);
-  obj.path = "/hand";
-  obj.size = 5000;
-  site.add_object(obj);
-  // An object whose body was never materialized: a hand-built WebObject
-  // carries whatever content it was given (here 100 marker bytes), and the
-  // rest of its body is generated.
-  const std::vector<std::uint8_t> hand_content(100, 0xee);
-  const_cast<WebObject*>(site.find("/hand"))->content = hand_content;
 
-  {  // Unpadded: consecutive windows of the materialized content.
+  {  // Unpadded: consecutive windows of the site's pattern.
     ServedBytes s(site, defense::PaddingSpec::none());
     const std::uint32_t sid = s.get("/obj");
     s.run(10);
@@ -256,17 +283,17 @@ TEST(ServerApp, ServedBytesMatchContentAndPaddingOnEveryBodyPath) {
       EXPECT_EQ(expect_served(r, kSize), r.content_length);
     }
   }
-  {  // The hand-built object, unpadded and padded.
-    for (const defense::PaddingSpec& padding :
-         {defense::PaddingSpec::none(), defense::PaddingSpec::random_pad(0.5)}) {
-      ServedBytes s(site, padding);
-      const std::uint32_t sid = s.get("/hand");
-      s.run(10);
-      const auto& r = s.responses[sid];
-      EXPECT_TRUE(r.ended);
-      EXPECT_EQ(r.body.size(), r.content_length);
-      EXPECT_EQ(expect_served(r, 5000, hand_content), r.content_length);
-    }
+  {  // Padding several times longer than the site's pattern: the tail wraps
+     // on the pattern's 256-byte period.
+    ServedBytes s(site, defense::PaddingSpec::quantum_pad(100'003));
+    const std::uint32_t sid = s.get("/obj");
+    s.run(10);
+    const auto& r = s.responses[sid];
+    EXPECT_TRUE(r.ended);
+    EXPECT_EQ(r.content_length, 100'003u);
+    EXPECT_GT(r.content_length - kSize, 3 * site.filler(0, SIZE_MAX).size());
+    EXPECT_EQ(r.body.size(), r.content_length);
+    EXPECT_EQ(expect_served(r, kSize), r.content_length);
   }
   {  // A reset mid-body, then a fresh request for the same object.
     for (const defense::PaddingSpec& padding :
