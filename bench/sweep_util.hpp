@@ -19,6 +19,7 @@
 #include "experiment/runner.hpp"
 #include "experiment/sink.hpp"
 #include "obs/context.hpp"
+#include "obs/json.hpp"
 #include "sim/parse_number.hpp"
 
 namespace h2sim::bench {
@@ -261,18 +262,11 @@ class SweepSession {
     entries_.push_back(std::move(e));
   }
 
-  static void append_escaped(std::string& out, const std::string& s) {
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-  }
-
   void write_json() const {
     std::string out = "{\n";
-    out += "  \"bench\": \"";
-    append_escaped(out, name_);
-    out += "\",\n";
+    out += "  \"bench\": ";
+    obs::json::append_string(out, name_);
+    out += ",\n";
     out += "  \"jobs\": " + std::to_string(jobs_) + ",\n";
     out += "  \"deterministic\": ";
     out += deterministic_ ? "true" : "false";
@@ -286,10 +280,10 @@ class SweepSession {
       total_wall += e.wall_seconds;
       char buf[512];
       out += i ? ",\n    " : "\n    ";
-      out += "{\"label\": \"";
-      append_escaped(out, e.label);
+      out += "{\"label\": ";
+      obs::json::append_string(out, e.label);
       std::snprintf(buf, sizeof(buf),
-                    "\", \"trials\": %zu, \"jobs\": %d, \"wall_seconds\": %.6f, "
+                    ", \"trials\": %zu, \"jobs\": %d, \"wall_seconds\": %.6f, "
                     "\"trials_per_sec\": %.3f, \"speedup_vs_1thread\": %.3f, "
                     "\"events\": %llu, \"packets\": %llu, "
                     "\"hot_path_allocs\": %llu, \"allocs_per_event\": %.6f, "
@@ -312,9 +306,9 @@ class SweepSession {
       out += buf;
       for (const auto& [key, value] : e.extras) {
         out.pop_back();  // reopen the entry object
-        out += ", \"";
-        append_escaped(out, key);
-        std::snprintf(buf, sizeof(buf), "\": %.6f}", value);
+        out += ", ";
+        obs::json::append_string(out, key);
+        std::snprintf(buf, sizeof(buf), ": %.6f}", value);
         out += buf;
       }
     }
@@ -323,13 +317,9 @@ class SweepSession {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6f", total_wall);
     out += std::string("  \"total_wall_seconds\": ") + buf + "\n}\n";
-    FILE* f = std::fopen("BENCH_sweep.json", "w");
-    if (!f) {
+    if (!obs::json::write_file("BENCH_sweep.json", out)) {
       std::fprintf(stderr, "[sweep] cannot write BENCH_sweep.json\n");
-      return;
     }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
   }
 
   std::string name_;

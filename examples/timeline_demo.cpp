@@ -17,10 +17,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "cli_args.hpp"
 #include "experiment/harness.hpp"
 #include "obs/context.hpp"
+#include "obs/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace h2sim;
@@ -41,17 +43,16 @@ int main(int argc, char** argv) {
   const std::string events_path = prefix + ".events.ndjson";
   const std::string metrics_path = prefix + ".metrics.json";
   const auto& events = obs::tracer().events();
-  if (!obs::write_chrome_trace(events, trace_path)) {
-    std::fprintf(stderr, "timeline_demo: cannot write %s\n", trace_path.c_str());
-    return 1;
-  }
-  if (!obs::write_ndjson(events, events_path)) {
-    std::fprintf(stderr, "timeline_demo: cannot write %s\n", events_path.c_str());
-    return 1;
-  }
-  if (!obs::write_metrics_json(obs::metrics().snapshot(), metrics_path)) {
-    std::fprintf(stderr, "timeline_demo: cannot write %s\n", metrics_path.c_str());
-    return 1;
+  const std::pair<const std::string&, std::string> outputs[] = {
+      {trace_path, obs::chrome_trace_json(events)},
+      {events_path, obs::ndjson(events)},
+      {metrics_path, obs::metrics_json(obs::metrics().snapshot())},
+  };
+  for (const auto& [path, body] : outputs) {
+    if (!obs::json::write_file(path, body)) {
+      std::fprintf(stderr, "timeline_demo: cannot write %s\n", path.c_str());
+      return 1;
+    }
   }
 
   std::printf("attacked trial, seed %llu: page %s in %.2fs\n",

@@ -1,7 +1,6 @@
 #include "defense/padplan.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 
@@ -31,23 +30,11 @@ std::size_t PadPlan::fallback_target(std::size_t size) const {
   return found ? best : size;
 }
 
-namespace {
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  // %.17g: shortest round-trippable double, matching the AggregateTable
-  // convention — byte-identical files mean bit-identical values.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string PadPlan::serialize() const {
   std::string out = "{\"version\":1,\"budget\":";
-  append_double(out, budget);
+  obs::json::append_number(out, budget);
   out += ",\"achieved_overhead\":";
-  append_double(out, achieved_overhead);
+  obs::json::append_number(out, achieved_overhead);
   out += ",\"min_class\":" + std::to_string(min_class);
   out += ",\"entries\":[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -57,7 +44,7 @@ std::string PadPlan::serialize() const {
     for (std::size_t j = 0; j < e.targets.size(); ++j) {
       if (j) out += ',';
       out += "{\"to\":" + std::to_string(e.targets[j].to) + ",\"p\":";
-      append_double(out, e.targets[j].p);
+      obs::json::append_number(out, e.targets[j].p);
       out += '}';
     }
     out += "]}";

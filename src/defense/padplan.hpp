@@ -50,7 +50,8 @@ struct PadPlan {
   /// inside the plan's size classes instead of leaking fresh sizes.
   std::size_t fallback_target(std::size_t size) const;
 
-  /// Deterministic single-line JSON (sorted entries, %.17g doubles): equal
+  /// Deterministic single-line JSON (sorted entries, doubles through
+  /// obs::json::append_number, so %.17g and `null` if not finite): equal
   /// plans serialize byte-identically on every platform, so plan files can
   /// be committed and sha256-compared like the capture goldens.
   std::string serialize() const;

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 
+#include "obs/json.hpp"
 #include "sim/parse_number.hpp"
 
 namespace h2sim::defense {
@@ -188,11 +187,9 @@ std::optional<PaddingSpec> parse_padding_spec(const std::string& text) {
     return PaddingSpec::random_pad(f);
   }
   if (v.starts_with("plan:")) {
-    std::ifstream in(text.substr(5));
-    if (!in) return std::nullopt;
-    std::ostringstream body;
-    body << in.rdbuf();
-    auto plan = PadPlan::parse(body.str());
+    std::string body;
+    if (!obs::json::read_file(text.substr(5), body)) return std::nullopt;
+    auto plan = PadPlan::parse(body);
     if (!plan) return std::nullopt;
     return PaddingSpec::constrained(
         std::make_shared<const PadPlan>(std::move(*plan)));

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -26,39 +25,13 @@ namespace {
 
 constexpr std::uint64_t kSeedCellStride = 1'000'003;
 
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  char buf[1 << 16];
-  std::size_t n;
-  out.clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 /// Durability discipline for everything the manifest references: write the
 /// full content to a sibling .tmp and rename over the target, so a SIGKILL
 /// at any instant leaves either the previous file or the new one.
 bool write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) return false;
-  const bool wrote =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  if (std::fclose(f) != 0 || !wrote) return false;
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return obs::json::write_file(tmp, content) &&
+         std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 bool mkdir_p(const std::string& dir) {
@@ -90,7 +63,7 @@ std::string config_digest(const CampaignOptions& o) {
   s += std::to_string(o.seed_base) + "|";
   s += std::to_string(o.trials_per_cell) + "|";
   s += std::to_string(o.wave_seeds) + "|";
-  obs::append_exact_double(s, o.ci_stop_halfwidth);
+  obs::json::append_number(s, o.ci_stop_halfwidth);
   s += "|" + o.ci_stop_field + "|" + std::to_string(o.ci_stop_min_trials);
   for (const CampaignCell& c : o.cells) s += "|" + c.label;
   return obs::sha256_hex(s);
@@ -170,7 +143,7 @@ class WaveSink : public ResultSink {
 
 long peak_rss_kb() {
   std::string status;
-  if (!read_file("/proc/self/status", status)) return 0;
+  if (!obs::json::read_file("/proc/self/status", status)) return 0;
   const std::size_t pos = status.find("VmHWM:");
   if (pos == std::string::npos) return 0;
   return std::atol(status.c_str() + pos + 6);
@@ -178,27 +151,27 @@ long peak_rss_kb() {
 
 std::string CampaignManifest::json() const {
   std::string s = "{\n";
-  s += "  \"config_digest\": " + quoted(config_digest) + ",\n";
+  s += "  \"config_digest\": " + obs::json::quoted(config_digest) + ",\n";
   s += "  \"seed_base\": " + std::to_string(seed_base) + ",\n";
   s += "  \"trials_per_cell\": " + std::to_string(trials_per_cell) + ",\n";
   s += "  \"wave_seeds\": " + std::to_string(wave_seeds) + ",\n";
   s += "  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i) s += ", ";
-    s += quoted(cells[i]);
+    s += obs::json::quoted(cells[i]);
   }
   s += "],\n  \"shards\": [";
   for (std::size_t i = 0; i < shards.size(); ++i) {
     s += i ? ",\n    " : "\n    ";
-    s += "{\"file\": " + quoted(shards[i].file);
+    s += "{\"file\": " + obs::json::quoted(shards[i].file);
     s += ", \"rows\": " + std::to_string(shards[i].rows);
-    s += ", \"sha256\": " + quoted(shards[i].sha256) + "}";
+    s += ", \"sha256\": " + obs::json::quoted(shards[i].sha256) + "}";
   }
   s += shards.empty() ? "],\n" : "\n  ],\n";
   s += "  \"stopped_cells\": [";
   for (std::size_t i = 0; i < stopped_cells.size(); ++i) {
     if (i) s += ", ";
-    s += quoted(stopped_cells[i]);
+    s += obs::json::quoted(stopped_cells[i]);
   }
   s += "],\n";
   s += std::string("  \"complete\": ") + (complete ? "true" : "false") + "\n}\n";
@@ -303,7 +276,7 @@ CampaignOutcome run_campaign(const CampaignOptions& opts) {
   std::uint64_t wave = 0;
   if (opts.resume) {
     std::string text;
-    if (!read_file(out.manifest_path, text)) {
+    if (!obs::json::read_file(out.manifest_path, text)) {
       out.error = "campaign: --resume but no readable " + out.manifest_path;
       return out;
     }
@@ -322,7 +295,7 @@ CampaignOutcome run_campaign(const CampaignOptions& opts) {
     for (const CampaignManifest::Shard& shard : manifest.shards) {
       std::string content;
       const std::string path = opts.out_dir + "/" + shard.file;
-      if (!read_file(path, content)) {
+      if (!obs::json::read_file(path, content)) {
         out.error = "campaign: missing shard " + path;
         return out;
       }

@@ -45,19 +45,15 @@ TrialRecord make_trial_record(std::uint64_t index, const TrialConfig& cfg,
 std::string trial_record_ndjson(const TrialRecord& rec) {
   std::string out = "{\"index\": " + std::to_string(rec.index);
   out += ", \"seed\": " + std::to_string(rec.seed);
-  out += ", \"cell\": \"";
-  for (const char c : rec.cell) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += "\", \"v\": {";
+  out += ", \"cell\": ";
+  obs::json::append_string(out, rec.cell);
+  out += ", \"v\": {";
   const auto& names = TrialRecord::field_names();
   for (std::size_t i = 0; i < TrialRecord::kFieldCount; ++i) {
     if (i) out += ", ";
-    out += '"';
-    out += names[i];
-    out += "\": ";
-    obs::append_exact_double(out, rec.values[i]);
+    obs::json::append_string(out, names[i]);
+    out += ": ";
+    obs::json::append_number(out, rec.values[i]);
   }
   out += "}}";
   return out;

@@ -49,8 +49,9 @@ struct TrialRecord {
 TrialRecord make_trial_record(std::uint64_t index, const TrialConfig& cfg,
                               const std::string& cell, const TrialResult& r);
 
-/// One-line NDJSON rendering. Doubles print %.17g, so a re-parsed line is
-/// value-identical and a re-serialized record is byte-identical.
+/// One-line NDJSON rendering through obs::json. Doubles print %.17g, so a
+/// re-parsed line is value-identical and a re-serialized record is
+/// byte-identical; a non-finite value prints as `null`.
 std::string trial_record_ndjson(const TrialRecord& rec);
 /// Inverse of trial_record_ndjson; nullopt on malformed or schema-foreign
 /// lines (unknown/missing fields).

@@ -141,6 +141,11 @@ Stream* Connection::find_stream(std::uint32_t id) {
   return last_stream_;
 }
 
+bool Connection::is_idle(std::uint32_t id) const {
+  const bool remote_origin = is_server_ ? (id % 2 == 1) : (id % 2 == 0);
+  return remote_origin ? id > highest_remote_stream_ : id >= next_local_stream_;
+}
+
 void Connection::destroy_stream_if_closed(std::uint32_t id) {
   Stream* s = find_stream(id);
   if (!s || !s->closed()) return;
@@ -430,6 +435,11 @@ void Connection::handle_data(const FrameView& f) {
     connection_error(ErrorCode::kProtocolError, "DATA padding overruns payload");
     return;
   }
+  Stream* s = find_stream(f.stream_id);
+  if (!s && is_idle(f.stream_id)) {  // RFC 7540 §5.1
+    connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
+    return;
+  }
   // The whole payload, padding included, counts against flow control
   // (RFC 7540 §6.1); only the body reaches the application.
   const auto len = static_cast<std::int64_t>(f.payload.size());
@@ -439,7 +449,6 @@ void Connection::handle_data(const FrameView& f) {
   }
   conn_recv_window_.consume(len);
 
-  Stream* s = find_stream(f.stream_id);
   const bool end = f.has_flag(flags::kEndStream);
   if (s && s->can_recv_data() && !s->recv_window().can_send(len)) {
     // Past the stream's advertised window: a stream FLOW_CONTROL_ERROR
@@ -557,11 +566,13 @@ void Connection::finish_header_block() {
       // Late HEADERS on an already-closed stream: ignore (lenient).
       return;
     }
+    // A refused id is used, not idle: later frames on it are late frames
+    // on a closed stream (§5.1.1).
+    highest_remote_stream_ = stream_id;
     if (streams_.size() >= cfg_.max_concurrent_streams) {
       send_rst_stream(stream_id, ErrorCode::kRefusedStream);
       return;
     }
-    highest_remote_stream_ = stream_id;
     s = &create_stream(stream_id);
   }
   const StreamState before = s->state();
@@ -645,8 +656,12 @@ void Connection::handle_rst(const FrameView& f) {
     connection_error(ErrorCode::kFrameSizeError, "bad RST_STREAM length");
     return;
   }
-  metrics_.rst_received.inc();
   Stream* s = find_stream(f.stream_id);
+  if (!s && is_idle(f.stream_id)) {  // RFC 7540 §6.4
+    connection_error(ErrorCode::kProtocolError, "RST_STREAM on idle stream");
+    return;
+  }
+  metrics_.rst_received.inc();
   if (s) {
     // The paper's key server-side mechanic (Fig. 6): the reset flushes all
     // of this stream's queued object segments from the server queue.
@@ -689,6 +704,9 @@ void Connection::handle_window_update(const FrameView& f) {
       reset_stream_on_error(f.stream_id, ErrorCode::kFlowControlError);
       return;
     }
+  } else if (is_idle(f.stream_id)) {  // RFC 7540 §5.1
+    connection_error(ErrorCode::kProtocolError, "WINDOW_UPDATE on idle stream");
+    return;
   }
   pump();
 }

@@ -150,6 +150,10 @@ class Connection {
   void on_tls_established();
   void on_plaintext(std::span<const std::uint8_t> bytes);
   void handle_frame(const FrameView& f);
+  /// True for a stream id not used yet (RFC 7540 §5.1): the peer has not
+  /// opened it (a refused id counts as opened), or this end has not. Asked
+  /// only for ids with no live stream; a closed stream is not idle.
+  bool is_idle(std::uint32_t id) const;
   void handle_data(const FrameView& f);
   void handle_headers(const FrameView& f);
   void handle_continuation(const FrameView& f);

@@ -1,7 +1,8 @@
 #include "obs/aggregate.hpp"
 
 #include <cmath>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace h2sim::obs {
 
@@ -44,13 +45,9 @@ void CellAggregate::observe(const std::string& histogram, double value) {
 void CellAggregate::merge(const CellAggregate& o) {
   trials += o.trials;
   for (const auto& [field, acc] : o.stats) stats[field].merge(acc);
-  for (const auto& [name, h] : o.histograms) {
-    if (!histograms[name].merge(h)) {
-      // Mismatched edges cannot be combined; drop the foreign histogram
-      // rather than silently corrupting counts. (Callers control edges, so
-      // this only fires on schema drift between producers.)
-    }
-  }
+  // A histogram whose edges differ (schema drift between producers) is not
+  // merged: HistogramData::merge leaves this side untouched.
+  for (const auto& [name, h] : o.histograms) histograms[name].merge(h);
 }
 
 const CellAggregate* AggregateTable::find(const std::string& label) const {
@@ -68,36 +65,21 @@ void AggregateTable::merge(const AggregateTable& o) {
   for (const auto& [label, cell] : o.cells_) cells_[label].merge(cell);
 }
 
-void append_exact_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 namespace {
-
-void append_quoted_label(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 void append_stat(std::string& out, const StatAccumulator& a) {
   out += "{\"count\": " + std::to_string(a.count) + ", \"mean\": ";
-  append_exact_double(out, a.mean);
+  json::append_number(out, a.mean);
   out += ", \"m2\": ";
-  append_exact_double(out, a.m2);
+  json::append_number(out, a.m2);
   out += ", \"min\": ";
-  append_exact_double(out, a.count ? a.min : 0.0);
+  json::append_number(out, a.count ? a.min : 0.0);
   out += ", \"max\": ";
-  append_exact_double(out, a.count ? a.max : 0.0);
+  json::append_number(out, a.count ? a.max : 0.0);
   out += ", \"stddev\": ";
-  append_exact_double(out, a.stddev());
+  json::append_number(out, a.stddev());
   out += ", \"ci95\": ";
-  append_exact_double(out, a.ci95_halfwidth());
+  json::append_number(out, a.ci95_halfwidth());
   out += "}";
 }
 
@@ -107,14 +89,14 @@ std::string AggregateTable::ndjson() const {
   std::string out;
   for (const auto& [label, cell] : cells_) {
     out += "{\"cell\": ";
-    append_quoted_label(out, label);
+    json::append_string(out, label);
     out += ", \"trials\": " + std::to_string(cell.trials);
     out += ", \"stats\": {";
     bool first = true;
     for (const auto& [field, acc] : cell.stats) {
       if (!first) out += ", ";
       first = false;
-      append_quoted_label(out, field);
+      json::append_string(out, field);
       out += ": ";
       append_stat(out, acc);
     }
@@ -125,34 +107,15 @@ std::string AggregateTable::ndjson() const {
       for (const auto& [name, h] : cell.histograms) {
         if (!first) out += ", ";
         first = false;
-        append_quoted_label(out, name);
-        out += ": {\"edges\": [";
-        for (std::size_t i = 0; i < h.edges.size(); ++i) {
-          if (i) out += ", ";
-          append_exact_double(out, h.edges[i]);
-        }
-        out += "], \"counts\": [";
-        for (std::size_t i = 0; i < h.counts.size(); ++i) {
-          if (i) out += ", ";
-          out += std::to_string(h.counts[i]);
-        }
-        out += "], \"count\": " + std::to_string(h.count) + ", \"sum\": ";
-        append_exact_double(out, h.sum);
-        out += "}";
+        json::append_string(out, name);
+        out += ": ";
+        append_histogram(out, h);
       }
       out += "}";
     }
     out += "}\n";
   }
   return out;
-}
-
-bool AggregateTable::write_ndjson(const std::string& path) const {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string body = ndjson();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace h2sim::obs

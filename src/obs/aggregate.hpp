@@ -66,8 +66,8 @@ struct CellAggregate {
 
 /// Per-cell aggregate table keyed by config-cell label ("attack=full,pad=0").
 /// The NDJSON rendering is deterministic: cells sort by label, fields by
-/// name, and doubles print with %.17g so every finite value round-trips
-/// bit-exactly through parse().
+/// name, and doubles print through json::append_number (%.17g) so every
+/// finite value round-trips bit-exactly through parse().
 class AggregateTable {
  public:
   CellAggregate& cell(const std::string& label) { return cells_[label]; }
@@ -82,17 +82,11 @@ class AggregateTable {
   /// carries the raw Welford state (count/mean/m2/min/max) plus the derived
   /// stddev and ci95 for human consumption.
   std::string ndjson() const;
-  bool write_ndjson(const std::string& path) const;
 
   bool operator==(const AggregateTable&) const = default;
 
  private:
   std::map<std::string, CellAggregate> cells_;
 };
-
-/// %.17g — the shortest printf format that round-trips every finite double
-/// bit-exactly through strtod. Shared by the aggregate/record NDJSON writers
-/// so "byte-identical file" and "bit-identical values" are the same claim.
-void append_exact_double(std::string& out, double v);
 
 }  // namespace h2sim::obs

@@ -2,11 +2,68 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "obs/metrics.hpp"
 
 namespace h2sim::obs::json {
+
+void append_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+std::string quoted(std::string_view s) {
+  std::string out;
+  append_string(out, s);
+  return out;
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out += buf;
+}
+
+bool read_file(const std::string& path, std::string& out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return false;
+  char buf[1 << 16];
+  std::size_t n;
+  out.clear();
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  return ok;
+}
+
+bool write_file(const std::string& path, std::string_view body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (!f) return false;
+  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  return std::fclose(f) == 0 && wrote;
+}
 
 const Value* Value::find(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
@@ -55,11 +112,9 @@ class Parser {
     return false;
   }
 
-  bool literal(const char* word) {
-    std::size_t n = 0;
-    while (word[n]) ++n;
-    if (s_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
+  bool literal(std::string_view word) {
+    if (s_.compare(pos_, word.size(), word) != 0) return false;
+    pos_ += word.size();
     return true;
   }
 
@@ -126,76 +181,77 @@ class Parser {
   }
 
   bool parse_string(std::string& out) {
+    static constexpr std::string_view kEscapes = "\"\\/bfnrt";
+    static constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
     if (!eat('"')) return false;
     while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
+      const char c = s_[pos_++];
+      if (c == '"') return true;
       if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        if (pos_ + 1 >= s_.size()) return false;
-        const char esc = s_[pos_ + 1];
-        switch (esc) {
-          case '"': out += '"'; pos_ += 2; break;
-          case '\\': out += '\\'; pos_ += 2; break;
-          case '/': out += '/'; pos_ += 2; break;
-          case 'b': out += '\b'; pos_ += 2; break;
-          case 'f': out += '\f'; pos_ += 2; break;
-          case 'n': out += '\n'; pos_ += 2; break;
-          case 'r': out += '\r'; pos_ += 2; break;
-          case 't': out += '\t'; pos_ += 2; break;
-          case 'u': {
-            if (pos_ + 6 > s_.size()) return false;
-            for (std::size_t i = pos_ + 2; i < pos_ + 6; ++i) {
-              if (!std::isxdigit(static_cast<unsigned char>(s_[i]))) return false;
-            }
-            out.append(s_, pos_, 6);  // keep the escape verbatim
-            pos_ += 6;
-            break;
-          }
-          default: return false;
-        }
-      } else {
+      if (c != '\\') {
         out += c;
+      } else if (pos_ >= s_.size()) {
+        return false;
+      } else if (const auto k = kEscapes.find(s_[pos_]); k != kEscapes.npos) {
+        out += kDecoded[k];
         ++pos_;
+      } else if (s_[pos_] != 'u' || !unicode_escape(out)) {
+        return false;
       }
     }
     return false;  // unterminated
   }
 
+  /// Decodes the `\uXXXX` whose `u` is at pos_ to UTF-8; a surrogate pair
+  /// decodes to the code point it names, a lone surrogate as itself.
+  bool unicode_escape(std::string& out) {
+    std::uint32_t cp = 0, low = 0;
+    if (!hex4(pos_ + 1, cp)) return false;
+    pos_ += 5;
+    if (cp >= 0xd800 && cp < 0xdc00 && s_.compare(pos_, 2, "\\u") == 0 &&
+        hex4(pos_ + 2, low) && low >= 0xdc00 && low < 0xe000) {
+      cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+      pos_ += 6;
+    }
+    const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    constexpr std::uint8_t kLead[] = {0x00, 0xc0, 0xe0, 0xf0};
+    out += static_cast<char>(kLead[tail] | (cp >> (6 * tail)));
+    for (int i = tail - 1; i >= 0; --i) {
+      out += static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3f));
+    }
+    return true;
+  }
+
+  /// The four hex digits at `at` as a code unit; false when cut short or
+  /// not hex.
+  bool hex4(std::size_t at, std::uint32_t& unit) const {
+    if (at + 4 > s_.size()) return false;
+    unit = 0;
+    for (std::size_t i = at; i < at + 4; ++i) {
+      const auto c = static_cast<unsigned char>(s_[i]);
+      if (!std::isxdigit(c)) return false;
+      unit = unit * 16 + (std::isdigit(c) ? c - '0' : (c | 0x20) - 'a' + 10);
+    }
+    return true;
+  }
+
+  /// One or more decimal digits.
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
   bool parse_number(Value& out) {
     const std::size_t start = pos_;
-    if (eat('-')) {
-    }
-    if (eat('0')) {
-      // no leading zeros
-    } else {
-      if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        return false;
-      }
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (eat('.')) {
-      if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        return false;
-      }
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        return false;
-      }
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-      }
+    eat('-');
+    if (!eat('0') && !digits()) return false;  // no leading zeros
+    if (eat('.') && !digits()) return false;
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (!digits()) return false;
     }
     out.kind = Value::Kind::kNumber;
     out.number = std::strtod(s_.c_str() + start, nullptr);

@@ -6,15 +6,38 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+/// The one JSON reader and writer. Every document the simulator and its
+/// tools emit (metrics, traces, aggregates, trial records, campaign
+/// manifests, pad plans, tool stdout) is built with the writer half below,
+/// and every one they read back goes through parse().
 namespace h2sim::obs::json {
 
-/// Minimal JSON DOM used to validate and inspect the tracer's / registry's
-/// own exports (round-trip tests, example post-processing). Not a general
-/// purpose library: strict RFC 8259 syntax, numbers as double, no
-/// surrogate-pair decoding (escapes are preserved verbatim in strings),
-/// nesting capped at kMaxDepth.
+/// Appends `s` as a JSON string literal (RFC 8259 §7): quoted, with `"`,
+/// `\`, newline and tab escaped by name and every other control byte as
+/// `\u00XX`. All other bytes, UTF-8 included, pass through verbatim.
+void append_string(std::string& out, std::string_view s);
+/// append_string into a fresh string, for printf-style emitters.
+std::string quoted(std::string_view s);
+/// Appends `v` as %.17g, the shortest printf format that round-trips every
+/// finite double bit-exactly through strtod (so byte-identical documents
+/// mean bit-identical values), or as `null` when `v` is not finite: JSON
+/// has no inf/nan literal.
+void append_number(std::string& out, double v);
+
+/// Reads the whole file into `out`; false when it cannot be opened or read.
+bool read_file(const std::string& path, std::string& out);
+/// Writes `body` to `path`, replacing it; false (errno intact) when the open,
+/// the write or the close fails.
+bool write_file(const std::string& path, std::string_view body);
+
+/// Minimal JSON DOM used to read back the documents the writer produced
+/// (manifests, shards, pad plans, metrics) and to validate exports in
+/// tests. Not a general purpose library: strict RFC 8259 syntax, numbers as
+/// double, `\u` escapes decoded to UTF-8 (a surrogate pair to the code
+/// point it names), nesting capped at kMaxDepth.
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;

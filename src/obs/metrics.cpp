@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace h2sim::obs {
 
@@ -96,42 +96,21 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return s;
 }
 
-namespace {
-
-void append_double(std::string& out, double v) {
-  // JSON has no inf/nan literals; "%.17g" would happily print them and
-  // corrupt the document for strict parsers (including obs::json::parse).
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
+void append_histogram(std::string& out, const HistogramData& h) {
+  out += "{\"edges\": [";
+  for (std::size_t i = 0; i < h.edges.size(); ++i) {
+    if (i) out += ", ";
+    json::append_number(out, h.edges[i]);
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+  out += "], \"counts\": [";
+  for (std::size_t i = 0; i < h.counts.size(); ++i) {
+    if (i) out += ", ";
+    out += std::to_string(h.counts[i]);
   }
-  out += '"';
+  out += "], \"count\": " + std::to_string(h.count) + ", \"sum\": ";
+  json::append_number(out, h.sum);
+  out += "}";
 }
-
-}  // namespace
 
 std::string metrics_json(const MetricsSnapshot& snap) {
   std::string out = "{\n  \"counters\": {";
@@ -139,7 +118,7 @@ std::string metrics_json(const MetricsSnapshot& snap) {
   for (const auto& [name, v] : snap.counters) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_quoted(out, name);
+    json::append_string(out, name);
     out += ": " + std::to_string(v);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -148,9 +127,9 @@ std::string metrics_json(const MetricsSnapshot& snap) {
   for (const auto& [name, v] : snap.gauges) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_quoted(out, name);
+    json::append_string(out, name);
     out += ": ";
-    append_double(out, v);
+    json::append_number(out, v);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -158,31 +137,12 @@ std::string metrics_json(const MetricsSnapshot& snap) {
   for (const auto& [name, h] : snap.histograms) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_quoted(out, name);
-    out += ": {\"edges\": [";
-    for (std::size_t i = 0; i < h.edges.size(); ++i) {
-      if (i) out += ", ";
-      append_double(out, h.edges[i]);
-    }
-    out += "], \"counts\": [";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) out += ", ";
-      out += std::to_string(h.counts[i]);
-    }
-    out += "], \"count\": " + std::to_string(h.count) + ", \"sum\": ";
-    append_double(out, h.sum);
-    out += "}";
+    json::append_string(out, name);
+    out += ": ";
+    append_histogram(out, h);
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;
-}
-
-bool write_metrics_json(const MetricsSnapshot& snap, const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string body = metrics_json(snap);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace h2sim::obs

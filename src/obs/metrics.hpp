@@ -34,6 +34,11 @@ struct HistogramData {
   bool operator==(const HistogramData&) const = default;
 };
 
+/// Appends `h` as the JSON object {"edges": [...], "counts": [...],
+/// "count": N, "sum": S}, numbers through json::append_number. The one
+/// histogram rendering of the metrics and aggregate documents.
+void append_histogram(std::string& out, const HistogramData& h);
+
 /// Convenience bucket-edge generators.
 std::vector<double> linear_buckets(double start, double width, std::size_t n);
 std::vector<double> exponential_buckets(double start, double factor, std::size_t n);
@@ -145,7 +150,5 @@ class MetricsRegistry {
 
 /// Renders a snapshot as a stable, human-diffable JSON document.
 std::string metrics_json(const MetricsSnapshot& snap);
-/// Writes metrics_json(snap) to `path`; false (with errno intact) on failure.
-bool write_metrics_json(const MetricsSnapshot& snap, const std::string& path);
 
 }  // namespace h2sim::obs

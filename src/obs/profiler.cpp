@@ -1,7 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include "obs/context.hpp"
 
@@ -67,10 +66,10 @@ std::vector<TraceEvent> Profiler::counter_events(sim::TimePoint t) const {
     e.name = std::string("wall_self_us.") + to_string(c);
     e.ts_ns = t.count_nanos();
     e.pid = track::kClient;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "\"wall_self_us\": %.3f",
-                  static_cast<double>(component_self_ns_[i]) / 1000.0);
-    e.args = buf;
+    e.args = TraceArgs()
+                 .add("wall_self_us",
+                      static_cast<double>(component_self_ns_[i]) / 1000.0)
+                 .take();
     events.push_back(std::move(e));
   }
   return events;

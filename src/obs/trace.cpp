@@ -1,6 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
+#include <utility>
+
+#include "obs/json.hpp"
 
 namespace h2sim::obs {
 
@@ -22,37 +25,6 @@ const char* to_string(Component c) {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
-  append_escaped(out, s);
-  out += '"';
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 /// Microseconds with nanosecond fraction, the unit Chrome trace expects.
 void append_micros(std::string& out, std::int64_t ns) {
   char buf[48];
@@ -66,7 +38,7 @@ void append_micros(std::string& out, std::int64_t ns) {
 
 void TraceArgs::key(std::string_view k) {
   if (!s_.empty()) s_ += ", ";
-  append_quoted(s_, k);
+  json::append_string(s_, k);
   s_ += ": ";
 }
 
@@ -84,13 +56,13 @@ TraceArgs& TraceArgs::add(std::string_view k, std::uint64_t v) {
 
 TraceArgs& TraceArgs::add(std::string_view k, double v) {
   key(k);
-  append_double(s_, v);
+  json::append_number(s_, v);
   return *this;
 }
 
 TraceArgs& TraceArgs::add(std::string_view k, std::string_view v) {
   key(k);
-  append_quoted(s_, v);
+  json::append_string(s_, v);
   return *this;
 }
 
@@ -125,10 +97,8 @@ void Tracer::end(Component c, std::string name, sim::TimePoint t,
 void Tracer::counter(Component c, std::string name, sim::TimePoint t,
                      std::uint32_t pid, std::uint64_t tid, double value) {
   if (!enabled(c)) return;
-  std::string args;
-  append_quoted(args, "value");
-  args += ": ";
-  append_double(args, value);
+  std::string args = "\"value\": ";
+  json::append_number(args, value);
   events_.push_back({c, 'C', std::move(name), t.count_nanos(), 0, pid, tid,
                      std::move(args)});
 }
@@ -137,9 +107,9 @@ namespace {
 
 void append_event(std::string& out, const TraceEvent& e) {
   out += "{\"name\": ";
-  append_quoted(out, e.name);
+  json::append_string(out, e.name);
   out += ", \"cat\": ";
-  append_quoted(out, to_string(e.comp));
+  json::append_string(out, to_string(e.comp));
   out += ", \"ph\": \"";
   out += e.phase;
   out += "\", \"ts\": ";
@@ -155,24 +125,20 @@ void append_event(std::string& out, const TraceEvent& e) {
   out += "}";
 }
 
-void append_process_metadata(std::string& out, std::uint32_t pid,
-                             const char* name, bool& first) {
-  if (!first) out += ",\n";
-  first = false;
-  out += "  {\"name\": \"process_name\", \"ph\": \"M\", \"ts\": 0.000, \"pid\": " +
-         std::to_string(pid) + ", \"tid\": 0, \"args\": {\"name\": \"" + name +
-         "\"}}";
-}
-
 }  // namespace
 
 std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  append_process_metadata(out, track::kClient, "client", first);
-  append_process_metadata(out, track::kServer, "server", first);
-  append_process_metadata(out, track::kNetwork, "network", first);
-  append_process_metadata(out, track::kAdversary, "adversary", first);
+  const std::pair<std::uint32_t, const char*> tracks[] = {
+      {track::kClient, "client"}, {track::kServer, "server"},
+      {track::kNetwork, "network"}, {track::kAdversary, "adversary"}};
+  for (const auto& [pid, name] : tracks) {
+    if (pid != track::kClient) out += ",\n";
+    out += "  {\"name\": \"process_name\", \"ph\": \"M\", \"ts\": 0.000, \"pid\": " +
+           std::to_string(pid) + ", \"tid\": 0, \"args\": {\"name\": ";
+    json::append_string(out, name);
+    out += "}}";
+  }
   for (const TraceEvent& e : events) {
     out += ",\n  ";
     append_event(out, e);
@@ -188,26 +154,6 @@ std::string ndjson(const std::vector<TraceEvent>& events) {
     out += '\n';
   }
   return out;
-}
-
-namespace {
-
-bool write_file(const std::string& body, const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-}  // namespace
-
-bool write_chrome_trace(const std::vector<TraceEvent>& events,
-                        const std::string& path) {
-  return write_file(chrome_trace_json(events), path);
-}
-
-bool write_ndjson(const std::vector<TraceEvent>& events, const std::string& path) {
-  return write_file(ndjson(events), path);
 }
 
 }  // namespace h2sim::obs

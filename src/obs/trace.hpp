@@ -130,8 +130,4 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events);
 /// One JSON object per line; mechanical to consume from pandas/jq.
 std::string ndjson(const std::vector<TraceEvent>& events);
 
-bool write_chrome_trace(const std::vector<TraceEvent>& events,
-                        const std::string& path);
-bool write_ndjson(const std::vector<TraceEvent>& events, const std::string& path);
-
 }  // namespace h2sim::obs

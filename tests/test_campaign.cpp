@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "experiment/sink.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/context.hpp"
+#include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sha256.hpp"
 
@@ -155,6 +157,31 @@ TEST(AggregateTable, NdjsonIsDeterministicAndMergeable) {
   EXPECT_EQ(merged.total_trials(), 0u);  // add() doesn't bump trials
   ASSERT_NE(merged.find("a"), nullptr);
   EXPECT_EQ(merged.find("a")->stats.at("x").count, 2u);
+}
+
+// A trial record holding a non-finite value: the record line and the
+// aggregate it feeds both write null for it, so both stay parseable JSON.
+TEST(AggregateTable, NonFiniteRecordValueIsNullInBothDocuments) {
+  TrialRecord rec;
+  rec.cell = "c";
+  rec.values[4] = std::numeric_limits<double>::infinity();  // page_load_seconds
+  const std::string line = trial_record_ndjson(rec);
+  const auto doc = obs::json::parse(line);
+  ASSERT_TRUE(doc.has_value()) << line;
+  EXPECT_EQ(doc->find("v")->find("page_load_seconds")->kind,
+            obs::json::Value::Kind::kNull);
+
+  obs::AggregateTable table;
+  apply_trial_record(table, rec);
+  const std::string ndjson = table.ndjson();
+  const auto agg = obs::json::parse(ndjson);
+  ASSERT_TRUE(agg.has_value()) << ndjson;
+  const obs::json::Value* stat =
+      agg->find("stats")->find("page_load_seconds");
+  ASSERT_NE(stat, nullptr);
+  EXPECT_EQ(stat->find("mean")->kind, obs::json::Value::Kind::kNull);
+  EXPECT_EQ(stat->find("max")->kind, obs::json::Value::Kind::kNull);
+  EXPECT_EQ(ndjson.find("inf"), std::string::npos) << ndjson;
 }
 
 // ------------------------------------------------------------ TrialRecord

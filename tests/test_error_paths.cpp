@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -243,6 +244,10 @@ TEST(ErrorPaths, ConnectionErrorIsTraced) {
   EXPECT_NE(it->args.find("FRAME_SIZE_ERROR"), std::string::npos) << it->args;
 }
 
+std::vector<std::uint8_t> to_vec(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
 TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
   struct Case {
     const char* what;
@@ -278,6 +283,23 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
        "PROTOCOL_ERROR"},
       {"PUSH_PROMISE to a client (8.2)", h2::FrameType::kPushPromise,
        h2::flags::kEndHeaders, 1, {0, 0, 0, 2, 0x82}, "PROTOCOL_ERROR",
+       /*from_server=*/true},
+      {"DATA on an idle stream (5.1)", h2::FrameType::kData, 0, 3, {1, 2, 3},
+       "PROTOCOL_ERROR"},
+      {"WINDOW_UPDATE on an idle stream (5.1)", h2::FrameType::kWindowUpdate,
+       0, 5, to_vec(h2::encode_window_update(100)), "PROTOCOL_ERROR"},
+      {"RST_STREAM on an idle stream (6.4)", h2::FrameType::kRstStream, 0,
+       9999, to_vec(h2::encode_rst_stream(h2::ErrorCode::kCancel)),
+       "PROTOCOL_ERROR"},
+      {"DATA on a stream the client never opened (5.1)", h2::FrameType::kData,
+       0, 1, {1, 2, 3}, "PROTOCOL_ERROR", /*from_server=*/true},
+      {"WINDOW_UPDATE on a stream the server never opened (5.1)",
+       h2::FrameType::kWindowUpdate, 0, 2,
+       to_vec(h2::encode_window_update(100)), "PROTOCOL_ERROR",
+       /*from_server=*/true},
+      {"RST_STREAM on a stream the client never opened (6.4)",
+       h2::FrameType::kRstStream, 0, 3,
+       to_vec(h2::encode_rst_stream(h2::ErrorCode::kCancel)), "PROTOCOL_ERROR",
        /*from_server=*/true},
   };
   for (const Case& c : cases) {
@@ -407,10 +429,19 @@ TEST(ErrorPaths, InterleavedHeaderBlockIsProtocolError) {
   EXPECT_TRUE(pair.server->dead());
 }
 
+// A late RST_STREAM on a stream both ends have closed is tolerated (RFC 7540
+// §5.1: a closed stream may still see frames in flight). An idle stream's
+// RST_STREAM is a connection error instead (ControlFrameViolations...).
 TEST(ErrorPaths, RstStreamOnUnknownStreamIsHarmless) {
   H2Pair pair;
   pair.run(1);
-  pair.client->cancel(9999);
+  const std::uint32_t sid = pair.client->send_request({{":method", "GET"}});
+  pair.run(1);
+  pair.server->send_rst_stream(sid, h2::ErrorCode::kCancel);
+  pair.run(1);
+  ASSERT_EQ(pair.server->find_stream(sid), nullptr);
+  ASSERT_EQ(pair.client->find_stream(sid), nullptr);
+  pair.client->cancel(sid);
   pair.run(2);
   EXPECT_FALSE(pair.server->dead());
   EXPECT_FALSE(pair.client->dead());

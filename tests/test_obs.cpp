@@ -189,6 +189,95 @@ TEST(ObsJson, DeepNestingIsRejectedNotACrash) {
   EXPECT_FALSE(obs::json::parse(nested(obs::json::kMaxDepth + 1)));
 }
 
+// append_string escapes every byte JSON forbids raw, and the reader decodes
+// each escape back: all 128 ASCII bytes, `"` and `\` included, round-trip
+// alone, between other bytes, and all in one string.
+TEST(ObsJson, AppendStringRoundTripsEveryAsciiByte) {
+  std::string all;
+  for (int b = 0; b < 0x80; ++b) {
+    const char c = static_cast<char>(b);
+    all += c;
+    for (const std::string& s : {std::string(1, c), "a" + std::string(1, c) + "b"}) {
+      std::string out;
+      obs::json::append_string(out, s);
+      for (const char o : out) {
+        EXPECT_GE(static_cast<unsigned char>(o), 0x20) << "byte " << b;
+      }
+      const auto v = obs::json::parse(out);
+      ASSERT_TRUE(v && v->is_string()) << "byte " << b << ": " << out;
+      EXPECT_EQ(v->string, s) << "byte " << b << ": " << out;
+    }
+  }
+  all += "\"\\";
+  const auto v = obs::json::parse(obs::json::quoted(all));
+  ASSERT_TRUE(v && v->is_string());
+  EXPECT_EQ(v->string, all);
+  EXPECT_EQ(obs::json::quoted("a\"b\\c\n\t\x01"), "\"a\\\"b\\\\c\\n\\t\\u0001\"");
+}
+
+TEST(ObsJson, UnicodeEscapesDecodeToUtf8) {
+  const auto v = obs::json::parse("\"\\u00e9\\u20ac\\ud83d\\ude00\\u0041\"");
+  ASSERT_TRUE(v && v->is_string());
+  EXPECT_EQ(v->string, "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80" "A");
+  EXPECT_FALSE(obs::json::parse("\"\\u00g0\""));
+  EXPECT_FALSE(obs::json::parse("\"\\u00\""));
+}
+
+TEST(ObsJson, AppendNumberIsExactAndWritesNonFiniteAsNull) {
+  const auto text = [](double v) {
+    std::string out;
+    obs::json::append_number(out, v);
+    return out;
+  };
+  EXPECT_EQ(text(0.1), "0.10000000000000001");
+  EXPECT_EQ(text(3.0), "3");
+  EXPECT_EQ(text(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(text(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(text(std::numeric_limits<double>::quiet_NaN()), "null");
+  const double awkward = 1.0 / 3.0;
+  const auto v = obs::json::parse(text(awkward));
+  ASSERT_TRUE(v && v->is_number());
+  EXPECT_EQ(v->number, awkward);
+}
+
+TEST(ObsJson, WriteFileThenReadFileRoundTripsAndFailuresAreReported) {
+  const std::string path = ::testing::TempDir() + "obs_json_write_file.txt";
+  const std::string body("line\n\0binary", 12);
+  ASSERT_TRUE(obs::json::write_file(path, body));
+  std::string back = "stale";
+  ASSERT_TRUE(obs::json::read_file(path, back));
+  EXPECT_EQ(back, body);
+  std::remove(path.c_str());
+  EXPECT_FALSE(obs::json::write_file("/nonexistent-dir/x.json", body));
+  EXPECT_FALSE(obs::json::read_file("/nonexistent-dir/x.json", back));
+}
+
+// A trace argument that is not finite must not leave a bare nan/inf in the
+// args object (no JSON reader accepts one).
+TEST(TracerTest, NonFiniteTraceArgIsNull) {
+  const std::string args =
+      obs::TraceArgs()
+          .add("v", std::numeric_limits<double>::quiet_NaN())
+          .add("w", -std::numeric_limits<double>::infinity())
+          .take();
+  EXPECT_EQ(args, "\"v\": null, \"w\": null");
+  const auto doc = obs::json::parse("{" + args + "}");
+  ASSERT_TRUE(doc.has_value()) << args;
+  EXPECT_EQ(doc->find("v")->kind, obs::json::Value::Kind::kNull);
+
+  obs::Tracer tr;
+  tr.enable_all();
+  tr.counter(obs::Component::kSim, "c", sim::TimePoint::origin(), 0, 0,
+             std::numeric_limits<double>::infinity());
+  tr.instant(obs::Component::kSim, "i", sim::TimePoint::origin(), 0, 0, args);
+  EXPECT_TRUE(obs::json::parse(obs::chrome_trace_json(tr.events())));
+  const std::string lines = obs::ndjson(tr.events());
+  std::istringstream in(lines);
+  for (std::string line; std::getline(in, line);) {
+    EXPECT_TRUE(obs::json::parse(line)) << line;
+  }
+}
+
 TEST(TracerTest, MaskGatesRecordingPerComponent) {
   auto& tr = obs::tracer();
   tr.disable_all();
@@ -331,7 +420,7 @@ TEST(HarnessObsTest, AttackedTrialTraceCoversAllLayers) {
   cfg.attack = experiment::full_attack_config();
   (void)experiment::run_trial(cfg);
   const std::string path = "test_obs_trial_trace.json";
-  ASSERT_TRUE(obs::write_chrome_trace(tr.events(), path));
+  ASSERT_TRUE(obs::json::write_file(path, obs::chrome_trace_json(tr.events())));
   tr.disable_all();
   tr.clear();
 

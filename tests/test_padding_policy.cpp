@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include "defense/defenses.hpp"
 #include "experiment/digest.hpp"
 #include "experiment/harness.hpp"
+#include "obs/json.hpp"
 
 namespace h2sim::defense {
 namespace {
@@ -237,6 +239,24 @@ TEST(PadPlan, SerializeParseRoundTripIsByteStable) {
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_EQ(*back, plan);
   EXPECT_EQ(back->serialize(), json) << "serialization must be deterministic";
+}
+
+// A non-finite probability or budget is written as null, so the document
+// still parses as JSON (PadPlan::parse then refuses the plan by name).
+TEST(PadPlan, NonFiniteNumbersSerializeAsNull) {
+  PadPlan plan;
+  plan.budget = std::numeric_limits<double>::infinity();
+  plan.entries = {{1000, {{2000, std::numeric_limits<double>::quiet_NaN()}}}};
+  const std::string json = plan.serialize();
+  const auto doc = obs::json::parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  EXPECT_EQ(doc->find("budget")->kind, obs::json::Value::Kind::kNull);
+  const obs::json::Value& target =
+      doc->find("entries")->array.at(0).find("targets")->array.at(0);
+  EXPECT_EQ(target.find("p")->kind, obs::json::Value::Kind::kNull);
+  std::string error;
+  EXPECT_FALSE(PadPlan::parse(json, &error).has_value());
+  EXPECT_EQ(error, "target missing \"to\" or \"p\"");
 }
 
 TEST(PadPlan, ParseRejectsMalformedPlans) {

@@ -42,6 +42,7 @@
 #include "capture/reader.hpp"
 #include "defense/policy.hpp"
 #include "obs/context.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/parse_number.hpp"
 #include "web/website.hpp"
@@ -49,29 +50,8 @@
 namespace {
 
 using namespace h2sim;
+using obs::json::quoted;
 using sim::parse_number;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -162,14 +142,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("{\"type\":\"capture\",\"file\":\"%s\",\"interfaces\":[",
-              json_escape(opt->file).c_str());
+  std::printf("{\"type\":\"capture\",\"file\":%s,\"interfaces\":[",
+              quoted(opt->file).c_str());
   for (std::size_t i = 0; i < reader.interfaces().size(); ++i) {
-    std::printf("%s\"%s\"", i ? "," : "",
-                json_escape(reader.interfaces()[i].name).c_str());
+    std::printf("%s%s", i ? "," : "", quoted(reader.interfaces()[i].name).c_str());
   }
-  std::printf("],\"iface\":\"%s\",\"packets\":%zu,\"skipped_frames\":%llu}\n",
-              json_escape(reader.interfaces()[iface].name).c_str(),
+  std::printf("],\"iface\":%s,\"packets\":%zu,\"skipped_frames\":%llu}\n",
+              quoted(reader.interfaces()[iface].name).c_str(),
               reader.packets_on(iface).size(),
               static_cast<unsigned long long>(reader.skipped_frames()));
 
@@ -224,8 +203,8 @@ int main(int argc, char** argv) {
         i, d.size_estimate, d.records, d.start.to_millis(), d.end.to_millis(),
         d.ended_by_delimiter ? "true" : "false");
     if (emblem) {
-      std::printf("\"match\":\"%s\",\"rel_error\":%.6f}\n",
-                  json_escape(emblem->label).c_str(), emblem->rel_error);
+      std::printf("\"match\":%s,\"rel_error\":%.6f}\n",
+                  quoted(emblem->label).c_str(), emblem->rel_error);
     } else if (html) {
       std::printf("\"match\":\"html\",\"rel_error\":%.6f}\n", html->rel_error);
     } else {
@@ -246,10 +225,10 @@ int main(int argc, char** argv) {
                            static_cast<double>(truth);
       rel_errors.push_back(err);
       std::printf(
-          "{\"type\":\"size_error\",\"index\":%zu,\"object\":\"%s\","
+          "{\"type\":\"size_error\",\"index\":%zu,\"object\":%s,"
           "\"wire_size\":%zu,\"recovered_size\":%zu,\"true_size\":%zu,"
           "\"rel_error\":%.6f}\n",
-          i, json_escape(matched).c_str(), d.size_estimate, recovered, truth,
+          i, quoted(matched).c_str(), d.size_estimate, recovered, truth,
           err);
     }
   }
@@ -257,18 +236,18 @@ int main(int argc, char** argv) {
   const analysis::SizeErrorStats err_stats =
       analysis::summarize_errors(rel_errors);
   std::printf(
-      "{\"type\":\"size_error_summary\",\"wire_pad\":\"%s\",\"count\":%zu,"
+      "{\"type\":\"size_error_summary\",\"wire_pad\":%s,\"count\":%zu,"
       "\"mean\":%.6f,\"p50\":%.6f,\"p90\":%.6f,\"max\":%.6f}\n",
-      opt->wire_pad.name().c_str(), err_stats.count,
+      quoted(opt->wire_pad.name()).c_str(), err_stats.count,
       err_stats.mean, err_stats.p50, err_stats.p90, err_stats.max);
 
   const analysis::DefenseSuspicion suspicion =
       analysis::suspect_defense(detections, dbs.emblems);
   std::printf(
       "{\"type\":\"defense_verdict\",\"defense_suspected\":%s,"
-      "\"db_collisions\":%d,\"inferred_quantum\":%zu,\"reason\":\"%s\"}\n",
+      "\"db_collisions\":%d,\"inferred_quantum\":%zu,\"reason\":%s}\n",
       suspicion.suspected ? "true" : "false", suspicion.db_collisions,
-      suspicion.inferred_quantum, json_escape(suspicion.reason).c_str());
+      suspicion.inferred_quantum, quoted(suspicion.reason).c_str());
 
   const analysis::SequencePrediction pred =
       analysis::predict_sequence(detections, dbs.emblems);
@@ -277,9 +256,7 @@ int main(int argc, char** argv) {
   for (std::size_t j = 0; j < pred.ranking.size(); ++j) {
     if (pred.ranking[j].empty()) complete = false;
     std::printf("%s%s", j ? "," : "",
-                pred.ranking[j].empty()
-                    ? "null"
-                    : ("\"" + json_escape(pred.ranking[j]) + "\"").c_str());
+                pred.ranking[j].empty() ? "null" : quoted(pred.ranking[j]).c_str());
   }
   std::printf("],\"complete\":%s,\"html_identified\":%s}\n",
               complete ? "true" : "false", html_identified ? "true" : "false");
@@ -301,7 +278,7 @@ int main(int argc, char** argv) {
   std::printf("{\"type\":\"metrics\",\"counters\":{");
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
-    std::printf("%s\"%s\":%llu", first ? "" : ",", json_escape(name).c_str(),
+    std::printf("%s%s:%llu", first ? "" : ",", quoted(name).c_str(),
                 static_cast<unsigned long long>(value));
     first = false;
   }

@@ -32,6 +32,7 @@
 
 #include "defense/policy.hpp"
 #include "experiment/campaign.hpp"
+#include "obs/json.hpp"
 #include "sim/parse_number.hpp"
 
 namespace {
@@ -213,10 +214,11 @@ int main(int argc, char** argv) {
 
   std::printf("{\"type\":\"campaign\",\"cells\":%zu,\"trials_total\":%" PRIu64
               ",\"trials_run\":%" PRIu64
-              ",\"complete\":%s,\"aggregates\":\"%s\",\"manifest\":\"%s\","
+              ",\"complete\":%s,\"aggregates\":%s,\"manifest\":%s,"
               "\"peak_rss_kb\":%ld}\n",
               opts.cells.size(), out.trials_total, out.trials_run,
-              out.complete ? "true" : "false", out.aggregates_path.c_str(),
-              out.manifest_path.c_str(), out.peak_rss_kb);
+              out.complete ? "true" : "false",
+              obs::json::quoted(out.aggregates_path).c_str(),
+              obs::json::quoted(out.manifest_path).c_str(), out.peak_rss_kb);
   return 0;
 }

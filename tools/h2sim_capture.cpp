@@ -28,11 +28,13 @@
 
 #include "experiment/harness.hpp"
 #include "obs/context.hpp"
+#include "obs/json.hpp"
 #include "sim/parse_number.hpp"
 
 namespace {
 
 using namespace h2sim;
+using obs::json::quoted;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -152,19 +154,19 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "{\"type\":\"capture_run\",\"seed\":%llu,\"attack\":\"%s\","
-      "\"wire_pad\":\"%s\","
-      "\"out\":\"%s\",\"page_complete\":%s,\"capture_packets\":%llu,"
+      "{\"type\":\"capture_run\",\"seed\":%llu,\"attack\":%s,"
+      "\"wire_pad\":%s,"
+      "\"out\":%s,\"page_complete\":%s,\"capture_packets\":%llu,"
       "\"capture_bytes\":%llu,\"records_observed\":%zu,\"gets_counted\":%d,"
       "\"predicted\":[",
-      static_cast<unsigned long long>(cfg.seed), attack_mode.c_str(),
-      cfg.defense.padding.name().c_str(),
-      cfg.capture.path.c_str(), r.page_complete ? "true" : "false",
+      static_cast<unsigned long long>(cfg.seed), quoted(attack_mode).c_str(),
+      quoted(cfg.defense.padding.name()).c_str(),
+      quoted(cfg.capture.path).c_str(), r.page_complete ? "true" : "false",
       static_cast<unsigned long long>(r.capture_packets),
       static_cast<unsigned long long>(r.capture_bytes_written),
       r.records_observed, r.gets_counted);
   for (std::size_t j = 0; j < r.predicted.size(); ++j) {
-    std::printf("%s\"%s\"", j ? "," : "", r.predicted[j].c_str());
+    std::printf("%s%s", j ? "," : "", quoted(r.predicted[j]).c_str());
   }
   std::printf("],\"truth\":[");
   for (std::size_t j = 0; j < r.truth.size(); ++j) {

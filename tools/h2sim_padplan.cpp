@@ -14,10 +14,10 @@
 // cardinality the plan guarantees.
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "defense/defenses.hpp"
+#include "obs/json.hpp"
 #include "sim/parse_number.hpp"
 #include "web/website.hpp"
 
@@ -74,13 +74,9 @@ int main(int argc, char** argv) {
 
   if (out_path.empty()) {
     std::printf("%s\n", json.c_str());
-  } else {
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "h2sim-padplan: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << json << '\n';
+  } else if (!obs::json::write_file(out_path, json + '\n')) {
+    std::fprintf(stderr, "h2sim-padplan: cannot write %s\n", out_path.c_str());
+    return 1;
   }
   std::fprintf(stderr,
                "h2sim-padplan: %zu size(s), budget %.4f, achieved overhead "
