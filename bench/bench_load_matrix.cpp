@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "experiment/harness.hpp"
-#include "experiment/scenario.hpp"
 #include "experiment/sink.hpp"
 #include "experiment/table_printer.hpp"
 #include "obs/aggregate.hpp"
@@ -61,28 +60,27 @@ int main(int argc, char** argv) {
 
   bench::SweepSession sweep("bench_load_matrix");
 
-  // One scenario template for the whole matrix: the site is load-independent,
-  // so every cell shares a single prebuilt site and differs only in its
+  // One base config for the whole matrix: cells differ only in their
   // background-client count.
-  experiment::TrialConfig proto;
-  proto.attack = experiment::full_attack_config();
+  experiment::TrialConfig base;
+  base.attack = experiment::full_attack_config();
   // Bound the background tail: the victim's page (attacked) completes well
   // inside this, and the bulk/poll/drip flows stop consuming events when the
   // clock runs out, keeping cell cost proportional to client count.
-  proto.sim_limit = sim::Duration::seconds(30);
-  const experiment::ScenarioTemplate base{std::move(proto)};
+  base.sim_limit = sim::Duration::seconds(30);
 
   TablePrinter table({"clients", "acc HTML", "acc I1-I8 (mean)", "acc mean",
                       "pages complete"});
 
   for (const int clients : counts) {
-    const experiment::ScenarioTemplate cell = base.with_background(clients - 1);
+    base.load.background_clients = clients - 1;
     const std::string label = "load_c" + std::to_string(clients);
 
     std::vector<experiment::TrialConfig> cfgs;
     cfgs.reserve(static_cast<std::size_t>(trials));
     for (int t = 0; t < trials; ++t) {
-      cfgs.push_back(cell.instantiate(70000 + static_cast<std::uint64_t>(t)));
+      cfgs.push_back(base);
+      cfgs.back().seed = 70000 + static_cast<std::uint64_t>(t);
     }
 
     // Collected pass: accuracy + the gated trials/s and alloc ratios. The

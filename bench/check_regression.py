@@ -22,8 +22,6 @@ entirely is a HARD failure (shown as "missing" in the delta table): a
 silently dropped field would otherwise pass the ceiling/floor checks
 forever with its implicit zero.
 
-setup_seconds_mean (per-trial world-construction time) is reported for
-trend-watching but never gated: it is wall-clock and machine-dependent.
 A baseline entry that predates a gated ratio leaves that ratio ungated;
 --strict-new refuses such stale entries so the baseline must be
 refreshed together with the field that introduced it.
@@ -262,8 +260,6 @@ def main(argv):
                     )
         camp_old = camp_old or 0.0
 
-        setup_new = r.get("setup_seconds_mean", 0.0)
-        setup_old = b.get("setup_seconds_mean", 0.0)
         if verdicts:
             failures.append(f"sweep '{label}': " + "; ".join(verdicts))
 
@@ -281,8 +277,6 @@ def main(argv):
                 cpe_new_txt,
                 f"{camp_old:.2f}",
                 camp_new_txt,
-                f"{setup_old * 1e3:.2f}",
-                f"{setup_new * 1e3:.2f}",
                 verdict_txt,
             )
         )
@@ -307,8 +301,6 @@ def main(argv):
                 f"{r.get('cascades_per_event', 0.0):.4f}",
                 "-",
                 f"{r.get('campaign_trials_per_sec', 0.0):.2f}",
-                "-",
-                f"{r.get('setup_seconds_mean', 0.0) * 1e3:.2f}",
                 "NEW" if not strict_new else "FAIL",
             )
         )
@@ -330,8 +322,6 @@ def main(argv):
         "casc/event (run)",
         "camp/s (base)",
         "camp/s (run)",
-        "setup ms (base)",
-        "setup ms (run)",
         "verdict",
     )
     widths = [

@@ -83,10 +83,6 @@ struct SweepEntry {
   std::uint64_t sched_cascades = 0;
   std::uint64_t sched_cancels = 0;
   double cascades_per_event = 0.0;
-  /// Mean per-trial world-construction wall time (the residual setup that
-  /// sweep-level scenario templates could not amortize). Wall-clock, so
-  /// reported for trend-watching but never gated.
-  double setup_seconds_mean = 0.0;
   /// > 0 only for run_streamed sweeps: trials/s through the campaign path
   /// (AggregatingSink, collect_results=false — no TrialResult vector).
   /// check_regression.py gates it with the same floor rule as
@@ -197,8 +193,6 @@ class SweepSession {
     e.wall_seconds = wall;
     e.campaign_trials_per_sec =
         wall > 0 ? static_cast<double>(cfgs.size()) / wall : 0.0;
-    e.setup_seconds_mean =
-        obs::metrics().gauge_value("experiment.setup_seconds_mean");
     std::fprintf(stderr,
                  "[sweep] %s: %zu trials in %.2fs (%.1f campaign trials/s, "
                  "%d jobs, streamed)\n",
@@ -250,15 +244,11 @@ class SweepSession {
         e.packets ? static_cast<double>(e.hot_path_allocs) / static_cast<double>(e.packets) : 0.0;
     e.cascades_per_event =
         e.events ? static_cast<double>(e.sched_cascades) / static_cast<double>(e.events) : 0.0;
-    // run_trials records the sweep's mean setup time in the caller context.
-    e.setup_seconds_mean =
-        obs::metrics().gauge_value("experiment.setup_seconds_mean");
     std::fprintf(stderr,
                  "[sweep] %s: %zu trials in %.2fs (%.1f trials/s, %d jobs, "
-                 "%.4f allocs/event, %.4f cascades/event, %.1fms setup/trial)\n",
+                 "%.4f allocs/event, %.4f cascades/event)\n",
                  label.c_str(), e.trials, wall, e.trials_per_sec, jobs,
-                 e.allocs_per_event, e.cascades_per_event,
-                 e.setup_seconds_mean * 1e3);
+                 e.allocs_per_event, e.cascades_per_event);
     entries_.push_back(std::move(e));
   }
 
@@ -290,7 +280,6 @@ class SweepSession {
                     "\"allocs_per_packet\": %.6f, "
                     "\"sched_slots_scanned\": %llu, \"sched_cascades\": %llu, "
                     "\"sched_cancels\": %llu, \"cascades_per_event\": %.6f, "
-                    "\"setup_seconds_mean\": %.9f, "
                     "\"campaign_trials_per_sec\": %.3f}",
                     e.trials, e.jobs, e.wall_seconds, e.trials_per_sec,
                     e.speedup_vs_1thread,
@@ -301,7 +290,7 @@ class SweepSession {
                     static_cast<unsigned long long>(e.sched_slots_scanned),
                     static_cast<unsigned long long>(e.sched_cascades),
                     static_cast<unsigned long long>(e.sched_cancels),
-                    e.cascades_per_event, e.setup_seconds_mean,
+                    e.cascades_per_event,
                     e.campaign_trials_per_sec);
       out += buf;
       for (const auto& [key, value] : e.extras) {

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,14 +79,6 @@ struct TrialConfig {
   /// when the custom site defines `emblem_paths`/`html_path` analogously;
   /// otherwise consume results through the inspectors above.
   std::function<web::Website()> site_builder;
-
-  /// Sweep-level shared site (see experiment::ScenarioTemplate): a fully
-  /// built site, body pattern included, reused read-only by every trial of a
-  /// sweep. Honored only when the site really is seed-independent
-  /// (experiment::site_is_seed_independent); otherwise the trial builds its
-  /// own site exactly as before. The site a trial sees is byte-identical
-  /// either way, so results do not depend on whether a sweep shared it.
-  std::shared_ptr<const web::Website> prebuilt_site;
 
   static net::Topology::Config default_path();
   static h2::ConnectionConfig default_server_h2();
@@ -192,14 +183,11 @@ struct TrialResult {
   bool operator==(const TrialResult&) const = default;
 };
 
-TrialResult run_trial(const TrialConfig& cfg);
-
-/// Wall-clock nanoseconds the calling thread's most recent run_trial spent
-/// constructing the world (everything before the first simulated event).
-/// Thread-local and nondeterministic by nature, which is why it lives beside
-/// the TrialResult instead of on it; run_trials() aggregates it into the
-/// sweep-level experiment.setup_* gauges.
-std::uint64_t last_trial_setup_nanos();
+/// Runs one trial in the current obs::Context. `site`, when given, stands in
+/// for the site `cfg` would build (see TrialWorld); run_trials passes one
+/// shared site to every seed-independent trial of a sweep.
+TrialResult run_trial(const TrialConfig& cfg,
+                      const web::Website* site = nullptr);
 
 /// GET index (1-based, as the monitor counts) of the result HTML and of the
 /// j-th emblem (j in 0..7) under clean counting (no reissues before them).

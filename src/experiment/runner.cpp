@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "experiment/scenario.hpp"
 #include "experiment/sink.hpp"
 #include "sim/parse_number.hpp"
 
@@ -14,35 +13,27 @@ namespace h2sim::experiment {
 
 namespace {
 
-/// Sweep-level site sharing: configs whose site is seed-independent and
-/// built from the same recipe get one prebuilt site between them (typically
-/// the whole sweep shares a single site). Configs that already carry a
-/// prebuilt_site, use a custom builder, or inject per-seed dummies are
-/// passed through untouched. Trials behave byte-identically either way;
-/// this only moves site construction out of the per-trial loop.
-std::vector<TrialConfig> share_prebuilt_sites(std::span<const TrialConfig> cfgs) {
-  std::vector<TrialConfig> out(cfgs.begin(), cfgs.end());
-  struct Recipe {
-    const TrialConfig* exemplar;
-    std::shared_ptr<const web::Website> site;
-  };
-  std::vector<Recipe> recipes;
-  for (TrialConfig& cfg : out) {
-    if (cfg.prebuilt_site || !site_is_seed_independent(cfg)) continue;
-    Recipe* found = nullptr;
-    for (Recipe& r : recipes) {
-      if (same_site_recipe(*r.exemplar, cfg)) {
-        found = &r;
-        break;
-      }
-    }
-    if (!found) {
-      recipes.push_back({&cfg, prebuild_site(cfg)});
-      found = &recipes.back();
-    }
-    cfg.prebuilt_site = found->site;
+/// The site a trial builds is the same for every seed unless a custom
+/// site_builder (which may close over anything) or dummy injection (which
+/// draws from a per-seed RNG) makes it per-seed.
+bool site_is_seed_independent(const TrialConfig& cfg) {
+  return !cfg.site_builder && cfg.defense.dummy_count == 0;
+}
+
+/// One built site per distinct IsidewithConfig of a sweep's seed-independent
+/// configs, shared read-only by every worker.
+struct SharedSite {
+  web::IsidewithConfig recipe;
+  web::Website site;
+};
+
+const web::Website* find_site(const std::vector<SharedSite>& sites,
+                              const TrialConfig& cfg) {
+  if (!site_is_seed_independent(cfg)) return nullptr;
+  for (const SharedSite& s : sites) {
+    if (s.recipe == cfg.site) return &s.site;
   }
-  return out;
+  return nullptr;
 }
 
 }  // namespace
@@ -67,7 +58,14 @@ std::vector<TrialResult> run_trials(std::span<const TrialConfig> cfgs,
   int jobs = resolve_jobs(opts.jobs);
   if (static_cast<std::size_t>(jobs) > total) jobs = static_cast<int>(total);
 
-  const std::vector<TrialConfig> shared = share_prebuilt_sites(cfgs);
+  // Site construction leaves the per-trial loop: a trial behaves
+  // byte-identically on a shared site and on the one it would build.
+  std::vector<SharedSite> sites;
+  for (const TrialConfig& cfg : cfgs) {
+    if (site_is_seed_independent(cfg) && !find_site(sites, cfg)) {
+      sites.push_back({cfg.site, web::make_isidewith_site(cfg.site)});
+    }
+  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   auto elapsed = [&wall_start] {
@@ -77,7 +75,6 @@ std::vector<TrialResult> run_trials(std::span<const TrialConfig> cfgs,
   };
 
   std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> setup_nanos_total{0};
 
   // Work stealing via a shared atomic index: a worker that lands a short
   // trial immediately claims the next unclaimed one, so long trials never
@@ -96,11 +93,9 @@ std::vector<TrialResult> run_trials(std::span<const TrialConfig> cfgs,
       TrialResult result;
       {
         obs::ScopedContext scope(ctx);
-        result = run_trial(shared[i]);
+        result = run_trial(cfgs[i], find_site(sites, cfgs[i]));
       }
-      setup_nanos_total.fetch_add(last_trial_setup_nanos(),
-                                  std::memory_order_relaxed);
-      if (opts.sink) opts.sink->consume(i, shared[i], result, ctx);
+      if (opts.sink) opts.sink->consume(i, cfgs[i], result, ctx);
       if (opts.collect_results) results[i] = std::move(result);
     }
   };
@@ -124,13 +119,6 @@ std::vector<TrialResult> run_trials(std::span<const TrialConfig> cfgs,
   reg.gauge("experiment.sweep_trials_per_sec")
       .set(wall > 0 ? static_cast<double>(total) / wall : 0.0);
   reg.gauge("experiment.sweep_jobs").set(jobs);
-  // Mean per-trial world-construction time (wall clock, summed across
-  // workers). With sweep-level site sharing this is the residual setup the
-  // templates could not amortize.
-  reg.gauge("experiment.setup_seconds_mean")
-      .set(static_cast<double>(
-               setup_nanos_total.load(std::memory_order_relaxed)) /
-           1e9 / static_cast<double>(total));
   return results;
 }
 

@@ -108,13 +108,12 @@ void AggregatingSink::consume(std::size_t index, const TrialConfig& cfg,
       make_trial_record(base_index_ + index, cfg, cell, result);
   std::lock_guard<std::mutex> lock(mu_);
   pending_.emplace(rec.index, std::move(rec));
-  // Drain the reorder buffer: apply (and spill) strictly in ascending global
-  // index order so the reduction is canonical whatever the completion order.
+  // Drain the reorder buffer: apply strictly in ascending global index order
+  // so the reduction is canonical whatever the completion order.
   for (auto it = pending_.find(next_to_apply_); it != pending_.end();
        it = pending_.find(next_to_apply_)) {
     apply_trial_record(table_, it->second);
     ++applied_;
-    if (on_record) on_record(it->second);
     pending_.erase(it);
     ++next_to_apply_;
   }

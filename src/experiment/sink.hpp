@@ -80,11 +80,6 @@ class AggregatingSink : public ResultSink {
   void consume(std::size_t index, const TrialConfig& cfg,
                const TrialResult& result, const obs::Context& ctx) override;
 
-  /// Optional tap invoked (under the sink's lock) with each record *after*
-  /// it is applied in canonical order — the campaign driver chains shard
-  /// spill off this so file order matches reduction order.
-  std::function<void(const TrialRecord&)> on_record;
-
   /// Snapshot of the table so far (copies under the lock; the table is small
   /// — per-cell accumulators, not per-trial data).
   obs::AggregateTable table() const;

@@ -1,12 +1,10 @@
 #include "experiment/world.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "analysis/boundary.hpp"
 #include "analysis/padding.hpp"
 #include "defense/defenses.hpp"
-#include "experiment/scenario.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
 
@@ -14,8 +12,8 @@ namespace h2sim::experiment {
 
 using sim::Duration;
 
-TrialWorld::TrialWorld(const TrialConfig& cfg)
-    : cfg_(cfg), rng_server_h2_(0), rng_app_(0) {
+TrialWorld::TrialWorld(const TrialConfig& cfg, const web::Website* site)
+    : cfg_(cfg), rng_server_h2_(0), rng_app_(0), site_(site) {
   // Root split order is load-bearing: the behavior-golden digests pin it.
   sim::Rng root(cfg_.seed);
   sim::Rng rng_perm = root.split();
@@ -52,13 +50,9 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
   topo_->set_client_sink(
       0, [this](net::Packet&& p) { client_stack_->deliver(std::move(p)); });
 
-  // The shared sweep-level site is only usable when the site carries no
-  // per-seed randomness; otherwise build it locally, exactly as a standalone
-  // trial always has. Note the rng_defense split happens in the same cases
-  // either way, so the trial's RNG stream is identical with or without a
-  // prebuilt site.
-  const bool share_site = cfg_.prebuilt_site && site_is_seed_independent(cfg_);
-  if (!share_site) {
+  // A given site is seed-independent (no dummies), so taking it skips no
+  // rng_defense split.
+  if (!site_) {
     local_site_ = cfg_.site_builder ? cfg_.site_builder()
                                     : web::make_isidewith_site(cfg_.site);
     if (cfg_.defense.dummy_count > 0) {
@@ -66,8 +60,8 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
       defense::inject_dummies(local_site_, rng_defense,
                               cfg_.defense.dummy_count);
     }
+    site_ = &local_site_;
   }
-  site_ = share_site ? cfg_.prebuilt_site.get() : &local_site_;
 
   server_stack_->listen(443, [this](tcp::TcpConnection& c) {
     // Victim connections draw the historical rng_server_h2/rng_app splits;
@@ -169,11 +163,6 @@ TrialWorld::TrialWorld(const TrialConfig& cfg)
         cfg_.client_h2, tls_protection()));
     backgrounds_.back()->start();
   }
-
-  setup_nanos_ = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - setup_begin_)
-          .count());
 }
 
 void TrialWorld::run_to_limit() {
@@ -314,18 +303,7 @@ TrialResult TrialWorld::finish() {
   return r;
 }
 
-namespace {
-// Wall-clock world-construction time of the last run_trial on this thread.
-// Deliberately NOT a per-trial metric: wall time is not a pure function of
-// the config, and per-trial registries are compared bit-for-bit by the
-// determinism suite. The sweep runner aggregates this into its caller's
-// context instead.
-thread_local std::uint64_t last_setup_nanos = 0;
-}  // namespace
-
-std::uint64_t last_trial_setup_nanos() { return last_setup_nanos; }
-
-TrialResult run_trial(const TrialConfig& cfg) {
+TrialResult run_trial(const TrialConfig& cfg, const web::Website* site) {
   // Each trial owns the *current* observability context (the thread's
   // installed obs::Context, or the process default when running standalone):
   // zero every registered metric and drop buffered trace events so counters
@@ -336,8 +314,7 @@ TrialResult run_trial(const TrialConfig& cfg) {
   obs::tracer().clear();
   obs::profiler().reset();
 
-  TrialWorld world(cfg);
-  last_setup_nanos = world.setup_nanos();
+  TrialWorld world(cfg, site);
   world.run_to_limit();
   return world.finish();
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,7 +30,12 @@ namespace h2sim::experiment {
 /// evaluation independently.
 class TrialWorld {
  public:
-  explicit TrialWorld(const TrialConfig& cfg);
+  /// `site`, when given, must be the site `cfg` would build (run_trials
+  /// passes one only for a seed-independent config, see runner.cpp); it is
+  /// read-only and must outlive the world. Without it the world builds its
+  /// own site.
+  explicit TrialWorld(const TrialConfig& cfg,
+                      const web::Website* site = nullptr);
 
   TrialWorld(const TrialWorld&) = delete;
   TrialWorld& operator=(const TrialWorld&) = delete;
@@ -43,15 +47,8 @@ class TrialWorld {
   /// byte-for-byte the historical run_trial epilogue.
   TrialResult finish();
 
-  /// Wall-clock nanoseconds construction took (world setup up to the first
-  /// simulated event). Not part of any TrialResult — wall time is not a pure
-  /// function of the config.
-  std::uint64_t setup_nanos() const { return setup_nanos_; }
-
  private:
   const TrialConfig cfg_;
-  std::chrono::steady_clock::time_point setup_begin_ =
-      std::chrono::steady_clock::now();
 
   /// Every TLS session of the trial computes ciphertext only when a capture
   /// session is there to see it; no TrialResult depends on those bytes.
@@ -87,7 +84,6 @@ class TrialWorld {
   std::unique_ptr<h2::ClientConnection> client_conn_;
   std::unique_ptr<web::Browser> browser_;
   std::vector<std::unique_ptr<BackgroundClient>> backgrounds_;
-  std::uint64_t setup_nanos_ = 0;
 };
 
 }  // namespace h2sim::experiment

@@ -98,8 +98,10 @@ class Parser {
   }
 
  private:
+  // RFC 8259 §2: space, tab, LF and CR only (not VT or FF).
   void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
+                                s_[pos_] == '\n' || s_[pos_] == '\r')) {
       ++pos_;
     }
   }

@@ -55,26 +55,6 @@ std::string Profiler::collapsed() const {
   return out;
 }
 
-std::vector<TraceEvent> Profiler::counter_events(sim::TimePoint t) const {
-  std::vector<TraceEvent> events;
-  for (std::size_t i = 0; i < kComponentCount; ++i) {
-    if (component_self_ns_[i] == 0) continue;
-    const Component c = static_cast<Component>(i);
-    TraceEvent e;
-    e.comp = c;
-    e.phase = 'C';
-    e.name = std::string("wall_self_us.") + to_string(c);
-    e.ts_ns = t.count_nanos();
-    e.pid = track::kClient;
-    e.args = TraceArgs()
-                 .add("wall_self_us",
-                      static_cast<double>(component_self_ns_[i]) / 1000.0)
-                 .take();
-    events.push_back(std::move(e));
-  }
-  return events;
-}
-
 Profiler& profiler() { return current().profiler; }
 
 }  // namespace h2sim::obs

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "sim/time.hpp"
 
 namespace h2sim::obs {
 
@@ -23,11 +22,9 @@ namespace h2sim::obs {
 ///
 /// Enabled, each ProfileScope pushes a frame; on pop the frame's *self* time
 /// (total minus time spent in nested scopes) is attributed to the current
-/// component stack. Two exports:
-///   - collapsed():       folded-stack text ("net;tcp;tls 12345") directly
-///                        consumable by flamegraph.pl / speedscope / inferno.
-///   - counter_events():  per-component 'C' TraceEvents mergeable into the
-///                        tracer's Perfetto timeline as counter tracks.
+/// component stack. collapsed() exports it as folded-stack text
+/// ("net;tcp;tls 12345") directly consumable by flamegraph.pl / speedscope /
+/// inferno.
 ///
 /// Profiler output is wall time and therefore nondeterministic; it never
 /// feeds TrialResult, metrics, or digests — behavior goldens are unaffected
@@ -71,11 +68,6 @@ class Profiler {
   /// sorted by path. The unit is nanoseconds; flamegraph tooling treats the
   /// count as opaque samples.
   std::string collapsed() const;
-
-  /// One 'C' (counter) TraceEvent per component with nonzero self time,
-  /// stamped at simulated time `t` so they land on the tracer's timeline.
-  /// Value is self time in microseconds ("wall_self_us" counter).
-  std::vector<TraceEvent> counter_events(sim::TimePoint t) const;
 
  private:
   struct Frame {

@@ -81,19 +81,6 @@ void Tracer::complete(Component c, std::string name, sim::TimePoint start,
                      (end - start).count_nanos(), pid, tid, std::move(args)});
 }
 
-void Tracer::begin(Component c, std::string name, sim::TimePoint t,
-                   std::uint32_t pid, std::uint64_t tid, std::string args) {
-  if (!enabled(c)) return;
-  events_.push_back({c, 'B', std::move(name), t.count_nanos(), 0, pid, tid,
-                     std::move(args)});
-}
-
-void Tracer::end(Component c, std::string name, sim::TimePoint t,
-                 std::uint32_t pid, std::uint64_t tid) {
-  if (!enabled(c)) return;
-  events_.push_back({c, 'E', std::move(name), t.count_nanos(), 0, pid, tid, {}});
-}
-
 void Tracer::counter(Component c, std::string name, sim::TimePoint t,
                      std::uint32_t pid, std::uint64_t tid, double value) {
   if (!enabled(c)) return;

@@ -43,7 +43,7 @@ constexpr std::uint32_t kAdversary = 4;
 
 /// One structured event on the simulated timeline. `phase` uses the Chrome
 /// trace-event vocabulary: 'i' instant, 'X' complete span (with `dur_ns`),
-/// 'B'/'E' nested span begin/end, 'C' counter sample.
+/// 'C' counter sample.
 struct TraceEvent {
   Component comp = Component::kSim;
   char phase = 'i';
@@ -107,10 +107,6 @@ class Tracer {
   void complete(Component c, std::string name, sim::TimePoint start,
                 sim::TimePoint end, std::uint32_t pid, std::uint64_t tid,
                 std::string args = {});
-  void begin(Component c, std::string name, sim::TimePoint t,
-             std::uint32_t pid, std::uint64_t tid, std::string args = {});
-  void end(Component c, std::string name, sim::TimePoint t,
-           std::uint32_t pid, std::uint64_t tid);
   void counter(Component c, std::string name, sim::TimePoint t,
                std::uint32_t pid, std::uint64_t tid, double value);
 

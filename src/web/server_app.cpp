@@ -53,10 +53,9 @@ ServerApp::ServerApp(sim::EventLoop& loop, const Website& site,
     built_bodies_.erase(sid);  // the reset flushed the stream's queue
     std::erase_if(pending_, [sid](const auto& p) { return p.stream_id == sid; });
   };
-  handlers.on_connection_dead = [this](std::string_view reason) {
+  handlers.on_connection_dead = [this](std::string_view) {
     for (auto& [sid, w] : workers_) w.timer.cancel();
     workers_.clear();
-    if (on_connection_dead) on_connection_dead(reason);
   };
   conn_.set_handlers(std::move(handlers));
 }

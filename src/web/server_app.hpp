@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -61,9 +60,6 @@ class ServerApp {
   bool producing(std::uint32_t stream_id) const {
     return workers_.contains(stream_id);
   }
-
-  /// Optional notification when the connection dies.
-  std::function<void(std::string_view)> on_connection_dead;
 
  private:
   struct Worker {

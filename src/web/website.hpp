@@ -93,8 +93,9 @@ struct IsidewithConfig {
   /// Fillers requested between the HTML and the emblem burst.
   int head_fillers = 12;
 
-  /// Equal configs build byte-identical sites (experiment::same_site_recipe
-  /// shares one prebuilt site between them), so every field takes part.
+  /// Equal configs build byte-identical sites (experiment::run_trials
+  /// builds one site per distinct config of a sweep), so every field takes
+  /// part.
   bool operator==(const IsidewithConfig&) const = default;
 };
 

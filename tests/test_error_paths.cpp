@@ -281,6 +281,11 @@ TEST(ErrorPaths, ControlFrameViolationsSendRfcCodes) {
       {"HEADERS pad length past payload end (6.2)", h2::FrameType::kHeaders,
        h2::flags::kPadded | h2::flags::kEndHeaders, 1, {5, 0x82},
        "PROTOCOL_ERROR"},
+      // A size update to 4097 (0x3f 0xe2 0x1f, 5-bit prefix) opening the
+      // block, past the 4096 the server advertised, then :method GET.
+      {"HPACK table size update past the advertised 4096 (RFC 7541 6.3)",
+       h2::FrameType::kHeaders, h2::flags::kEndHeaders | h2::flags::kEndStream,
+       1, {0x3f, 0xe2, 0x1f, 0x82}, "COMPRESSION_ERROR"},
       {"PUSH_PROMISE to a client (8.2)", h2::FrameType::kPushPromise,
        h2::flags::kEndHeaders, 1, {0, 0, 0, 2, 0x82}, "PROTOCOL_ERROR",
        /*from_server=*/true},

@@ -292,6 +292,22 @@ TEST(HpackDecoder, RejectsTableSizeUpdateAfterField) {
   EXPECT_FALSE(dec.decode(bytes({0x82, 0x20})).has_value());
 }
 
+// RFC 7541 §4.2/§6.3: a block may open with a size update, but not one past
+// the limit the decoder's side advertised (4096 unless set otherwise).
+TEST(HpackDecoder, RejectsTableSizeUpdatePastAdvertisedAtBlockStart) {
+  Decoder dec;
+  std::vector<std::uint8_t> block;
+  encode_integer(4097, 5, 0x20, block);
+  block.push_back(0x82);  // :method GET
+  EXPECT_FALSE(dec.decode(block).has_value());
+
+  Decoder at_limit;
+  block.clear();
+  encode_integer(4096, 5, 0x20, block);
+  block.push_back(0x82);
+  EXPECT_TRUE(at_limit.decode(block).has_value());
+}
+
 TEST(HpackDecoder, RejectsOversizeTableUpdate) {
   Decoder dec;
   dec.set_max_table_size(4096);

@@ -11,7 +11,6 @@
 
 #include "experiment/digest.hpp"
 #include "experiment/runner.hpp"
-#include "experiment/scenario.hpp"
 #include "net/topology.hpp"
 #include "obs/context.hpp"
 #include "sim/event_loop.hpp"
@@ -151,18 +150,6 @@ TEST(Load, BackgroundWorkloadsActuallyGenerateTraffic) {
   EXPECT_GT(r.bg_streams_completed, 0u);
   // Contention is real but not fatal: the victim's page still completes.
   EXPECT_TRUE(r.page_complete) << r.failure_reason;
-}
-
-TEST(Load, ScenarioTemplateSharesSiteAcrossClientCounts) {
-  experiment::ScenarioTemplate base{experiment::TrialConfig{}};
-  ASSERT_TRUE(base.site_shared());
-  const experiment::ScenarioTemplate crowded = base.with_background(64);
-  EXPECT_TRUE(crowded.site_shared());
-  // Same site object, not a rebuild: the sweep's cells share one site.
-  EXPECT_EQ(base.base().prebuilt_site.get(), crowded.base().prebuilt_site.get());
-  EXPECT_EQ(crowded.base().load.background_clients, 64);
-  EXPECT_EQ(crowded.instantiate(9).seed, 9u);
-  EXPECT_EQ(crowded.instantiate(9).load.background_clients, 64);
 }
 
 // The wheel's determinism contract under contention: 32 seeds of an

@@ -215,6 +215,17 @@ TEST(ObsJson, AppendStringRoundTripsEveryAsciiByte) {
   EXPECT_EQ(obs::json::quoted("a\"b\\c\n\t\x01"), "\"a\\\"b\\\\c\\n\\t\\u0001\"");
 }
 
+// RFC 8259 §2: only space, tab, LF and CR are whitespace between tokens.
+TEST(ObsJson, OnlyRfcWhitespaceIsSkipped) {
+  EXPECT_FALSE(obs::json::parse("\x0b" "1"));
+  EXPECT_FALSE(obs::json::parse("\x0c" "1"));
+  EXPECT_FALSE(obs::json::parse("1\x0c"));
+  EXPECT_FALSE(obs::json::parse("[1,\x0b" "2]"));
+  const auto v = obs::json::parse(" \t\n\r1 \t\n\r");
+  ASSERT_TRUE(v && v->is_number());
+  EXPECT_EQ(v->number, 1.0);
+}
+
 TEST(ObsJson, UnicodeEscapesDecodeToUtf8) {
   const auto v = obs::json::parse("\"\\u00e9\\u20ac\\ud83d\\ude00\\u0041\"");
   ASSERT_TRUE(v && v->is_string());
